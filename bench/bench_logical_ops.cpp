@@ -139,9 +139,9 @@ void esm_structure() {
   std::printf("time slots: %zu (paper: 8)\n", esm.num_slots());
   std::printf("gates:      %zu (paper: 48)\n", esm.num_operations());
   std::size_t slot_index = 1;
-  for (const TimeSlot& slot : esm) {
+  for (const SlotView slot : esm) {
     std::printf("  slot %zu: %2zu ops  (", slot_index++, slot.size());
-    GateType last = slot.operations().front().gate();
+    GateType last = slot.front().gate();
     std::size_t count = 0;
     for (const Operation& op : slot) {
       if (op.gate() != last) {

@@ -31,7 +31,7 @@ int main() {
 
   std::printf("%-16s %-16s %-28s %s\n", "operation", "route",
               "forwarded to PEL", "records after");
-  for (const TimeSlot& slot : program) {
+  for (const SlotView slot : program) {
     for (const Operation& op : slot) {
       const std::size_t before = pel.size();
       const pf::Route route = arbiter.submit(op);

@@ -16,50 +16,54 @@ void ChpCore::create_qubits(std::size_t count) {
   for (auto& value : binary_) {
     value = BinaryValue::kZero;
   }
-  queue_.clear();
+  queued_ = 0;
 }
 
 void ChpCore::remove_qubits() {
   tableau_.reset();
   binary_.clear();
-  queue_.clear();
+  queued_ = 0;
 }
 
 void ChpCore::add(const Circuit& circuit) {
   if (circuit.min_register_size() > binary_.size()) {
     throw StackConfigError("ChpCore", "circuit exceeds register");
   }
-  queue_.push_back(circuit);
+  // Copy into a slot the queue already owns, reusing its capacity.
+  if (queued_ == queue_.size()) {
+    queue_.push_back(circuit);
+  } else {
+    queue_[queued_] = circuit;
+  }
+  ++queued_;
 }
 
 void ChpCore::execute() {
   if (tableau_ == nullptr) {
     throw std::logic_error("ChpCore: no qubits allocated");
   }
-  std::vector<Circuit> pending;
-  pending.swap(queue_);  // cleared even if a gate below throws
-  for (const Circuit& circuit : pending) {
-    for (const TimeSlot& slot : circuit) {
-      for (const Operation& op : slot) {
-        switch (category(op.gate())) {
-          case GateCategory::kInitialization:
-            tableau_->reset(op.qubit(0));
-            binary_[op.qubit(0)] = BinaryValue::kZero;
-            break;
-          case GateCategory::kMeasurement:
-            binary_[op.qubit(0)] = tableau_->measure(op.qubit(0)).value
-                                       ? BinaryValue::kOne
-                                       : BinaryValue::kZero;
-            break;
-          default:
-            tableau_->apply_unitary(op);
-            for (int i = 0; i < op.arity(); ++i) {
-              if (op.gate() != GateType::kI) {
-                binary_[op.qubit(i)] = BinaryValue::kUnknown;
-              }
+  const std::size_t pending = queued_;
+  queued_ = 0;  // cleared even if a gate below throws
+  for (std::size_t c = 0; c < pending; ++c) {
+    for (const Operation& op : queue_[c].operations()) {
+      switch (category(op.gate())) {
+        case GateCategory::kInitialization:
+          tableau_->reset(op.qubit(0));
+          binary_[op.qubit(0)] = BinaryValue::kZero;
+          break;
+        case GateCategory::kMeasurement:
+          binary_[op.qubit(0)] = tableau_->measure(op.qubit(0)).value
+                                     ? BinaryValue::kOne
+                                     : BinaryValue::kZero;
+          break;
+        default:
+          tableau_->apply_unitary(op);
+          for (int i = 0; i < op.arity(); ++i) {
+            if (op.gate() != GateType::kI) {
+              binary_[op.qubit(i)] = BinaryValue::kUnknown;
             }
-            break;
-        }
+          }
+          break;
       }
     }
   }
@@ -82,9 +86,9 @@ void ChpCore::save_state(journal::SnapshotWriter& out) const {
   for (const BinaryValue v : binary_) {
     out.write_u8(static_cast<std::uint8_t>(v));
   }
-  out.write_size(queue_.size());
-  for (const Circuit& circuit : queue_) {
-    out.write_circuit(circuit);
+  out.write_size(queued_);
+  for (std::size_t c = 0; c < queued_; ++c) {
+    out.write_circuit(queue_[c]);
   }
 }
 
@@ -107,8 +111,10 @@ void ChpCore::load_state(journal::SnapshotReader& in) {
   }
   const std::size_t queued = in.read_size();
   queue_.clear();
+  queued_ = 0;
   for (std::size_t i = 0; i < queued; ++i) {
     queue_.push_back(in.read_circuit());
+    ++queued_;
   }
   if (tableau_ != nullptr && tableau_->num_qubits() != binary_.size()) {
     throw CheckpointError("chp core snapshot: register size mismatch");

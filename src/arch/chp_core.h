@@ -40,7 +40,10 @@ class ChpCore final : public Core {
   std::uint64_t seed_;
   std::unique_ptr<stab::Tableau> tableau_;
   BinaryState binary_;
+  /// Queued circuits are queue_[0, queued_); the slots beyond stay
+  /// allocated so later add() calls copy without allocating.
   std::vector<Circuit> queue_;
+  std::size_t queued_ = 0;
 };
 
 }  // namespace qpf::arch

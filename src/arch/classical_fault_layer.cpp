@@ -136,7 +136,7 @@ void ClassicalFaultLayer::add(const Circuit& circuit) {
     return;
   }
   Circuit faulty{circuit.name()};
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     std::vector<Operation> ops;
     std::vector<Operation> duplicates;
     ops.reserve(slot.size());

@@ -20,7 +20,10 @@ class ErrorLayer final : public Layer {
     if (bypass_) {
       lower().add(circuit);
     } else {
-      lower().add(model_.inject(circuit, num_qubits()));
+      // The noisy copy lives in a reused buffer, valid until the next
+      // add() (see PauliFrameLayer).
+      model_.inject(circuit, num_qubits(), noisy_);
+      lower().add(noisy_);
     }
   }
 
@@ -44,6 +47,7 @@ class ErrorLayer final : public Layer {
 
  private:
   qec::DepolarizingModel model_;
+  Circuit noisy_;  ///< add()'s output buffer; not snapshot state
 };
 
 }  // namespace qpf::arch

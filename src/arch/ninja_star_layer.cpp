@@ -52,7 +52,7 @@ void NinjaStarLayer::execute() {
   std::vector<Circuit> pending;
   pending.swap(queue_);
   for (const Circuit& circuit : pending) {
-    for (const TimeSlot& slot : circuit) {
+    for (const SlotView slot : circuit) {
       for (const Operation& op : slot) {
         apply_logical(op);
       }
@@ -96,6 +96,17 @@ const NinjaStar& NinjaStarLayer::star(Qubit logical) const {
 void NinjaStarLayer::run_lower(const Circuit& circuit) {
   lower().add(circuit);
   lower().execute();
+}
+
+void NinjaStarLayer::run_corrections(std::string_view name,
+                                     const std::vector<Operation>& ops) {
+  if (ops.empty()) {
+    return;
+  }
+  corrections_.clear();
+  corrections_.set_name(name);
+  corrections_.append_slot(SlotView(ops.data(), ops.data() + ops.size()));
+  run_lower(corrections_);
 }
 
 Syndrome NinjaStarLayer::run_esm_round(NinjaStar& star) {
@@ -144,17 +155,10 @@ void NinjaStarLayer::initialize(Qubit logical, CheckType basis) {
   // the confirmation window below, whose agreement rule makes single
   // faults harmless.
   const Syndrome first = run_esm_round(s);
-  const std::vector<Operation> gauge = s.decode_gauge(
-      first, basis == CheckType::kZ ? CheckType::kX : CheckType::kZ);
-  if (!gauge.empty()) {
-    Circuit fix{"init-corrections"};
-    TimeSlot slot;
-    for (const Operation& op : gauge) {
-      slot.add(op);
-    }
-    fix.append_slot(std::move(slot));
-    run_lower(fix);
-  }
+  run_corrections("init-corrections",
+                  s.decode_gauge(first, basis == CheckType::kZ
+                                            ? CheckType::kX
+                                            : CheckType::kZ));
   // Complete d rounds of ESM with a regular decoded window.
   run_window(logical);
 }
@@ -178,7 +182,7 @@ void NinjaStarLayer::initialize_injected(Qubit logical,
   run_lower(pattern);
   // Retarget the preparation gates onto the physical center qubit.
   Circuit center{"injection-center"};
-  for (const TimeSlot& prep_slot : center_preparation) {
+  for (const SlotView prep_slot : center_preparation) {
     for (const Operation& op : prep_slot) {
       if (op.arity() != 1 || op.qubit(0) != 0) {
         throw StackConfigError(
@@ -193,16 +197,7 @@ void NinjaStarLayer::initialize_injected(Qubit logical,
   // Project into the code space and gauge-fix with corrections that
   // commute with the logical operators.
   const Syndrome first = run_esm_round(s);
-  const std::vector<Operation> gauge = s.decode_injection(first);
-  if (!gauge.empty()) {
-    Circuit fix{"injection-corrections"};
-    TimeSlot fix_slot;
-    for (const Operation& op : gauge) {
-      fix_slot.add(op);
-    }
-    fix.append_slot(std::move(fix_slot));
-    run_lower(fix);
-  }
+  run_corrections("injection-corrections", s.decode_injection(first));
   s.set_state(StateValue::kUnknown);
   run_window(logical);
 }
@@ -228,16 +223,7 @@ void NinjaStarLayer::run_window(Qubit logical) {
     s.set_carried_syndrome(r2);
     return;
   }
-  const std::vector<Operation> corrections = s.decode_window(r1, r2);
-  if (!corrections.empty()) {
-    Circuit fix{"window-corrections"};
-    TimeSlot slot;
-    for (const Operation& op : corrections) {
-      slot.add(op);
-    }
-    fix.append_slot(std::move(slot));
-    run_lower(fix);
-  }
+  run_corrections("window-corrections", s.decode_window(r1, r2));
 }
 
 bool NinjaStarLayer::has_observable_errors(Qubit logical) {

@@ -13,6 +13,7 @@
 // (observable-error probe and Fig 5.10 logical-stabilizer readout).
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "arch/layer.h"
@@ -116,6 +117,10 @@ class NinjaStarLayer final : public Layer {
   qec::Syndrome run_esm_round(qec::NinjaStar& star);
   /// Execute a circuit through the stack below.
   void run_lower(const Circuit& circuit);
+  /// Execute decoder corrections (at most one per qubit) as one slot;
+  /// nothing when `ops` is empty.
+  void run_corrections(std::string_view name,
+                       const std::vector<Operation>& ops);
   void apply_logical(const Operation& op);
   void run_windows_after(Qubit logical);
 
@@ -123,6 +128,7 @@ class NinjaStarLayer final : public Layer {
   qec::Sc17Layout layout_;
   std::vector<qec::NinjaStar> stars_;
   std::vector<Circuit> queue_;
+  Circuit corrections_;  ///< run_corrections() buffer; not snapshot state
   TimingLayer* watchdog_ = nullptr;  // non-owning, may be null
 };
 

@@ -7,8 +7,14 @@ namespace qpf::arch {
 
 void PauliFrameLayer::add(const Circuit& circuit) {
   require_frame();
+  // Checked up front so a circuit that does not fit leaves the frame
+  // untouched instead of failing halfway through its records.
+  if (circuit.min_register_size() > frame_->num_qubits()) {
+    throw StackConfigError("PauliFrameLayer", "circuit exceeds register");
+  }
   const std::size_t uncorrectable_before = frame_->health().uncorrectable;
-  lower().add(frame_->process(circuit));
+  frame_->process(circuit, rewritten_);
+  lower().add(rewritten_);
   if (frame_->health().uncorrectable > uncorrectable_before) {
     // Graceful degradation: a record was lost while rewriting this
     // circuit.  Flush the remaining records so the frame re-enters a

@@ -15,6 +15,11 @@
 // full frame flush (Table 3.1) right behind it so the whole frame
 // returns to a known-clean state instead of silently corrupting the
 // downstream Clifford stream.
+//
+// The rewritten circuit handed to the layer below lives in a buffer the
+// layer owns and reuses: it stays valid until this layer's next add(),
+// so an element below that keeps a circuit past its own add() copies it
+// (DESIGN.md, "Circuit storage and rewrite buffers").
 #pragma once
 
 #include "arch/layer.h"
@@ -78,6 +83,7 @@ class PauliFrameLayer final : public Layer {
   pf::Protection protection_;
   std::size_t recovery_flushes_ = 0;
   mutable std::optional<pf::PauliFrame> frame_;
+  Circuit rewritten_;  ///< add()'s output buffer; not snapshot state
 };
 
 }  // namespace qpf::arch

@@ -35,7 +35,7 @@ void QxCore::execute() {
   std::vector<Circuit> pending;
   pending.swap(queue_);  // cleared even if a gate below throws
   for (const Circuit& circuit : pending) {
-    for (const TimeSlot& slot : circuit) {
+    for (const SlotView slot : circuit) {
       for (const Operation& op : slot) {
         switch (category(op.gate())) {
           case GateCategory::kInitialization:

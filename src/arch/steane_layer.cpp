@@ -32,7 +32,7 @@ void SteaneLayer::execute() {
   std::vector<Circuit> pending;
   pending.swap(queue_);
   for (const Circuit& circuit : pending) {
-    for (const TimeSlot& slot : circuit) {
+    for (const SlotView slot : circuit) {
       for (const Operation& op : slot) {
         apply_logical(op);
       }

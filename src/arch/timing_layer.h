@@ -40,7 +40,7 @@ struct GateTimings {
   double prep_ns = 300.0;
 
   /// Duration of one time slot: the slowest operation in it.
-  [[nodiscard]] double slot_ns(const TimeSlot& slot) const noexcept {
+  [[nodiscard]] double slot_ns(SlotView slot) const noexcept {
     double worst = 0.0;
     for (const Operation& op : slot) {
       double d = 0.0;
@@ -78,7 +78,7 @@ class TimingLayer final : public Layer {
 
   void add(const Circuit& circuit) override {
     if (!bypass_) {
-      for (const TimeSlot& slot : circuit) {
+      for (const SlotView slot : circuit) {
         const double d = timings_.slot_ns(slot);
         elapsed_ns_ += d;
         round_ns_ += d;

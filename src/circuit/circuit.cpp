@@ -1,9 +1,26 @@
 #include "circuit/circuit.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace qpf {
+
+bool SlotView::conflicts(const Operation& op) const noexcept {
+  if (touches(op.qubit(0))) {
+    return true;
+  }
+  return op.arity() == 2 && touches(op.qubit(1));
+}
+
+bool SlotView::touches(Qubit q) const noexcept {
+  return std::any_of(begin(), end(),
+                     [q](const Operation& op) { return op.touches(q); });
+}
+
+bool SlotView::operator==(const SlotView& other) const noexcept {
+  return std::equal(begin(), end(), other.begin(), other.end());
+}
 
 void TimeSlot::add(const Operation& op) {
   if (conflicts(op)) {
@@ -12,76 +29,62 @@ void TimeSlot::add(const Operation& op) {
   ops_.push_back(op);
 }
 
-bool TimeSlot::conflicts(const Operation& op) const noexcept {
-  if (touches(op.qubit(0))) {
-    return true;
-  }
-  return op.arity() == 2 && touches(op.qubit(1));
-}
-
-bool TimeSlot::touches(Qubit q) const noexcept {
-  return std::any_of(ops_.begin(), ops_.end(),
-                     [q](const Operation& op) { return op.touches(q); });
-}
-
 void Circuit::append(const Operation& op) {
-  if (slots_.empty() || slots_.back().conflicts(op)) {
-    slots_.emplace_back();
+  if (empty() || slot(num_slots() - 1).conflicts(op)) {
+    append_in_new_slot(op);
+    return;
   }
-  slots_.back().add(op);
+  ops_.push_back(op);
+  ++ends_.back();
 }
 
 void Circuit::append_in_new_slot(const Operation& op) {
-  slots_.emplace_back();
-  slots_.back().add(op);
+  ops_.push_back(op);
+  ends_.push_back(ops_.size());
 }
 
-void Circuit::append_slot(TimeSlot slot) {
-  if (!slot.empty()) {
-    slots_.push_back(std::move(slot));
+void Circuit::append_slot(SlotView slot) {
+  const std::less_equal<const Operation*> le;
+  if (!slot.empty() && le(ops_.data(), slot.begin()) &&
+      le(slot.end(), ops_.data() + ops_.size())) {
+    // A view into this circuit: copy it before ops_ can reallocate.
+    const std::vector<Operation> copy(slot.begin(), slot.end());
+    append_slot(SlotView(copy.data(), copy.data() + copy.size()));
+    return;
   }
+  ops_.insert(ops_.end(), slot.begin(), slot.end());
+  close_slot();
 }
 
 void Circuit::append_circuit(const Circuit& other) {
-  for (const TimeSlot& slot : other.slots_) {
+  if (&other == this) {
+    const Circuit copy = other;
+    append_circuit(copy);
+    return;
+  }
+  for (const SlotView slot : other) {
     append_slot(slot);
   }
 }
 
-std::size_t Circuit::num_operations() const noexcept {
-  std::size_t n = 0;
-  for (const TimeSlot& slot : slots_) {
-    n += slot.size();
-  }
-  return n;
-}
-
 std::size_t Circuit::count(GateType g) const noexcept {
-  std::size_t n = 0;
-  for (const TimeSlot& slot : slots_) {
-    for (const Operation& op : slot) {
-      n += op.gate() == g ? 1 : 0;
-    }
-  }
-  return n;
+  const SlotView ops = operations();
+  return static_cast<std::size_t>(std::count_if(
+      ops.begin(), ops.end(),
+      [g](const Operation& op) { return op.gate() == g; }));
 }
 
 std::size_t Circuit::count(GateCategory c) const noexcept {
-  std::size_t n = 0;
-  for (const TimeSlot& slot : slots_) {
-    for (const Operation& op : slot) {
-      n += category(op.gate()) == c ? 1 : 0;
-    }
-  }
-  return n;
+  const SlotView ops = operations();
+  return static_cast<std::size_t>(std::count_if(
+      ops.begin(), ops.end(),
+      [c](const Operation& op) { return category(op.gate()) == c; }));
 }
 
 std::size_t Circuit::min_register_size() const noexcept {
   std::size_t size = 0;
-  for (const TimeSlot& slot : slots_) {
-    for (const Operation& op : slot) {
-      size = std::max<std::size_t>(size, op.max_qubit() + 1);
-    }
+  for (const Operation& op : operations()) {
+    size = std::max<std::size_t>(size, op.max_qubit() + 1);
   }
   return size;
 }
@@ -93,11 +96,11 @@ std::string Circuit::str() const {
     out += name_;
     out += '\n';
   }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
+  for (std::size_t i = 0; i < num_slots(); ++i) {
     out += "slot ";
     out += std::to_string(i);
     out += ':';
-    for (const Operation& op : slots_[i]) {
+    for (const Operation& op : slot(i)) {
       out += ' ';
       out += op.str();
       out += ';';
@@ -108,15 +111,7 @@ std::string Circuit::str() const {
 }
 
 bool Circuit::operator==(const Circuit& other) const noexcept {
-  if (slots_.size() != other.slots_.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].operations() != other.slots_[i].operations()) {
-      return false;
-    }
-  }
-  return true;
+  return ends_ == other.ends_ && operations() == other.operations();
 }
 
 }  // namespace qpf

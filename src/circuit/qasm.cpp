@@ -75,7 +75,7 @@ void write_qasm(std::ostream& os, const Circuit& circuit) {
   }
   os << "qubits " << circuit.min_register_size() << "\n";
   bool first_slot = true;
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     if (!first_slot) {
       os << "|\n";
     }

@@ -7,7 +7,7 @@ namespace qpf {
 GateMix analyze(const Circuit& circuit) noexcept {
   GateMix mix;
   mix.time_slots = circuit.num_slots();
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       ++mix.total;
       switch (category(op.gate())) {

@@ -78,7 +78,7 @@ Route PauliArbiter::submit(const Operation& op) {
 }
 
 void PauliArbiter::submit(const Circuit& circuit) {
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       submit(op);
     }

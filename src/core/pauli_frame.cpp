@@ -158,26 +158,28 @@ void PauliFrame::apply_clifford(const Operation& op) {
   }
 }
 
-std::vector<Operation> PauliFrame::flush(Qubit q) {
-  std::vector<Operation> out;
+std::size_t PauliFrame::flush_into(Qubit q, Circuit& out) {
   const PauliRecord r = load(q);
   if (has_x(r)) {
-    out.emplace_back(GateType::kX, q);
+    out.append(GateType::kX, q);
   }
   if (has_z(r)) {
-    out.emplace_back(GateType::kZ, q);
+    out.append(GateType::kZ, q);
   }
   store(q, PauliRecord::kI);
-  return out;
+  return (has_x(r) ? 1 : 0) + (has_z(r) ? 1 : 0);
+}
+
+std::vector<Operation> PauliFrame::flush(Qubit q) {
+  Circuit out;
+  flush_into(q, out);
+  return {out.operations().begin(), out.operations().end()};
 }
 
 Circuit PauliFrame::flush_all() {
   Circuit out{"pauli-frame-flush"};
   for (Qubit q = 0; q < records_.size(); ++q) {
-    for (const Operation& op : flush(q)) {
-      out.append(op);
-      ++stats_.flush_gates_emitted;
-    }
+    stats_.flush_gates_emitted += flush_into(q, out);
   }
   return out;
 }
@@ -191,25 +193,33 @@ bool PauliFrame::clean() const noexcept {
   return true;
 }
 
-Circuit PauliFrame::process(const Circuit& circuit) {
-  Circuit out{circuit.name()};
+void PauliFrame::process(const Circuit& circuit, Circuit& out) {
+  out.clear();
+  out.set_name(circuit.name());
   stats_.input_slots += circuit.num_slots();
   stats_.input_gates += circuit.num_operations();
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     // Flush operations for non-Clifford targets in this slot must land
-    // on the qubits *before* the slot executes.
-    Circuit flush_ops;
-    TimeSlot forwarded;
+    // on the qubits *before* the slot executes.  The ops of one slot
+    // act on distinct qubits, so flushing them ahead of the rest of the
+    // slot reads the same records as flushing them in place.
+    flush_ops_.clear();
+    for (const Operation& op : slot) {
+      if (category(op.gate()) == GateCategory::kNonClifford &&
+          !plant::bug(4)) {  // mutation hook: skip the Table 3.1 flush
+        for (int i = 0; i < op.arity(); ++i) {
+          stats_.flush_gates_emitted += flush_into(op.qubit(i), flush_ops_);
+        }
+      }
+    }
+    out.append_circuit(flush_ops_);
     for (const Operation& op : slot) {
       switch (category(op.gate())) {
         case GateCategory::kInitialization:
           if (!plant::bug(5)) {  // mutation hook: reset keeps the record
             store(op.qubit(0), PauliRecord::kI);
           }
-          forwarded.add(op);
-          break;
-        case GateCategory::kMeasurement:
-          forwarded.add(op);
+          out.push_op(op);
           break;
         case GateCategory::kPauli:
           if (op.gate() != GateType::kI) {
@@ -219,29 +229,18 @@ Circuit PauliFrame::process(const Circuit& circuit) {
           break;
         case GateCategory::kClifford:
           apply_clifford(op);
-          forwarded.add(op);
+          out.push_op(op);
           break;
+        case GateCategory::kMeasurement:
         case GateCategory::kNonClifford:
-          if (plant::bug(4)) {  // mutation hook: skip the Table 3.1 flush
-            forwarded.add(op);
-            break;
-          }
-          for (int i = 0; i < op.arity(); ++i) {
-            for (const Operation& pending : flush(op.qubit(i))) {
-              flush_ops.append(pending);
-              ++stats_.flush_gates_emitted;
-            }
-          }
-          forwarded.add(op);
+          out.push_op(op);
           break;
       }
     }
-    out.append_circuit(flush_ops);
-    out.append_slot(std::move(forwarded));
+    out.close_slot();
   }
   stats_.output_slots += out.num_slots();
   stats_.output_gates += out.num_operations();
-  return out;
 }
 
 namespace {

@@ -114,10 +114,17 @@ class PauliFrame {
   /// the caller still executes the gate on the qubits.
   void apply_clifford(const Operation& op);
 
-  /// Rewrite a circuit per Table 3.1, updating records.  Slot structure
-  /// is preserved where possible; slots that become empty are dropped
-  /// (those are the "saved time slots").
-  [[nodiscard]] Circuit process(const Circuit& circuit);
+  /// Rewrite a circuit per Table 3.1 into `out`, updating records.  Slot
+  /// structure is preserved where possible; slots that become empty are
+  /// dropped (those are the "saved time slots").  `out` is cleared first
+  /// and keeps its capacity, so a caller that reuses one buffer stops
+  /// allocating; it must not be `circuit` itself.
+  void process(const Circuit& circuit, Circuit& out);
+  [[nodiscard]] Circuit process(const Circuit& circuit) {
+    Circuit out;
+    process(circuit, out);
+    return out;
+  }
 
   /// Correct a raw measurement bit using qubit q's record (Table 3.2).
   [[nodiscard]] bool correct_measurement(Qubit q, bool raw) const {
@@ -175,6 +182,10 @@ class PauliFrame {
   /// Write-through to every bank and guard.
   void store(Qubit q, PauliRecord r) const;
 
+  /// flush(q) appended to `out` with Circuit::append; returns the number
+  /// of gates emitted.
+  std::size_t flush_into(Qubit q, Circuit& out);
+
   Protection protection_;
   mutable std::vector<PauliRecord> records_;  ///< primary bank
   mutable std::vector<std::uint8_t> guard_;   ///< parity bits (kParity)
@@ -182,6 +193,7 @@ class PauliFrame {
   mutable std::vector<PauliRecord> bank_c_;
   mutable FrameHealth health_;
   FrameStats stats_;
+  Circuit flush_ops_;  ///< process() scratch; not frame state
 };
 
 }  // namespace qpf::pf

@@ -132,10 +132,9 @@ FuzzCase generate_case(std::uint64_t case_seed, const GeneratorOptions& opt) {
 
 Circuit inverse_of(const Circuit& circuit) {
   Circuit out;
-  const auto& slots = circuit.slots();
-  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+  for (std::size_t s = circuit.num_slots(); s-- > 0;) {
     TimeSlot slot;
-    for (const Operation& op : *it) {
+    for (const Operation& op : circuit.slot(s)) {
       const auto inv = inverse(op.gate());
       if (!inv.has_value()) {
         throw std::invalid_argument("inverse_of: non-unitary operation");

@@ -53,9 +53,8 @@ std::string render(const BinaryState& state) {
 /// Slots [lo, hi) of a circuit, preserving slot structure.
 Circuit slice(const Circuit& circuit, std::size_t lo, std::size_t hi) {
   Circuit out;
-  const auto& slots = circuit.slots();
-  for (std::size_t s = lo; s < hi && s < slots.size(); ++s) {
-    out.append_slot(slots[s]);
+  for (std::size_t s = lo; s < hi && s < circuit.num_slots(); ++s) {
+    out.append_slot(circuit.slot(s));
   }
   return out;
 }
@@ -229,7 +228,7 @@ OracleOutcome check_arbiter_stream(const Circuit& stream, std::uint64_t seed,
   pf::PauliArbiter arbiter(pfu, [&sunk](const Operation&) { ++sunk; }, true);
 
   std::size_t index = 0;
-  for (const TimeSlot& slot : stream) {
+  for (const SlotView slot : stream) {
     for (const Operation& op : slot) {
       std::vector<PauliRecord> pre;
       for (int i = 0; i < op.arity(); ++i) {
@@ -495,7 +494,7 @@ OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
   {
     stab::Tableau tab(n);
     sv::Simulator sim(n, 1);
-    for (const TimeSlot& slot : unitary.slots()) {
+    for (const SlotView slot : unitary) {
       for (const Operation& op : slot) {
         tab.apply_unitary(op);
         sim.apply_unitary(op);

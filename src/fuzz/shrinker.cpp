@@ -10,10 +10,9 @@ namespace {
 
 Circuit without_slots(const Circuit& circuit, std::size_t lo, std::size_t hi) {
   Circuit out;
-  const auto& slots = circuit.slots();
-  for (std::size_t s = 0; s < slots.size(); ++s) {
+  for (std::size_t s = 0; s < circuit.num_slots(); ++s) {
     if (s < lo || s >= hi) {
-      out.append_slot(slots[s]);
+      out.append_slot(circuit.slot(s));
     }
   }
   return out;
@@ -22,14 +21,13 @@ Circuit without_slots(const Circuit& circuit, std::size_t lo, std::size_t hi) {
 Circuit without_op(const Circuit& circuit, std::size_t slot_index,
                    std::size_t op_index) {
   Circuit out;
-  const auto& slots = circuit.slots();
-  for (std::size_t s = 0; s < slots.size(); ++s) {
+  for (std::size_t s = 0; s < circuit.num_slots(); ++s) {
     if (s != slot_index) {
-      out.append_slot(slots[s]);
+      out.append_slot(circuit.slot(s));
       continue;
     }
     TimeSlot slot;
-    const auto& ops = slots[s].operations();
+    const SlotView ops = circuit.slot(s);
     for (std::size_t i = 0; i < ops.size(); ++i) {
       if (i != op_index) {
         slot.add(ops[i]);
@@ -43,7 +41,7 @@ Circuit without_op(const Circuit& circuit, std::size_t slot_index,
 /// Remap the used qubits onto a dense prefix 0..k-1 (order-preserving).
 Circuit compacted(const Circuit& circuit) {
   std::map<Qubit, Qubit> remap;
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       for (int i = 0; i < op.arity(); ++i) {
         remap.emplace(op.qubit(i), 0);
@@ -55,7 +53,7 @@ Circuit compacted(const Circuit& circuit) {
     to = next++;
   }
   Circuit out;
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     TimeSlot mapped;
     for (const Operation& op : slot) {
       mapped.add(op.arity() == 1
@@ -119,7 +117,7 @@ ShrinkResult shrink_circuit(
   while (pruned && result.evaluations < max_evaluations) {
     pruned = false;
     for (std::size_t s = 0; s < result.circuit.num_slots() && !pruned; ++s) {
-      const std::size_t ops = result.circuit.slots()[s].size();
+      const std::size_t ops = result.circuit.slot(s).size();
       for (std::size_t i = 0; i < ops; ++i) {
         if (result.circuit.num_operations() <= 1) {
           break;

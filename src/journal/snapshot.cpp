@@ -212,7 +212,7 @@ void SnapshotWriter::write_circuit(const Circuit& circuit) {
   std::uint8_t count[8];
   store_u64(count, circuit.num_slots());
   put_raw(count, 8);
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     std::uint8_t ops[8];
     store_u64(ops, slot.size());
     put_raw(ops, 8);

@@ -62,7 +62,7 @@ std::vector<Instruction> compile(const Circuit& logical,
     }
   };
 
-  for (const TimeSlot& slot : logical) {
+  for (const SlotView slot : logical) {
     for (const Operation& op : slot) {
       switch (op.gate()) {
         case GateType::kPrepZ: {

@@ -107,7 +107,7 @@ NinjaStar& QuantumControlUnit::star_of(PatchId patch) {
 }
 
 Syndrome QuantumControlUnit::run_esm_round(NinjaStar& star) {
-  for (const TimeSlot& slot : star.esm_circuit()) {
+  for (const SlotView slot : star.esm_circuit()) {
     for (const Operation& op : slot) {
       issue(op);
     }
@@ -137,7 +137,7 @@ void QuantumControlUnit::run_window(NinjaStar& star) {
 }
 
 void QuantumControlUnit::initialize_patch(NinjaStar& star) {
-  for (const TimeSlot& slot : star.reset_circuit()) {
+  for (const SlotView slot : star.reset_circuit()) {
     for (const Operation& op : slot) {
       issue(op);
     }
@@ -153,7 +153,7 @@ void QuantumControlUnit::initialize_patch(NinjaStar& star) {
 
 void QuantumControlUnit::logical_measure(PatchId patch) {
   NinjaStar& star = star_of(patch);
-  for (const TimeSlot& slot : star.measure_circuit()) {
+  for (const SlotView slot : star.measure_circuit()) {
     for (const Operation& op : slot) {
       issue(op);
     }
@@ -172,7 +172,7 @@ void QuantumControlUnit::logical_measure(PatchId patch) {
   // (see NinjaStarLayer::measure_logical).
   const Circuit partial =
       layout_.esm_circuit(star.base(), star.orientation(), DanceMode::kZOnly);
-  for (const TimeSlot& slot : partial) {
+  for (const SlotView slot : partial) {
     for (const Operation& op : slot) {
       issue(op);
     }

@@ -43,7 +43,7 @@ Circuit BiasedNoiseModel::inject(const Circuit& circuit,
     throw StackConfigError("BiasedNoiseModel", "register too small");
   }
   Circuit out{circuit.name()};
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     TimeSlot pre;
     TimeSlot post;
     std::vector<bool> busy(num_qubits, false);

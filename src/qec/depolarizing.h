@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "journal/snapshot.h"
@@ -29,6 +30,32 @@ struct ErrorTally {
   }
 };
 
+/// The draw `std::uniform_real_distribution<double>{0, 1}(rng) < p` for
+/// an mt19937_64 `rng`, as one integer comparison on the raw output x.
+/// The library maps x to a double monotonically, so the draws below p
+/// are exactly x < below(); the constructor finds below() by bisecting
+/// the library's own distribution, so flips(x) equals the double
+/// comparison for every x and the RNG stream is unchanged.
+class FlipThreshold {
+ public:
+  explicit FlipThreshold(double p);
+
+  [[nodiscard]] bool flips(std::uint64_t x) const noexcept {
+    return x < below_ || all_;
+  }
+  /// Smallest x that does not flip (when !all()).
+  [[nodiscard]] std::uint64_t below() const noexcept { return below_; }
+  /// Every x flips (p above every value the distribution returns).
+  [[nodiscard]] bool all() const noexcept { return all_; }
+
+  /// The library's double for raw output x.
+  [[nodiscard]] static double uniform(std::uint64_t x);
+
+ private:
+  std::uint64_t below_ = 0;
+  bool all_ = false;
+};
+
 class DepolarizingModel {
  public:
   /// Throws std::invalid_argument unless 0 <= p <= 1.
@@ -36,11 +63,17 @@ class DepolarizingModel {
 
   [[nodiscard]] double physical_error_rate() const noexcept { return p_; }
 
-  /// Rewrite a circuit with sampled faults inserted.  `num_qubits` is
-  /// the register size, needed to charge idle errors to untouched
-  /// qubits in every slot.
+  /// Rewrite a circuit with sampled faults inserted into `out` (cleared
+  /// first; it keeps its capacity and must not be `circuit`).
+  /// `num_qubits` is the register size, needed to charge idle errors to
+  /// untouched qubits in every slot.
+  void inject(const Circuit& circuit, std::size_t num_qubits, Circuit& out);
   [[nodiscard]] Circuit inject(const Circuit& circuit,
-                               std::size_t num_qubits);
+                               std::size_t num_qubits) {
+    Circuit out;
+    inject(circuit, num_qubits, out);
+    return out;
+  }
 
   [[nodiscard]] const ErrorTally& tally() const noexcept { return tally_; }
   void reset_tally() noexcept { tally_ = {}; }
@@ -57,12 +90,16 @@ class DepolarizingModel {
  private:
   /// Uniformly pick X, Y or Z.
   [[nodiscard]] GateType random_pauli();
-  [[nodiscard]] bool flip(double probability);
+  /// One draw: true with probability p.
+  [[nodiscard]] bool flip() { return threshold_.flips(rng_()); }
 
   double p_;
+  FlipThreshold threshold_;
   std::mt19937_64 rng_;
-  std::uniform_real_distribution<double> uniform_{0.0, 1.0};
   ErrorTally tally_;
+  // inject() scratch, not model state.
+  std::vector<Operation> post_;
+  std::vector<std::uint8_t> busy_;
 };
 
 }  // namespace qpf::qec

@@ -134,7 +134,7 @@ Circuit LatticeSurgery::merged_esm_circuit() const {
     return registers_.merged_ancillas + (q - data_count);
   };
   Circuit out{"surgery-merged-esm"};
-  for (const TimeSlot& slot : local) {
+  for (const SlotView slot : local) {
     TimeSlot mapped;
     for (const Operation& op : slot) {
       if (op.arity() == 1) {
@@ -304,7 +304,7 @@ Circuit RoughLatticeSurgery::merged_esm_circuit() const {
     return registers_.merged_ancillas + (q - data_count);
   };
   Circuit out{"rough-surgery-merged-esm"};
-  for (const TimeSlot& slot : local) {
+  for (const SlotView slot : local) {
     TimeSlot mapped;
     for (const Operation& op : slot) {
       if (op.arity() == 1) {

@@ -22,40 +22,44 @@ LutDecoder::LutDecoder(const std::array<std::uint16_t, 4>& check_masks,
     signatures_[static_cast<std::size_t>(q)] = sig;
   }
 
-  // Fill the table with the minimum-weight correction per syndrome by
-  // breadth-first enumeration over subset weight.
+  // Fill the table with the minimum-weight correction per syndrome:
+  // subsets in order of weight, lexicographically within a weight, and
+  // the first that fits a syndrome wins.
   std::array<bool, 16> filled{};
-  table_[0] = {};
   filled[0] = true;
-  std::vector<std::vector<int>> frontier{{}};
-  while (true) {
-    bool all_filled = true;
-    for (bool f : filled) {
-      all_filled = all_filled && f;
+  int unfilled = 15;
+  const std::size_t n = signatures_.size();
+  std::array<std::size_t, 16> subset{};
+  for (std::size_t weight = 1; weight <= n && unfilled > 0; ++weight) {
+    for (std::size_t i = 0; i < weight; ++i) {
+      subset[i] = i;
     }
-    if (all_filled || frontier.empty()) {
-      break;
-    }
-    std::vector<std::vector<int>> next;
-    for (const std::vector<int>& subset : frontier) {
-      const int start = subset.empty() ? 0 : subset.back() + 1;
-      for (int q = start; q < num_data_; ++q) {
-        std::vector<int> candidate = subset;
-        candidate.push_back(q);
-        unsigned sig = 0;
-        int overlap = 0;
-        for (int c : candidate) {
-          sig ^= signatures_[static_cast<std::size_t>(c)];
-          overlap += (even_overlap_mask >> c) & 1;
-        }
-        if (!filled[sig] && overlap % 2 == 0) {
-          filled[sig] = true;
-          table_[sig] = candidate;
-        }
-        next.push_back(std::move(candidate));
+    while (true) {
+      unsigned sig = 0;
+      unsigned overlap = 0;
+      for (std::size_t i = 0; i < weight; ++i) {
+        sig ^= signatures_[subset[i]];
+        overlap += (even_overlap_mask >> subset[i]) & 1u;
+      }
+      if (!filled[sig] && overlap % 2 == 0) {
+        filled[sig] = true;
+        --unfilled;
+        table_[sig].assign(subset.begin(), subset.begin() + weight);
+      }
+      // Next subset of this weight: bump the last index that can still
+      // move and pack the ones after it right behind it.
+      std::size_t i = weight;
+      while (i > 0 && subset[i - 1] == n - weight + i - 1) {
+        --i;
+      }
+      if (i == 0) {
+        break;
+      }
+      ++subset[i - 1];
+      for (std::size_t j = i; j < weight; ++j) {
+        subset[j] = subset[j - 1] + 1;
       }
     }
-    frontier = std::move(next);
   }
   for (unsigned s = 0; s < 16; ++s) {
     if (!filled[s]) {

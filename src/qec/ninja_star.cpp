@@ -118,17 +118,34 @@ Circuit NinjaStar::measure_circuit() const {
   return circuit;
 }
 
-Circuit NinjaStar::esm_circuit() const {
-  return layout_->esm_circuit(base_, orientation_, dance_);
+const Circuit& NinjaStar::esm_circuit() const {
+  Circuit& esm = esm_[static_cast<std::size_t>(orientation_) * 2 +
+                      static_cast<std::size_t>(dance_)];
+  if (esm.empty()) {
+    esm = layout_->esm_circuit(base_, orientation_, dance_);
+  }
+  return esm;
 }
 
-std::vector<int> NinjaStar::esm_measurement_order() const {
-  return layout_->esm_measurement_order(orientation_, dance_);
+const std::vector<int>& NinjaStar::esm_measurement_order() const {
+  std::vector<int>& order =
+      esm_order_[static_cast<std::size_t>(orientation_) * 2 +
+                 static_cast<std::size_t>(dance_)];
+  if (order.empty()) {
+    order = layout_->esm_measurement_order(orientation_, dance_);
+  }
+  return order;
 }
 
-Circuit NinjaStar::logical_stabilizer_circuit(CheckType basis) const {
-  return layout_->logical_stabilizer_circuit(
-      base_, basis, Sc17Layout::ancilla_qubit(base_, 0), orientation_);
+const Circuit& NinjaStar::logical_stabilizer_circuit(CheckType basis) const {
+  Circuit& stabilizer =
+      stabilizer_[static_cast<std::size_t>(orientation_) * 2 +
+                  static_cast<std::size_t>(basis)];
+  if (stabilizer.empty()) {
+    stabilizer = layout_->logical_stabilizer_circuit(
+        base_, basis, Sc17Layout::ancilla_qubit(base_, 0), orientation_);
+  }
+  return stabilizer;
 }
 
 Circuit NinjaStar::logical_cnot_circuit(const NinjaStar& control,

@@ -58,12 +58,16 @@ class NinjaStar {
   [[nodiscard]] Circuit logical_h_circuit() const;
   /// Transversal measurement of all nine data qubits.
   [[nodiscard]] Circuit measure_circuit() const;
+  // The next three are built once per orientation and dance mode (or
+  // basis), on first use, and kept by the star: the references stay
+  // valid as long as the star does.
   /// One ESM round in the current orientation and dance mode.
-  [[nodiscard]] Circuit esm_circuit() const;
+  [[nodiscard]] const Circuit& esm_circuit() const;
   /// Ancilla measurement order of esm_circuit() (local indices).
-  [[nodiscard]] std::vector<int> esm_measurement_order() const;
+  [[nodiscard]] const std::vector<int>& esm_measurement_order() const;
   /// Fig 5.10 logical-error detection circuit (borrow local ancilla 0).
-  [[nodiscard]] Circuit logical_stabilizer_circuit(CheckType basis) const;
+  [[nodiscard]] const Circuit& logical_stabilizer_circuit(
+      CheckType basis) const;
 
   /// Transversal CNOT_L / CZ_L; pairing depends on both orientations
   /// (§2.6.1).
@@ -169,6 +173,12 @@ class NinjaStar {
   LutDecoder lut_high_;  // ancillas 4..7 (Z checks in normal orientation)
   LutDecoder lut_low_injection_;   // Z fixes commuting with X_L
   LutDecoder lut_high_injection_;  // X fixes commuting with Z_L
+  // Circuit caches, indexed by orientation * 2 + dance mode (or basis);
+  // empty until first use.  Pure functions of the layout and the
+  // properties above, so not snapshot state.
+  mutable std::array<Circuit, 4> esm_;
+  mutable std::array<std::vector<int>, 4> esm_order_;
+  mutable std::array<Circuit, 4> stabilizer_;
 };
 
 }  // namespace qpf::qec

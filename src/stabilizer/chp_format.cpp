@@ -10,7 +10,7 @@ namespace qpf::stab {
 std::string to_chp(const Circuit& circuit) {
   std::ostringstream os;
   os << "#\n";
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       switch (op.gate()) {
         case GateType::kH:
@@ -88,7 +88,7 @@ Circuit from_chp(const std::string& text) {
 Circuit expand_to_chp_gates(const Circuit& circuit) {
   Circuit out{circuit.name()};
   const auto q0 = [](const Operation& op) { return op.qubit(0); };
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       switch (op.gate()) {
         case GateType::kI:

@@ -420,7 +420,7 @@ void Tableau::execute(const Operation& op) {
 }
 
 void Tableau::execute(const Circuit& circuit) {
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       execute(op);
     }

@@ -137,7 +137,7 @@ void Simulator::execute(const Operation& op) {
 }
 
 void Simulator::execute(const Circuit& circuit) {
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       execute(op);
     }

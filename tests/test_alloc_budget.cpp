@@ -1,0 +1,90 @@
+// Allocation budget of the QEC window: a warmed-up LerTrial::step() --
+// one window plus the diagnostics probes on the Fig 5.8 stack -- may
+// make only a few heap allocations.  The rewrite buffers, the ChpCore
+// queue and the cached ESM circuits are reused; what is left is mostly
+// the BinaryState that Core::get_state() returns by value.
+//
+// This file is its own executable (qpf_alloc_tests) because it replaces
+// the global operator new with a counting one.
+#include <atomic>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "ler_common.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace qpf::bench {
+namespace {
+
+constexpr int kWarmUpSteps = 2000;
+constexpr int kMeasuredSteps = 10000;
+constexpr double kBudgetPerStep = 24.0;
+
+double allocations_per_step(const LerConfig& config) {
+  LerTrial trial(config);
+  for (int i = 0; i < kWarmUpSteps; ++i) {
+    trial.step();
+  }
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < kMeasuredSteps; ++i) {
+    trial.step();
+  }
+  EXPECT_FALSE(trial.done());
+  return static_cast<double>(g_allocations.load() - before) / kMeasuredSteps;
+}
+
+LerConfig endless(double p, bool pauli_frame, qec::CheckType basis) {
+  LerConfig config;
+  config.physical_error_rate = p;
+  config.with_pauli_frame = pauli_frame;
+  config.basis = basis;
+  config.target_logical_errors = std::numeric_limits<std::size_t>::max();
+  config.seed = 1;
+  return config;
+}
+
+TEST(AllocBudgetTest, CounterSeesAllocations) {
+  const std::size_t before = g_allocations.load();
+  std::vector<int> v(100, 7);
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(v[99], 7);
+}
+
+// The ler_pf benchmark shape: frame on, PER 1e-3, Z basis.
+TEST(AllocBudgetTest, FrameWindowStaysWithinBudget) {
+  const double per_step =
+      allocations_per_step(endless(1e-3, true, qec::CheckType::kZ));
+  RecordProperty("allocations_per_step", std::to_string(per_step));
+  EXPECT_LE(per_step, kBudgetPerStep);
+}
+
+// The ler_nopf_lowp benchmark shape: frame off, PER 3e-4, X basis.
+TEST(AllocBudgetTest, NoFrameWindowStaysWithinBudget) {
+  const double per_step =
+      allocations_per_step(endless(3e-4, false, qec::CheckType::kX));
+  RecordProperty("allocations_per_step", std::to_string(per_step));
+  EXPECT_LE(per_step, kBudgetPerStep);
+}
+
+}  // namespace
+}  // namespace qpf::bench

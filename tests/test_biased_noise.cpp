@@ -47,7 +47,7 @@ TEST(BiasedNoiseTest, HighBiasProducesMostlyZErrors) {
   std::size_t other_count = 0;
   for (int i = 0; i < 2000; ++i) {
     const Circuit out = model.inject(c, 1);
-    for (const TimeSlot& slot : out) {
+    for (const SlotView slot : out) {
       for (const Operation& op : slot) {
         if (op.gate() == GateType::kZ) {
           ++z_count;
@@ -66,7 +66,7 @@ TEST(BiasedNoiseTest, MeasurementFlipsAreUnbiasedX) {
   Circuit c;
   c.append(GateType::kMeasureZ, 0);
   const Circuit out = model.inject(c, 1);
-  EXPECT_EQ(out.slots().front().operations().front().gate(), GateType::kX);
+  EXPECT_EQ(out.slot(0).front().gate(), GateType::kX);
   EXPECT_EQ(model.tally().measurement_flips, 1u);
 }
 

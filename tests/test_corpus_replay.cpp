@@ -22,7 +22,7 @@ namespace {
 std::vector<std::string> corpus_files() { return list_corpus(QPF_FUZZ_CORPUS_DIR); }
 
 bool contains_gate(const Circuit& circuit, GateType g) {
-  for (const TimeSlot& slot : circuit.slots()) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       if (op.gate() == g) {
         return true;

@@ -51,8 +51,8 @@ TEST(DepolarizingTest, MeasurementErrorsAreXBeforeReadout) {
   EXPECT_EQ(model.tally().measurement_flips, 1u);
   // Slot order: the X flip precedes the measurement.
   ASSERT_EQ(out.num_slots(), 2u);
-  EXPECT_EQ(out.slots()[0].operations()[0].gate(), GateType::kX);
-  EXPECT_EQ(out.slots()[1].operations()[0].gate(), GateType::kMeasureZ);
+  EXPECT_EQ(out.slot(0)[0].gate(), GateType::kX);
+  EXPECT_EQ(out.slot(1)[0].gate(), GateType::kMeasureZ);
 }
 
 TEST(DepolarizingTest, TwoQubitGateErrorsTouchOperands) {
@@ -62,7 +62,7 @@ TEST(DepolarizingTest, TwoQubitGateErrorsTouchOperands) {
   const Circuit out = model.inject(c, 2);
   EXPECT_EQ(model.tally().two_qubit, 1u);
   // One or two error gates, only on qubits 0/1, in the trailing slot.
-  const TimeSlot& post = out.slots().back();
+  const SlotView post = out.slot(out.num_slots() - 1);
   EXPECT_GE(post.size(), 1u);
   EXPECT_LE(post.size(), 2u);
   for (const Operation& op : post) {

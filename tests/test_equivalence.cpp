@@ -33,7 +33,7 @@ TEST_P(ArbiterFrameEquivalence, SameForwardedStreamAndRecords) {
   // slot's flushes ahead of the whole slot, the arbiter interleaves
   // them; with single-op slots the two orders coincide exactly.
   Circuit circuit;
-  for (const TimeSlot& slot : gen.generate(options)) {
+  for (const SlotView slot : gen.generate(options)) {
     for (const Operation& op : slot) {
       circuit.append_in_new_slot(op);
     }
@@ -43,7 +43,7 @@ TEST_P(ArbiterFrameEquivalence, SameForwardedStreamAndRecords) {
   pf::PauliFrame frame(6);
   const Circuit processed = frame.process(circuit);
   std::vector<Operation> batch_stream;
-  for (const TimeSlot& slot : processed) {
+  for (const SlotView slot : processed) {
     for (const Operation& op : slot) {
       batch_stream.push_back(op);
     }

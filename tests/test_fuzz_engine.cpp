@@ -59,7 +59,7 @@ TEST(FuzzSeedsTest, LabelHashDistinguishesOracleNames) {
 // --- Generator --------------------------------------------------------
 
 bool slot_conflict_free(const Circuit& circuit) {
-  for (const TimeSlot& slot : circuit.slots()) {
+  for (const SlotView slot : circuit) {
     std::set<Qubit> used;
     for (const Operation& op : slot) {
       for (std::size_t i = 0; i < op.arity(); ++i) {
@@ -74,7 +74,7 @@ bool slot_conflict_free(const Circuit& circuit) {
 
 bool contains_category(const Circuit& circuit,
                        bool (*pred)(const Operation&)) {
-  for (const TimeSlot& slot : circuit.slots()) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       if (pred(op)) {
         return true;
@@ -111,7 +111,7 @@ TEST(FuzzGeneratorTest, RespectsPalettesAndSlotInvariant) {
     EXPECT_FALSE(contains_category(fc.unitary_t, is_prep_or_measure));
     EXPECT_FALSE(contains_category(fc.measured, is_non_clifford));
     // The measured circuit ends with a measure-all slot.
-    const TimeSlot& last = fc.measured.slots().back();
+    const SlotView last = fc.measured.slot(fc.measured.num_slots() - 1);
     EXPECT_EQ(last.size(), fc.num_qubits);
     for (const Operation& op : last) {
       EXPECT_EQ(op.gate(), GateType::kMeasureZ);
@@ -139,7 +139,7 @@ TEST(FuzzGeneratorTest, InverseComposesToIdentity) {
     stab::Tableau tab(fc.num_qubits);
     Circuit round_trip = fc.unitary;
     round_trip.append_circuit(inverse_of(fc.unitary));
-    for (const TimeSlot& slot : round_trip.slots()) {
+    for (const SlotView slot : round_trip) {
       for (const Operation& op : slot) {
         tab.apply_unitary(op);
       }
@@ -177,7 +177,7 @@ TEST(FuzzShrinkerTest, ShrinksToMinimalWitness) {
     big.append_slot(std::move(slot));
   }
   const auto fails = [](const Circuit& c) {
-    for (const TimeSlot& slot : c.slots()) {
+    for (const SlotView slot : c) {
       for (const Operation& op : slot) {
         if (op.gate() == GateType::kH) {
           return true;

@@ -140,6 +140,20 @@ TEST(PauliFrameLayerTest, NonCliffordTriggersFlushThroughStack) {
   EXPECT_TRUE(frame.frame().clean());
 }
 
+TEST(PauliFrameLayerTest, CircuitWiderThanRegisterLeavesFrameUntouched) {
+  QxCore core;
+  CounterLayer below(&core);
+  PauliFrameLayer frame(&below);
+  frame.create_qubits(2);
+  Circuit c;
+  c.append(GateType::kX, 0);  // would be absorbed before H q5 fails
+  c.append(GateType::kH, 5);
+  EXPECT_THROW(frame.add(c), StackConfigError);
+  EXPECT_TRUE(frame.frame().clean());
+  EXPECT_EQ(frame.frame().stats().input_gates, 0u);
+  EXPECT_EQ(below.counters().circuits, 0u);
+}
+
 TEST(PauliFrameLayerTest, CreateQubitsResetsFrame) {
   QxCore core;
   PauliFrameLayer frame(&core);

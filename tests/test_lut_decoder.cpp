@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/bits.h"
 #include "qec/sc17.h"
 
@@ -74,6 +77,46 @@ TEST(LutDecoderTest, CorrectionsAreMinimumWeight) {
       }
     }
     EXPECT_EQ(got, best) << "syndrome " << s;
+  }
+}
+
+// Ties between minimum-weight corrections are part of the decoder's
+// output, so they are pinned: each entry is the lexicographically first
+// of the lightest subsets that fit the syndrome and the overlap rule.
+TEST(LutDecoderTest, TiesBreakToTheLexicographicallyFirstSubset) {
+  // The plain tables, then the state-injection tables: corrections
+  // that commute with Z_L (D0 D4 D8) and with X_L (D2 D4 D6).
+  const std::pair<std::array<std::uint16_t, 4>, std::uint16_t> cases[] = {
+      {kZCheckMasks, 0},
+      {kXCheckMasks, 0},
+      {kZCheckMasks, 0b100010001},
+      {kXCheckMasks, 0b001010100},
+  };
+  for (const auto& [masks, even] : cases) {
+    const LutDecoder lut(masks, 9, even);
+    for (unsigned s = 0; s < 16; ++s) {
+      std::vector<int> best;
+      bool found = false;
+      for (unsigned subset = 0; subset < (1u << 9); ++subset) {
+        std::vector<int> qubits;
+        for (int q = 0; q < 9; ++q) {
+          if (subset & (1u << q)) {
+            qubits.push_back(q);
+          }
+        }
+        if (lut.signature(qubits) != s ||
+            qpf::popcount64(subset & even) % 2 != 0) {
+          continue;
+        }
+        if (!found || qubits.size() < best.size() ||
+            (qubits.size() == best.size() && qubits < best)) {
+          best = qubits;
+          found = true;
+        }
+      }
+      ASSERT_TRUE(found);
+      EXPECT_EQ(lut.decode(s), best) << "syndrome " << s << " even " << even;
+    }
   }
 }
 

@@ -77,7 +77,7 @@ TEST_F(NinjaStarTest, LogicalXCircuitFollowsOrientation) {
   const Circuit normal = star_.logical_x_circuit();
   EXPECT_EQ(normal.num_operations(), 3u);
   std::set<Qubit> qubits;
-  for (const Operation& op : normal.slots()[0]) {
+  for (const Operation& op : normal.slot(0)) {
     EXPECT_EQ(op.gate(), GateType::kX);
     qubits.insert(op.qubit(0));
   }
@@ -85,7 +85,7 @@ TEST_F(NinjaStarTest, LogicalXCircuitFollowsOrientation) {
   star_.on_logical_h();
   qubits.clear();
   const Circuit rotated = star_.logical_x_circuit();
-  for (const Operation& op : rotated.slots()[0]) {
+  for (const Operation& op : rotated.slot(0)) {
     qubits.insert(op.qubit(0));
   }
   EXPECT_EQ(qubits, (std::set<Qubit>{0, 4, 8}));
@@ -102,7 +102,7 @@ TEST_F(NinjaStarTest, CnotPairingSameOrientation) {
   NinjaStar target{17, &layout_};
   const Circuit c = NinjaStar::logical_cnot_circuit(star_, target);
   ASSERT_EQ(c.num_operations(), 9u);
-  for (const Operation& op : c.slots()[0]) {
+  for (const Operation& op : c.slot(0)) {
     EXPECT_EQ(op.gate(), GateType::kCnot);
     EXPECT_EQ(op.target() - 17u, op.control());  // straight pairing
   }
@@ -115,7 +115,7 @@ TEST_F(NinjaStarTest, CnotPairingDifferentOrientation) {
   // §2.6.1 rotated pairing: (0,6),(1,3),(2,0),(3,7),(4,4),(5,1),(6,8),
   // (7,5),(8,2).
   const std::array<Qubit, 9> expect{6, 3, 0, 7, 4, 1, 8, 5, 2};
-  for (const Operation& op : c.slots()[0]) {
+  for (const Operation& op : c.slot(0)) {
     EXPECT_EQ(op.target() - 17u, expect[op.control()]);
   }
 }
@@ -125,13 +125,13 @@ TEST_F(NinjaStarTest, CzPairingInvertsRule) {
   // Same orientation -> rotated pairing for CZ.
   const Circuit same = NinjaStar::logical_cz_circuit(star_, other);
   const std::array<Qubit, 9> rotated{6, 3, 0, 7, 4, 1, 8, 5, 2};
-  for (const Operation& op : same.slots()[0]) {
+  for (const Operation& op : same.slot(0)) {
     EXPECT_EQ(op.target() - 17u, rotated[op.control()]);
   }
   // Different orientation -> straight pairing.
   star_.on_logical_h();
   const Circuit diff = NinjaStar::logical_cz_circuit(star_, other);
-  for (const Operation& op : diff.slots()[0]) {
+  for (const Operation& op : diff.slot(0)) {
     EXPECT_EQ(op.target() - 17u, op.control());
   }
 }

@@ -78,7 +78,7 @@ TEST(PauliFrameTest, NonCliffordFlushesBeforeGate) {
   // Expect: X, Z flush gates (own slots), then T.
   ASSERT_EQ(out.num_operations(), 3u);
   std::vector<GateType> gates;
-  for (const TimeSlot& slot : out) {
+  for (const SlotView slot : out) {
     for (const Operation& op : slot) {
       gates.push_back(op.gate());
     }

@@ -130,7 +130,7 @@ TEST(ChpFormatTest, ExpansionCoversDerivedCliffords) {
   c.append(GateType::kCz, 0, 1);
   c.append(GateType::kSwap, 0, 1);
   const Circuit expanded = stab::expand_to_chp_gates(c);
-  for (const TimeSlot& slot : expanded) {
+  for (const SlotView slot : expanded) {
     for (const Operation& op : slot) {
       const GateType g = op.gate();
       EXPECT_TRUE(g == GateType::kH || g == GateType::kS ||

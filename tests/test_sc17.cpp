@@ -72,19 +72,18 @@ TEST(Sc17EsmTest, StructureMatchesTable58) {
       layout().esm_circuit(0, Orientation::kNormal, DanceMode::kAll);
   EXPECT_EQ(esm.num_slots(), Sc17Layout::kEsmSlots);
   EXPECT_EQ(esm.num_operations(), Sc17Layout::kEsmGates);
-  const auto& slots = esm.slots();
-  EXPECT_EQ(slots[0].size(), 4u);  // reset X ancillas
-  EXPECT_EQ(slots[1].size(), 8u);  // reset Z ancillas + H on X ancillas
+  EXPECT_EQ(esm.slot(0).size(), 4u);  // reset X ancillas
+  EXPECT_EQ(esm.slot(1).size(), 8u);  // reset Z ancillas + H on X ancillas
   for (int i = 2; i <= 5; ++i) {   // 24 CNOTs over 4 slots
-    for (const Operation& op : slots[static_cast<std::size_t>(i)]) {
+    for (const Operation& op : esm.slot(static_cast<std::size_t>(i))) {
       EXPECT_EQ(op.gate(), GateType::kCnot);
     }
   }
-  EXPECT_EQ(slots[2].size() + slots[3].size() + slots[4].size() +
-                slots[5].size(),
+  EXPECT_EQ(esm.slot(2).size() + esm.slot(3).size() + esm.slot(4).size() +
+                esm.slot(5).size(),
             24u);
-  EXPECT_EQ(slots[6].size(), 4u);  // H on X ancillas
-  EXPECT_EQ(slots[7].size(), 8u);  // measure all ancillas
+  EXPECT_EQ(esm.slot(6).size(), 4u);  // H on X ancillas
+  EXPECT_EQ(esm.slot(7).size(), 8u);  // measure all ancillas
   EXPECT_EQ(esm.count(GateType::kMeasureZ), 8u);
   EXPECT_EQ(esm.count(GateType::kH), 8u);
   EXPECT_EQ(esm.count(GateType::kPrepZ), 8u);
@@ -96,7 +95,7 @@ TEST(Sc17EsmTest, RotatedEsmHasSameShape) {
   EXPECT_EQ(esm.num_slots(), Sc17Layout::kEsmSlots);
   EXPECT_EQ(esm.num_operations(), Sc17Layout::kEsmGates);
   // In the rotated frame, the H gates sit on the former Z ancillas.
-  for (const Operation& op : esm.slots()[1]) {
+  for (const Operation& op : esm.slot(1)) {
     if (op.gate() == GateType::kH) {
       EXPECT_GE(op.qubit(0), Sc17Layout::ancilla_qubit(0, 4));
     }
@@ -117,7 +116,7 @@ TEST(Sc17EsmTest, ZOnlyDanceUsesFourAncillas) {
 TEST(Sc17EsmTest, BaseOffsetShiftsEveryQubit) {
   const Circuit esm =
       layout().esm_circuit(17, Orientation::kNormal, DanceMode::kAll);
-  for (const TimeSlot& slot : esm) {
+  for (const SlotView slot : esm) {
     for (const Operation& op : slot) {
       for (int i = 0; i < op.arity(); ++i) {
         EXPECT_GE(op.qubit(i), 17u);

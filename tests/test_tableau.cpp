@@ -158,7 +158,7 @@ TEST_P(CrossValidation, MatchesStateVectorOnRandomCliffordCircuits) {
 
   Tableau tableau(4, seed + 1);
   sv::Simulator dense(4, seed + 2);
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       tableau.apply_unitary(op);
       dense.apply_unitary(op);
@@ -213,7 +213,7 @@ TEST(TableauTest, DestabilizerPairing) {
   options.clifford_only = true;
   Tableau t(5, 3);
   const Circuit circuit = gen.generate(options);
-  for (const TimeSlot& slot : circuit) {
+  for (const SlotView slot : circuit) {
     for (const Operation& op : slot) {
       t.apply_unitary(op);
     }
