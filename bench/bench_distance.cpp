@@ -2,16 +2,16 @@
 // surface code to verify our expectations that for a larger distance
 // surface code, there will be no benefit in LER by using a Pauli frame."
 //
-// Runs the memory experiment at d = 3 and d = 5 with and without the
-// Pauli frame, reports per-window and per-round logical error rates,
-// the saved time slots, and checks them against the Eq 5.12 ceiling.
+// Runs the Listing 5.7 memory experiment (bench::run_ler, the stack of
+// bench_ler) at d = 3 and d = 5 with and without the Pauli frame,
+// reports per-window and per-round logical error rates, the saved time
+// slots, and checks them against the Eq 5.12 ceiling.
 //
 // Scale via QPF_LER_RUNS / QPF_LER_ERRORS.
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
-#include "arch/surface_code_experiment.h"
 #include "bench_json.h"
 #include "core/schedule.h"
 #include "ler_common.h"
@@ -20,52 +20,16 @@
 
 namespace {
 
-using qpf::arch::SurfaceCodeExperiment;
-using qpf::qec::CheckType;
-
-struct DistanceRun {
-  double ler_per_window = 0.0;
-  double windows = 0.0;
-  double saved_slots = 0.0;
-};
-
-DistanceRun run_once(int distance, double per, bool with_pf,
-                     std::size_t target_errors, std::uint64_t seed) {
-  SurfaceCodeExperiment::Config config;
-  config.distance = distance;
+qpf::bench::LerRun run_once(int distance, double per, bool with_pf,
+                            std::size_t target_errors, std::uint64_t seed) {
+  qpf::bench::LerConfig config;
+  config.ninja_options.distance = distance;
   config.physical_error_rate = per;
   config.with_pauli_frame = with_pf;
   config.seed = seed;
-  SurfaceCodeExperiment experiment(config);
-  experiment.set_diagnostic_mode(true);
-  experiment.initialize(CheckType::kZ);
-  experiment.set_diagnostic_mode(false);
-  experiment.reset_counters();
-
-  DistanceRun run;
-  std::size_t flips = 0;
-  std::size_t windows = 0;
-  int expected = +1;
-  const std::size_t cap = 400'000;
-  while (flips < target_errors && windows < cap) {
-    experiment.run_window();
-    ++windows;
-    experiment.set_diagnostic_mode(true);
-    if (!experiment.has_observable_errors()) {
-      const int sign = experiment.measure_logical_stabilizer(CheckType::kZ);
-      if (sign != expected) {
-        ++flips;
-        expected = sign;
-      }
-    }
-    experiment.set_diagnostic_mode(false);
-  }
-  run.ler_per_window =
-      windows == 0 ? 0.0
-                   : static_cast<double>(flips) / static_cast<double>(windows);
-  run.windows = static_cast<double>(windows);
-  run.saved_slots = experiment.slots_saved_fraction();
-  return run;
+  config.target_logical_errors = target_errors;
+  config.max_windows = 400'000;
+  return qpf::bench::run_ler(config);
 }
 
 }  // namespace
@@ -99,11 +63,11 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < runs; ++r) {
         const std::uint64_t seed = 0xd157 + r * 131 +
                                    static_cast<std::uint64_t>(per * 1e7);
-        without_samples.push_back(
-            run_once(d, per, false, errors, seed).ler_per_window);
-        const DistanceRun with = run_once(d, per, true, errors, seed ^ 0x55);
-        with_samples.push_back(with.ler_per_window);
-        saved += with.saved_slots;
+        without_samples.push_back(run_once(d, per, false, errors, seed).ler());
+        const qpf::bench::LerRun with =
+            run_once(d, per, true, errors, seed ^ 0x55);
+        with_samples.push_back(with.ler());
+        saved += with.saved_slots_fraction;
       }
       const auto without = qpf::stats::summarize(without_samples);
       const auto with = qpf::stats::summarize(with_samples);

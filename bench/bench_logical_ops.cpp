@@ -23,7 +23,6 @@ using arch::ChpCore;
 using arch::NinjaStarLayer;
 using arch::QxCore;
 using qec::CheckType;
-using qec::Sc17Layout;
 
 // Render only the 9 data qubits of the 17-qubit state (Listing style).
 void print_data_state(const sv::StateVector& state) {
@@ -134,7 +133,7 @@ std::size_t truth_table(GateType gate, const char* table_name) {
 
 void esm_structure() {
   std::printf("\n=== Table 5.8: ESM circuit structure ===\n");
-  const Sc17Layout layout;
+  const qec::SurfaceCodeLayout layout(3);
   const Circuit esm = layout.esm_circuit(0, qec::Orientation::kNormal);
   std::printf("time slots: %zu (paper: 8)\n", esm.num_slots());
   std::printf("gates:      %zu (paper: 48)\n", esm.num_operations());

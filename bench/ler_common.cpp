@@ -182,11 +182,14 @@ void make_directory(const std::string& path) {
   entry.fields["basis"] = options.config.basis == CheckType::kZ ? "z" : "x";
   entry.fields["pauli_frame"] = options.config.with_pauli_frame ? "1" : "0";
   entry.fields["seed"] = std::to_string(options.config.seed);
-  // Subsystem fields only appear when the subsystem is on, so journals
-  // written with everything off stay byte-identical to previous
-  // releases (and a resume with a different subsystem configuration is
-  // rejected by config_matches).
+  // Subsystem fields (and the distance) only appear when they differ
+  // from the plain SC17 campaign, so journals written with everything
+  // off stay byte-identical to previous releases (and a resume with a
+  // different configuration is rejected by config_matches).
   const LerConfig& config = options.config;
+  if (config.ninja_options.distance != 3) {
+    entry.fields["distance"] = std::to_string(config.ninja_options.distance);
+  }
   if (config.classical_faults.any()) {
     entry.fields["cf_drop"] = format_double(config.classical_faults.drop);
     entry.fields["cf_dup"] = format_double(config.classical_faults.duplicate);
@@ -225,15 +228,13 @@ void make_directory(const std::string& path) {
   return entry;
 }
 
-[[nodiscard]] bool config_matches(const journal::JournalEntry& found,
+[[nodiscard]] bool config_matches(journal::JournalEntry found,
                                   const CampaignOptions& options) {
-  const journal::JournalEntry expected = config_entry(options);
-  for (const auto& [key, value] : expected.fields) {
-    if (found.get(key) != value) {
-      return false;
-    }
-  }
-  return true;
+  // The whole key set, both ways: a journal written with a subsystem
+  // this configuration lacks must not resume either.  "crc" is the
+  // line's own checksum, not configuration.
+  found.fields.erase("crc");
+  return found.fields == config_entry(options).fields;
 }
 
 struct TrialSample {

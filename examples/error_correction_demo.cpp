@@ -14,7 +14,6 @@
 namespace {
 
 using namespace qpf;
-using qec::Sc17Layout;
 
 void print_syndrome(qec::Syndrome s) {
   std::printf("syndrome [X-checks a0..a3 | Z-checks a4..a7] = ");
@@ -42,7 +41,7 @@ void demo(bool with_pauli_frame) {
 
   std::printf("inject physical X error on data qubit D4...\n");
   Circuit error;
-  error.append(GateType::kX, Sc17Layout::data_qubit(0, 4));
+  error.append(GateType::kX, ninja.layout().data_qubit(0, 4));
   arch::run(core, error);  // straight onto the device, below every layer
 
   print_syndrome(ninja.probe_syndrome(0));
@@ -65,7 +64,7 @@ void demo(bool with_pauli_frame) {
 
   std::printf("\ninject a Y error on D0 (both X and Z component)...\n");
   Circuit error2;
-  error2.append(GateType::kY, Sc17Layout::data_qubit(0, 0));
+  error2.append(GateType::kY, ninja.layout().data_qubit(0, 0));
   arch::run(core, error2);
   print_syndrome(ninja.probe_syndrome(0));
   ninja.run_window(0);

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -33,6 +35,15 @@ enum class BinaryValue : std::uint8_t { kZero, kOne, kUnknown };
 
 /// Binary state of the whole register.
 using BinaryState = std::vector<BinaryValue>;
+
+/// Measured value of qubit q (true = 1); throws std::logic_error when q
+/// holds no classical value.
+[[nodiscard]] inline bool measured_one(const BinaryState& state, Qubit q) {
+  if (state.at(q) == BinaryValue::kUnknown) {
+    throw std::logic_error("qubit " + std::to_string(q) + " not measured");
+  }
+  return state.at(q) == BinaryValue::kOne;
+}
 
 /// Table 4.1 — the functions every layer and core supports.
 class Core {

@@ -1,6 +1,7 @@
 #include "arch/ninja_star_layer.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "arch/timing_layer.h"
 #include "circuit/error.h"
@@ -10,28 +11,43 @@ namespace qpf::arch {
 using qec::CheckType;
 using qec::DanceMode;
 using qec::NinjaStar;
-using qec::Sc17Layout;
 using qec::StateValue;
 using qec::Syndrome;
+
+namespace {
+
+/// Reads measured qubits of `state` for qec::NinjaStar's readout.
+struct Measured {
+  const BinaryState& state;
+  bool operator()(Qubit q) const { return measured_one(state, q); }
+};
+
+}  // namespace
 
 NinjaStarLayer::NinjaStarLayer(Core* lower)
     : NinjaStarLayer(lower, Options{}) {}
 
 NinjaStarLayer::NinjaStarLayer(Core* lower, Options options)
-    : Layer(lower), options_(options), layout_(options.esm_pattern) {
-  if (options_.esm_rounds_per_window < 2) {
-    throw StackConfigError("NinjaStarLayer", "a window needs at least two ESM rounds");
+    : Layer(lower),
+      options_(options),
+      layout_(options.distance, options.esm_pattern) {
+  if (options.distance > NinjaStar::kMaxDistance) {
+    throw StackConfigError(
+        "NinjaStarLayer",
+        "distance " + std::to_string(options.distance) +
+            " exceeds the largest supported, " +
+            std::to_string(NinjaStar::kMaxDistance));
   }
 }
 
 void NinjaStarLayer::create_qubits(std::size_t count) {
-  lower().create_qubits(count * Sc17Layout::kNumQubits);
+  const std::size_t per_star = layout_.num_qubits();
+  lower().create_qubits(count * per_star);
   stars_.clear();
-  const std::size_t stars = lower().num_qubits() / Sc17Layout::kNumQubits;
+  const std::size_t stars = lower().num_qubits() / per_star;
   stars_.reserve(stars);
   for (std::size_t i = 0; i < stars; ++i) {
-    stars_.emplace_back(static_cast<Qubit>(i * Sc17Layout::kNumQubits),
-                        &layout_);
+    stars_.emplace_back(static_cast<Qubit>(i * per_star), &layout_);
   }
 }
 
@@ -115,19 +131,7 @@ Syndrome NinjaStarLayer::run_esm_round(NinjaStar& star) {
   }
   run_lower(star.esm_circuit());
   const BinaryState state = lower().get_state();
-  Syndrome syndrome = star.carried_syndrome();
-  for (int ancilla : star.esm_measurement_order()) {
-    const Qubit q = Sc17Layout::ancilla_qubit(star.base(), ancilla);
-    if (state.at(q) == BinaryValue::kUnknown) {
-      throw std::logic_error("NinjaStarLayer: ancilla not measured");
-    }
-    const Syndrome bit = static_cast<Syndrome>(1u << ancilla);
-    if (state.at(q) == BinaryValue::kOne) {
-      syndrome = static_cast<Syndrome>(syndrome | bit);
-    } else {
-      syndrome = static_cast<Syndrome>(syndrome & ~bit);
-    }
-  }
+  const Syndrome syndrome = star.round_syndrome(Measured{state});
   if (watchdog_ != nullptr) {
     watchdog_->end_round();
   }
@@ -141,13 +145,7 @@ void NinjaStarLayer::initialize(Qubit logical, CheckType basis) {
   if (basis == CheckType::kX) {
     // |+>_L: transversal H as *state preparation* (the lattice stays in
     // the normal orientation, unlike a logical H gate).
-    Circuit prep{"plus-prep"};
-    TimeSlot slot;
-    for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-      slot.add(Operation{GateType::kH, Sc17Layout::data_qubit(s.base(), d)});
-    }
-    prep.append_slot(std::move(slot));
-    run_lower(prep);
+    run_lower(layout_.transversal_circuit(GateType::kH, s.base(), "plus-prep"));
     s.set_state(StateValue::kUnknown);
   }
   // The first ESM round projects the checks.  Gauge-fix only the
@@ -165,6 +163,10 @@ void NinjaStarLayer::initialize(Qubit logical, CheckType basis) {
 
 void NinjaStarLayer::initialize_injected(Qubit logical,
                                          const Circuit& center_preparation) {
+  if (layout_.distance() != 3) {
+    throw StackConfigError("NinjaStarLayer",
+                           "initialize_injected: state injection needs d = 3");
+  }
   NinjaStar& s = star(logical);
   run_lower(s.reset_circuit());
   s.on_reset();
@@ -176,7 +178,7 @@ void NinjaStarLayer::initialize_injected(Qubit logical,
   Circuit pattern{"injection-pattern"};
   TimeSlot slot;
   for (int d : {1, 2, 6, 7}) {
-    slot.add(Operation{GateType::kH, Sc17Layout::data_qubit(s.base(), d)});
+    slot.add(Operation{GateType::kH, layout_.data_qubit(s.base(), d)});
   }
   pattern.append_slot(std::move(slot));
   run_lower(pattern);
@@ -190,7 +192,7 @@ void NinjaStarLayer::initialize_injected(Qubit logical,
             "initialize_injected: preparation must be single-qubit gates "
             "on qubit 0");
       }
-      center.append(op.gate(), Sc17Layout::data_qubit(s.base(), 4));
+      center.append(op.gate(), layout_.data_qubit(s.base(), 4));
     }
   }
   run_lower(center);
@@ -204,9 +206,10 @@ void NinjaStarLayer::initialize_injected(Qubit logical,
 
 void NinjaStarLayer::run_window(Qubit logical) {
   NinjaStar& s = star(logical);
+  // d - 1 fresh rounds (§5.3.1); the last two reach the decoder.
+  const int rounds = layout_.distance() - 1;
   Syndrome r1 = 0;
-  for (std::size_t round = 0; round + 1 < options_.esm_rounds_per_window;
-       ++round) {
+  for (int round = 1; round < rounds; ++round) {
     r1 = run_esm_round(s);
   }
   const Syndrome r2 = run_esm_round(s);
@@ -243,54 +246,20 @@ int NinjaStarLayer::measure_logical_stabilizer(Qubit logical,
                                                CheckType basis) {
   NinjaStar& s = star(logical);
   run_lower(s.logical_stabilizer_circuit(basis));
-  const BinaryState state = lower().get_state();
-  const Qubit ancilla = Sc17Layout::ancilla_qubit(s.base(), 0);
-  if (state.at(ancilla) == BinaryValue::kUnknown) {
-    throw std::logic_error("NinjaStarLayer: stabilizer ancilla not measured");
-  }
-  return state.at(ancilla) == BinaryValue::kOne ? -1 : +1;
+  return measured_one(lower().get_state(), layout_.ancilla_qubit(s.base(), 0))
+             ? -1
+             : +1;
 }
 
 int NinjaStarLayer::measure_logical(Qubit logical) {
   NinjaStar& s = star(logical);
   run_lower(s.measure_circuit());
   const BinaryState raw = lower().get_state();
-  std::array<bool, Sc17Layout::kNumData> bits{};
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    const Qubit q = Sc17Layout::data_qubit(s.base(), d);
-    if (raw.at(q) == BinaryValue::kUnknown) {
-      throw std::logic_error("NinjaStarLayer: data qubit not measured");
-    }
-    bits[static_cast<std::size_t>(d)] = raw.at(q) == BinaryValue::kOne;
-  }
   // Partial (Z-ancilla only) ESM rounds accompany the measurement
-  // procedure (§5.1.2).  The classical fix, however, comes from the
-  // readout string itself: code states satisfy every Z-check parity, so
-  // parity violations of the measured bits pinpoint pre-readout X flips
-  // without being fooled by errors that strike after readout.
+  // procedure (§5.1.2); the classical fix comes from the readout string
+  // itself (NinjaStar::measured_sign).
   run_lower(layout_.esm_circuit(s.base(), s.orientation(), DanceMode::kZOnly));
-  std::vector<int> ones;
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    if (bits[static_cast<std::size_t>(d)]) {
-      ones.push_back(d);
-    }
-  }
-  const Syndrome violations = s.signature(ones, CheckType::kX);
-  for (int d : s.decode_partial_round(violations)) {
-    bits[static_cast<std::size_t>(d)] = !bits[static_cast<std::size_t>(d)];
-  }
-  int sign = +1;
-  for (bool b : bits) {
-    sign = b ? -sign : sign;
-  }
-  s.on_measured(sign);
-  return sign;
-}
-
-void NinjaStarLayer::run_windows_after(Qubit logical) {
-  for (std::size_t i = 0; i < options_.windows_per_operation; ++i) {
-    run_window(logical);
-  }
+  return s.measured_sign(Measured{raw});
 }
 
 void NinjaStarLayer::apply_logical(const Operation& op) {
@@ -302,20 +271,20 @@ void NinjaStarLayer::apply_logical(const Operation& op) {
       (void)measure_logical(op.qubit(0));
       return;
     case GateType::kI:
-      run_windows_after(op.qubit(0));
+      run_window(op.qubit(0));
       return;
     case GateType::kX: {
       NinjaStar& s = star(op.qubit(0));
       run_lower(s.logical_x_circuit());
       s.on_logical_x();
-      run_windows_after(op.qubit(0));
+      run_window(op.qubit(0));
       return;
     }
     case GateType::kZ: {
       NinjaStar& s = star(op.qubit(0));
       run_lower(s.logical_z_circuit());
       s.on_logical_z();
-      run_windows_after(op.qubit(0));
+      run_window(op.qubit(0));
       return;
     }
     case GateType::kY: {
@@ -324,14 +293,14 @@ void NinjaStarLayer::apply_logical(const Operation& op) {
       run_lower(s.logical_z_circuit());
       run_lower(s.logical_x_circuit());
       s.on_logical_x();
-      run_windows_after(op.qubit(0));
+      run_window(op.qubit(0));
       return;
     }
     case GateType::kH: {
       NinjaStar& s = star(op.qubit(0));
       run_lower(s.logical_h_circuit());
       s.on_logical_h();
-      run_windows_after(op.qubit(0));
+      run_window(op.qubit(0));
       return;
     }
     case GateType::kCnot: {
@@ -339,8 +308,8 @@ void NinjaStarLayer::apply_logical(const Operation& op) {
       NinjaStar& t = star(op.target());
       run_lower(NinjaStar::logical_cnot_circuit(c, t));
       NinjaStar::on_logical_cnot(c, t);
-      run_windows_after(op.control());
-      run_windows_after(op.target());
+      run_window(op.control());
+      run_window(op.target());
       return;
     }
     case GateType::kCz: {
@@ -348,8 +317,8 @@ void NinjaStarLayer::apply_logical(const Operation& op) {
       NinjaStar& b = star(op.target());
       run_lower(NinjaStar::logical_cz_circuit(a, b));
       NinjaStar::on_logical_cz(a, b);
-      run_windows_after(op.control());
-      run_windows_after(op.target());
+      run_window(op.control());
+      run_window(op.target());
       return;
     }
     default:

@@ -1,11 +1,12 @@
-// NinjaStarLayer: the QEC layer controlling SC17 logical qubits
-// (thesis §5.1.3, Table 5.4).
+// NinjaStarLayer: the QEC layer controlling surface-code logical
+// qubits (thesis §5.1.3, Table 5.4): SC17 ninja stars at the default
+// d = 3, any odd distance up to qec::NinjaStar::kMaxDistance beyond.
 //
 // Upwards it speaks the Core interface at the *logical* level: qubit q
 // of an added circuit is logical qubit q, gates are logical operations
 // (Table 5.1), and get_state() reports logical binary values.  Each
-// logical qubit owns 17 consecutive physical qubits in the stack below
-// (a private ancilla set).
+// logical qubit owns 2d^2 - 1 consecutive physical qubits in the stack
+// below (a private ancilla set; 17 at d = 3).
 //
 // Besides the transparent Core interface, the layer exposes the
 // experiment API used by the LER study of §5.3: explicit initialization,
@@ -23,14 +24,15 @@ namespace qpf::arch {
 
 class TimingLayer;
 
+/// Logical qubits of one odd distance d (Options::distance), SC17 at
+/// the default d = 3.
 class NinjaStarLayer final : public Layer {
  public:
   struct Options {
-    /// ESM rounds per QEC window; the thesis uses d - 1 = 2 (§5.3.1).
-    std::size_t esm_rounds_per_window = 2;
-    /// Windows automatically run on the involved stars after each
+    /// Code distance: odd, 3..qec::NinjaStar::kMaxDistance.  A window
+    /// runs d - 1 ESM rounds (§5.3.1), and one window follows each
     /// logical gate executed through the Core interface (Fig 2.6).
-    std::size_t windows_per_operation = 1;
+    int distance = 3;
     /// ESM CNOT ordering (ablation knob; kMixed is the paper's choice).
     qec::CnotPattern esm_pattern = qec::CnotPattern::kMixed;
     /// When false, windows measure syndromes but never decode or issue
@@ -39,6 +41,7 @@ class NinjaStarLayer final : public Layer {
   };
 
   explicit NinjaStarLayer(Core* lower);
+  /// Throws StackConfigError on an unsupported distance.
   NinjaStarLayer(Core* lower, Options options);
 
   // --- Core interface (logical level) ---------------------------------
@@ -68,10 +71,11 @@ class NinjaStarLayer final : public Layer {
   /// deterministic, and one decoded ESM round projects into the code
   /// space.  Not fault-tolerant (like every d=3 injection scheme): a
   /// single fault during injection can corrupt the encoded state.
+  /// d = 3 only (StackConfigError otherwise).
   void initialize_injected(Qubit logical, const Circuit& center_preparation);
 
-  /// One QEC window: esm_rounds_per_window rounds of ESM, decode with
-  /// the carried round (Fig 5.9), then issue the corrections.
+  /// One QEC window: d - 1 rounds of ESM, decode the last two with the
+  /// carried round (Fig 5.9), then issue the corrections.
   void run_window(Qubit logical);
 
   /// Diagnostic probe (§5.3.1): run one full ESM round and report
@@ -80,7 +84,7 @@ class NinjaStarLayer final : public Layer {
   [[nodiscard]] bool has_observable_errors(Qubit logical);
 
   /// Diagnostic syndrome readout: one full ESM round, returning the raw
-  /// 8-bit syndrome without touching the decoder bookkeeping.  Run it
+  /// syndrome word without touching the decoder bookkeeping.  Run it
   /// with the error and counter layers bypassed.
   [[nodiscard]] qec::Syndrome probe_syndrome(Qubit logical);
 
@@ -95,8 +99,8 @@ class NinjaStarLayer final : public Layer {
   [[nodiscard]] int measure_logical(Qubit logical);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  void set_windows_per_operation(std::size_t n) noexcept {
-    options_.windows_per_operation = n;
+  [[nodiscard]] const qec::SurfaceCodeLayout& layout() const noexcept {
+    return layout_;
   }
 
   /// Arm the deadline watchdog (non-owning; a TimingLayer below this
@@ -122,10 +126,9 @@ class NinjaStarLayer final : public Layer {
   void run_corrections(std::string_view name,
                        const std::vector<Operation>& ops);
   void apply_logical(const Operation& op);
-  void run_windows_after(Qubit logical);
 
   Options options_;
-  qec::Sc17Layout layout_;
+  qec::SurfaceCodeLayout layout_;
   std::vector<qec::NinjaStar> stars_;
   std::vector<Circuit> queue_;
   Circuit corrections_;  ///< run_corrections() buffer; not snapshot state

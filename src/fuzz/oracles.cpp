@@ -26,7 +26,7 @@
 #include "io/fault_net.h"
 #include "journal/snapshot.h"
 #include "qec/ninja_star.h"
-#include "qec/sc17.h"
+#include "qec/surface_code.h"
 #include "serve/protocol.h"
 #include "serve/retry_client.h"
 #include "serve/server.h"
@@ -787,21 +787,33 @@ OracleOutcome check_chaos_convergence(const Circuit& measured,
 OracleOutcome check_lut_window(std::uint64_t seed,
                                const OracleTuning& tuning) {
   using qec::CheckType;
-  using qec::Sc17Layout;
   using qec::Syndrome;
 
-  Sc17Layout layout;
+  const qec::SurfaceCodeLayout layout(3);
   qec::NinjaStar star(0, &layout);
   SplitMix rng(derive_seed(seed, label_hash("syndromes")));
 
-  Syndrome carried = static_cast<Syndrome>(rng.below(256));
+  Syndrome carried = rng.below(256);
   star.set_carried_syndrome(carried);
 
-  const auto extract = [](Syndrome s, const std::array<int, 4>& anc) {
+  // Bits of a group syndrome: bit b is the b'th ancilla (ascending) of
+  // the checks measuring `basis` in the star's current orientation.
+  const auto extract = [&](Syndrome s, CheckType basis) {
     unsigned out = 0;
-    for (unsigned bit = 0; bit < 4; ++bit) {
-      if ((s & (1u << anc[bit])) != 0) {
-        out |= 1u << bit;
+    unsigned bit = 0;
+    for (const qec::SurfaceCheck& check : layout.checks()) {
+      if (check.effective_type(star.orientation()) == basis) {
+        out |= static_cast<unsigned>((s >> check.ancilla) & 1u) << bit++;
+      }
+    }
+    return out;
+  };
+  const auto deposit = [&](unsigned bits, CheckType basis) {
+    Syndrome out = 0;
+    unsigned bit = 0;
+    for (const qec::SurfaceCheck& check : layout.checks()) {
+      if (check.effective_type(star.orientation()) == basis) {
+        out |= Syndrome{(bits >> bit++) & 1u} << check.ancilla;
       }
     }
     return out;
@@ -811,34 +823,24 @@ OracleOutcome check_lut_window(std::uint64_t seed,
     if (rng.chance(0.25)) {
       star.on_logical_h();  // rotate: the check groups swap roles
     }
-    const Syndrome r1 = static_cast<Syndrome>(rng.below(256));
-    const Syndrome r2 = static_cast<Syndrome>(rng.below(256));
+    const Syndrome r1 = rng.below(256);
+    const Syndrome r2 = rng.below(256);
 
     // Independent reference decode: same carried round, fresh logic.
     Syndrome expected_carry = r2;
     std::map<Qubit, unsigned> expected;  // qubit -> x|z correction mask
     for (const CheckType basis : {CheckType::kZ, CheckType::kX}) {
-      const std::array<int, 4> anc = star.group_ancillas(basis);
-      const qec::LutDecoder& lut = star.lut(basis);
-      const unsigned s0 = extract(carried, anc);
-      const unsigned s1 = extract(r1, anc);
-      const unsigned s2 = extract(r2, anc);
-      if (s1 != s2) {
+      const unsigned s1 = extract(r1, basis);
+      if (s1 != extract(r2, basis)) {
         continue;  // the two fresh rounds disagree: defer one round
       }
-      const unsigned voted = qec::majority_syndrome(s0, s1, s2);
-      const std::vector<int>& data = lut.decode(voted);
+      const qec::LutDecoder& lut = star.lut(basis);
+      const std::vector<int>& data = lut.decode(s1);
       const unsigned mask = basis == CheckType::kZ ? 1u : 2u;  // X : Z fix
       for (const int d : data) {
-        expected[Sc17Layout::data_qubit(0, d)] |= mask;
+        expected[layout.data_qubit(0, d)] |= mask;
       }
-      const unsigned sig = lut.signature(data);
-      for (unsigned bit = 0; bit < 4; ++bit) {
-        if ((sig & (1u << bit)) != 0) {
-          expected_carry = static_cast<Syndrome>(
-              expected_carry ^ (1u << anc[bit]));
-        }
-      }
+      expected_carry ^= deposit(lut.signature(data), basis);
     }
 
     const std::vector<Operation> got = star.decode_window(r1, r2);
@@ -851,13 +853,11 @@ OracleOutcome check_lut_window(std::uint64_t seed,
     }
     if (actual != expected || star.carried_syndrome() != expected_carry) {
       std::ostringstream why;
-      why << "window " << w << " (carried=" << static_cast<unsigned>(carried)
-          << " r1=" << static_cast<unsigned>(r1)
-          << " r2=" << static_cast<unsigned>(r2) << "): decoder emitted "
-          << got.size() << " correction(s) with carry "
-          << static_cast<unsigned>(star.carried_syndrome())
+      why << "window " << w << " (carried=" << carried << " r1=" << r1
+          << " r2=" << r2 << "): decoder emitted " << got.size()
+          << " correction(s) with carry " << star.carried_syndrome()
           << ", reference expects " << expected.size() << " with carry "
-          << static_cast<unsigned>(expected_carry);
+          << expected_carry;
       return OracleOutcome::fail(why.str());
     }
     carried = expected_carry;

@@ -95,8 +95,8 @@ class SnapshotReader {
   void expect_tag(std::string_view name);
 
   /// Read the next element, which must be a tag, and return its name.
-  /// Lets loaders dispatch on versioned section tags (e.g. the tableau
-  /// accepting both its current and its legacy on-disk layout).
+  /// Lets loaders dispatch on versioned section tags (e.g. LerStack's
+  /// "ler-stack" and extended "ler-stack2" sections).
   [[nodiscard]] std::string read_tag();
 
   [[nodiscard]] bool read_bool();

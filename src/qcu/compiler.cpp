@@ -1,13 +1,12 @@
 #include "qcu/compiler.h"
 
-#include <array>
 #include <stdexcept>
 
 #include "circuit/error.h"
 #include <vector>
 
 #include "qcu/symbol_table.h"
-#include "qec/sc17.h"
+#include "qec/surface_code.h"
 
 namespace qpf::qcu {
 
@@ -16,10 +15,6 @@ namespace {
 using qec::Orientation;
 
 constexpr std::uint16_t kStride = QSymbolTable::kPatchStride;
-
-// §2.6.1 transversal pairing between lattices of different orientation
-// (same table as qec::NinjaStar).
-constexpr std::array<int, 9> kRotatedPairing{6, 3, 0, 7, 4, 1, 8, 5, 2};
 
 struct PatchState {
   bool alive = false;
@@ -35,7 +30,8 @@ std::uint16_t virtual_qubit(Qubit logical, int data) {
 
 std::vector<Instruction> compile(const Circuit& logical,
                                  const CompileOptions& options) {
-  const qec::Sc17Layout layout;
+  const qec::SurfaceCodeLayout layout(3);
+  const int num_data = static_cast<int>(layout.num_data());
   std::vector<Instruction> program;
   std::vector<PatchState> patches(logical.min_register_size());
 
@@ -56,7 +52,7 @@ std::vector<Instruction> compile(const Circuit& logical,
     }
   };
   const auto emit_chain = [&](Qubit q, Opcode op,
-                              const std::array<int, 3>& chain) {
+                              const std::vector<int>& chain) {
     for (int d : chain) {
       program.push_back({op, virtual_qubit(q, d), 0});
     }
@@ -112,7 +108,7 @@ std::vector<Instruction> compile(const Circuit& logical,
         }
         case GateType::kH: {
           PatchState& patch = require_alive(op.qubit(0));
-          for (int d = 0; d < 9; ++d) {
+          for (int d = 0; d < num_data; ++d) {
             program.push_back(
                 {Opcode::kH, virtual_qubit(op.qubit(0), d), 0});
           }
@@ -124,9 +120,8 @@ std::vector<Instruction> compile(const Circuit& logical,
           const PatchState& control = require_alive(op.control());
           const PatchState& target = require_alive(op.target());
           const bool same = control.orientation == target.orientation;
-          for (int n = 0; n < 9; ++n) {
-            const int m =
-                same ? n : kRotatedPairing[static_cast<std::size_t>(n)];
+          for (int n = 0; n < num_data; ++n) {
+            const int m = same ? n : layout.rotated_partner(n);
             program.push_back({Opcode::kCnot,
                                virtual_qubit(op.control(), n),
                                virtual_qubit(op.target(), m)});
@@ -139,9 +134,8 @@ std::vector<Instruction> compile(const Circuit& logical,
           const PatchState& b = require_alive(op.target());
           // Inverted pairing rule relative to CNOT_L (§2.6.1).
           const bool same = a.orientation == b.orientation;
-          for (int n = 0; n < 9; ++n) {
-            const int m =
-                same ? kRotatedPairing[static_cast<std::size_t>(n)] : n;
+          for (int n = 0; n < num_data; ++n) {
+            const int m = same ? layout.rotated_partner(n) : n;
             program.push_back({Opcode::kCz, virtual_qubit(op.control(), n),
                                virtual_qubit(op.target(), m)});
           }

@@ -11,7 +11,6 @@ using arch::BinaryValue;
 using qec::CheckType;
 using qec::DanceMode;
 using qec::NinjaStar;
-using qec::Sc17Layout;
 using qec::StateValue;
 using qec::Syndrome;
 
@@ -92,11 +91,7 @@ BinaryState QuantumControlUnit::read_corrected_state() {
 }
 
 bool QuantumControlUnit::read_bit(Qubit physical) {
-  const BinaryState state = read_corrected_state();
-  if (state.at(physical) == BinaryValue::kUnknown) {
-    throw std::logic_error("QuantumControlUnit: qubit not measured");
-  }
-  return state.at(physical) == BinaryValue::kOne;
+  return arch::measured_one(read_corrected_state(), physical);
 }
 
 NinjaStar& QuantumControlUnit::star_of(PatchId patch) {
@@ -113,17 +108,8 @@ Syndrome QuantumControlUnit::run_esm_round(NinjaStar& star) {
     }
   }
   const BinaryState state = read_corrected_state();
-  Syndrome syndrome = star.carried_syndrome();
-  for (int ancilla : star.esm_measurement_order()) {
-    const Qubit q = Sc17Layout::ancilla_qubit(star.base(), ancilla);
-    const Syndrome bit = static_cast<Syndrome>(1u << ancilla);
-    if (state.at(q) == BinaryValue::kOne) {
-      syndrome = static_cast<Syndrome>(syndrome | bit);
-    } else {
-      syndrome = static_cast<Syndrome>(syndrome & ~bit);
-    }
-  }
-  return syndrome;
+  return star.round_syndrome(
+      [&state](Qubit q) { return arch::measured_one(state, q); });
 }
 
 void QuantumControlUnit::run_window(NinjaStar& star) {
@@ -159,17 +145,8 @@ void QuantumControlUnit::logical_measure(PatchId patch) {
     }
   }
   const BinaryState data_state = read_corrected_state();
-  std::array<bool, Sc17Layout::kNumData> bits{};
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    const Qubit q = Sc17Layout::data_qubit(star.base(), d);
-    if (data_state.at(q) == BinaryValue::kUnknown) {
-      throw std::logic_error("QuantumControlUnit: data qubit not measured");
-    }
-    bits[static_cast<std::size_t>(d)] = data_state.at(q) == BinaryValue::kOne;
-  }
   // Partial ESM sweep accompanies the readout (§5.1.2); the classical
-  // fix comes from the parity violations of the readout string itself
-  // (see NinjaStarLayer::measure_logical).
+  // fix comes from the readout string itself (NinjaStar::measured_sign).
   const Circuit partial =
       layout_.esm_circuit(star.base(), star.orientation(), DanceMode::kZOnly);
   for (const SlotView slot : partial) {
@@ -178,21 +155,8 @@ void QuantumControlUnit::logical_measure(PatchId patch) {
     }
   }
   flush_buffer();
-  std::vector<int> ones;
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    if (bits[static_cast<std::size_t>(d)]) {
-      ones.push_back(d);
-    }
-  }
-  const Syndrome violations = star.signature(ones, CheckType::kX);
-  for (int d : star.decode_partial_round(violations)) {
-    bits[static_cast<std::size_t>(d)] = !bits[static_cast<std::size_t>(d)];
-  }
-  int sign = +1;
-  for (bool b : bits) {
-    sign = b ? -sign : sign;
-  }
-  star.on_measured(sign);
+  star.measured_sign(
+      [&data_state](Qubit q) { return arch::measured_one(data_state, q); });
 }
 
 void QuantumControlUnit::exec(const Instruction& instruction) {

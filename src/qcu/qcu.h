@@ -83,7 +83,7 @@ class QuantumControlUnit {
 
   arch::Core* pel_;
   QSymbolTable table_;
-  qec::Sc17Layout layout_;
+  qec::SurfaceCodeLayout layout_{3};
   std::optional<pf::PauliFrameUnit> pfu_;
   std::optional<pf::PauliArbiter> arbiter_;
   Circuit buffer_;

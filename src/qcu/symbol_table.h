@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "circuit/operation.h"
-#include "qec/sc17.h"
 
 namespace qpf::qcu {
 
@@ -21,8 +20,8 @@ using PatchId = std::uint16_t;
 
 class QSymbolTable {
  public:
-  static constexpr std::uint16_t kPatchStride =
-      static_cast<std::uint16_t>(qec::Sc17Layout::kNumQubits);
+  /// One SC17 star: 9 data qubits and 8 ancillas.
+  static constexpr std::uint16_t kPatchStride = 17;
 
   /// A machine with `slots` physical placement slots (17 qubits each).
   explicit QSymbolTable(std::size_t slots);

@@ -10,6 +10,11 @@ constexpr int kRows = 3;
 constexpr int kColsMerged = 7;
 constexpr int kSeamCol = 3;
 
+// The logical representatives of a 3x3 patch the seam fixups were
+// derived for: X_L on data column 0 and Z_L on data row 0.
+constexpr std::array<int, 3> kColumnZeroX{0, 3, 6};
+constexpr std::array<int, 3> kRowZeroZ{0, 1, 2};
+
 // Solve (over GF(2)) for the subset of same-basis checks whose combined
 // support equals `target` (a bitmask over the merged data qubits).
 // Gaussian elimination on the check-support matrix; throws
@@ -233,7 +238,7 @@ Circuit LatticeSurgery::gauge_fixup_circuit(const SplitFixups& fixups) const {
 Circuit LatticeSurgery::zz_fixup_circuit() const {
   Circuit circuit{"surgery-zz-fixup"};
   TimeSlot slot;
-  for (int local : patch_.logical_x_data()) {
+  for (int local : kColumnZeroX) {
     slot.add(Operation{GateType::kX,
                        registers_.base_b + static_cast<Qubit>(local)});
   }
@@ -409,7 +414,7 @@ Circuit RoughLatticeSurgery::gauge_fixup_circuit(
 Circuit RoughLatticeSurgery::xx_fixup_circuit() const {
   Circuit circuit{"rough-surgery-xx-fixup"};
   TimeSlot slot;
-  for (int local : patch_.logical_z_data()) {
+  for (int local : kRowZeroZ) {
     slot.add(Operation{GateType::kZ,
                        registers_.base_b + static_cast<Qubit>(local)});
   }

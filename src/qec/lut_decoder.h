@@ -5,11 +5,12 @@
 // maps through a precomputed LUT to the minimum-weight set of data
 // qubits whose combined syndrome signature reproduces it.
 //
-// Temporal part: each window decodes from three rounds of ESM results
-// (the last round of the previous window plus the two rounds of this
-// window, Fig 5.9).  A per-bit majority vote over the three rounds
-// filters single measurement errors; errors that only show in the last
-// round are deferred to the next window, exactly one round later.
+// Temporal part (qec::NinjaStar::decode_window, Fig 5.9): a window
+// acts on a check group only when the group's two fresh rounds agree,
+// and then decodes that syndrome; otherwise it defers the group and
+// carries the last round into the next window.  A measurement error, or
+// a fault that strikes mid-round, shows in one round only and is never
+// acted on alone.
 #pragma once
 
 #include <array>
@@ -46,11 +47,5 @@ class LutDecoder {
   std::vector<unsigned> signatures_;        // per data qubit
   std::array<std::vector<int>, 16> table_;  // per syndrome
 };
-
-/// Three-round temporal filter: majority vote per check bit.
-[[nodiscard]] constexpr unsigned majority_syndrome(unsigned r0, unsigned r1,
-                                                   unsigned r2) noexcept {
-  return (r0 & r1) | (r1 & r2) | (r0 & r2);
-}
 
 }  // namespace qpf::qec

@@ -1,28 +1,36 @@
 #include "qec/ninja_star.h"
 
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/bug_plant.h"
+#include "circuit/error.h"
 
 namespace qpf::qec {
 
 namespace {
 
-std::array<std::uint16_t, 4> group_masks(const std::vector<Check>& checks,
-                                         int first_ancilla) {
+// Bitmask over the nine SC17 data qubits.
+std::uint16_t chain_mask(const std::vector<int>& data) {
+  std::uint16_t mask = 0;
+  for (int d : data) {
+    mask = static_cast<std::uint16_t>(mask | (1u << d));
+  }
+  return mask;
+}
+
+// LUT check masks of one basis group.
+std::array<std::uint16_t, 4> group_masks(const SurfaceCodeLayout& layout,
+                                         CheckType type) {
   std::array<std::uint16_t, 4> masks{};
-  for (const Check& check : checks) {
-    const int offset = check.ancilla - first_ancilla;
-    if (offset >= 0 && offset < 4) {
-      masks[static_cast<std::size_t>(offset)] = check.mask;
-    }
+  const std::vector<int>& group = layout.checks_of(type);
+  for (std::size_t g = 0; g < group.size(); ++g) {
+    masks.at(g) = chain_mask(
+        layout.checks()[static_cast<std::size_t>(group[g])].support);
   }
   return masks;
 }
-
-// Transversal pairing when the two lattices are rotated relative to
-// each other (§2.6.1): CNOTs run between (A_Dn, B_pair[n]).
-constexpr std::array<int, 9> kRotatedPairing{6, 3, 0, 7, 4, 1, 8, 5, 2};
 
 // Merge an X and a Z correction on the same qubit into a single Y so the
 // whole correction set fits one time slot (the paper's 1-slot
@@ -49,73 +57,63 @@ std::vector<Operation> merge_corrections(std::vector<Operation> corrections) {
 
 }  // namespace
 
-namespace {
-constexpr std::uint16_t kLogicalXChainMask = 0b001010100;  // D2, D4, D6
-constexpr std::uint16_t kLogicalZChainMask = 0b100010001;  // D0, D4, D8
-}  // namespace
-
-NinjaStar::NinjaStar(Qubit base, const Sc17Layout* layout)
-    : base_(base),
-      layout_(layout),
-      lut_low_(group_masks(layout->checks(), 0)),
-      lut_high_(group_masks(layout->checks(), 4)),
-      lut_low_injection_(group_masks(layout->checks(), 0), 9,
-                         kLogicalXChainMask),
-      lut_high_injection_(group_masks(layout->checks(), 4), 9,
-                          kLogicalZChainMask) {
+NinjaStar::NinjaStar(Qubit base, const SurfaceCodeLayout* layout)
+    : base_(base), layout_(layout) {
   if (layout == nullptr) {
     throw std::invalid_argument("NinjaStar: null layout");
+  }
+  if (layout->rows() != layout->cols() ||
+      layout->distance() > kMaxDistance) {
+    throw StackConfigError(
+        "NinjaStar", "needs a square patch of distance at most " +
+                         std::to_string(kMaxDistance));
+  }
+  group_size_ = static_cast<int>(layout->num_checks() / 2);
+  group_mask_ = (Syndrome{1} << group_size_) - 1;
+  if (layout->distance() == 3) {
+    luts_.reserve(4);
+    luts_.emplace_back(group_masks(*layout, CheckType::kX));
+    luts_.emplace_back(group_masks(*layout, CheckType::kZ));
+    luts_.emplace_back(group_masks(*layout, CheckType::kX), 9,
+                       chain_mask(layout->logical_x_data()));
+    luts_.emplace_back(group_masks(*layout, CheckType::kZ), 9,
+                       chain_mask(layout->logical_z_data()));
+  } else {
+    matchers_.reserve(2);
+    matchers_.emplace_back(*layout, CheckType::kX);
+    matchers_.emplace_back(*layout, CheckType::kZ);
   }
 }
 
 Circuit NinjaStar::reset_circuit() const {
-  Circuit circuit{"reset_L"};
-  TimeSlot slot;
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    slot.add(Operation{GateType::kPrepZ, Sc17Layout::data_qubit(base_, d)});
-  }
-  circuit.append_slot(std::move(slot));
-  return circuit;
+  return layout_->transversal_circuit(GateType::kPrepZ, base_, "reset_L");
 }
 
 Circuit NinjaStar::logical_x_circuit() const {
   Circuit circuit{"x_L"};
-  TimeSlot slot;
   for (int d : layout_->logical_x_data(orientation_)) {
-    slot.add(Operation{GateType::kX, Sc17Layout::data_qubit(base_, d)});
+    circuit.push_op(Operation{GateType::kX, layout_->data_qubit(base_, d)});
   }
-  circuit.append_slot(std::move(slot));
+  circuit.close_slot();
   return circuit;
 }
 
 Circuit NinjaStar::logical_z_circuit() const {
   Circuit circuit{"z_L"};
-  TimeSlot slot;
   for (int d : layout_->logical_z_data(orientation_)) {
-    slot.add(Operation{GateType::kZ, Sc17Layout::data_qubit(base_, d)});
+    circuit.push_op(Operation{GateType::kZ, layout_->data_qubit(base_, d)});
   }
-  circuit.append_slot(std::move(slot));
+  circuit.close_slot();
   return circuit;
 }
 
 Circuit NinjaStar::logical_h_circuit() const {
-  Circuit circuit{"h_L"};
-  TimeSlot slot;
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    slot.add(Operation{GateType::kH, Sc17Layout::data_qubit(base_, d)});
-  }
-  circuit.append_slot(std::move(slot));
-  return circuit;
+  return layout_->transversal_circuit(GateType::kH, base_, "h_L");
 }
 
 Circuit NinjaStar::measure_circuit() const {
-  Circuit circuit{"measure_L"};
-  TimeSlot slot;
-  for (int d = 0; d < static_cast<int>(Sc17Layout::kNumData); ++d) {
-    slot.add(Operation{GateType::kMeasureZ, Sc17Layout::data_qubit(base_, d)});
-  }
-  circuit.append_slot(std::move(slot));
-  return circuit;
+  return layout_->transversal_circuit(GateType::kMeasureZ, base_,
+                                      "measure_L");
 }
 
 const Circuit& NinjaStar::esm_circuit() const {
@@ -142,8 +140,8 @@ const Circuit& NinjaStar::logical_stabilizer_circuit(CheckType basis) const {
       stabilizer_[static_cast<std::size_t>(orientation_) * 2 +
                   static_cast<std::size_t>(basis)];
   if (stabilizer.empty()) {
-    stabilizer = layout_->logical_stabilizer_circuit(
-        base_, basis, Sc17Layout::ancilla_qubit(base_, 0), orientation_);
+    stabilizer =
+        layout_->logical_stabilizer_circuit(base_, basis, orientation_);
   }
   return stabilizer;
 }
@@ -151,30 +149,30 @@ const Circuit& NinjaStar::logical_stabilizer_circuit(CheckType basis) const {
 Circuit NinjaStar::logical_cnot_circuit(const NinjaStar& control,
                                         const NinjaStar& target) {
   Circuit circuit{"cnot_L"};
-  TimeSlot slot;
+  const SurfaceCodeLayout& layout = *control.layout_;
   const bool same = control.orientation_ == target.orientation_;
-  for (int n = 0; n < 9; ++n) {
-    const int m = same ? n : kRotatedPairing[static_cast<std::size_t>(n)];
-    slot.add(Operation{GateType::kCnot,
-                       Sc17Layout::data_qubit(control.base_, n),
-                       Sc17Layout::data_qubit(target.base_, m)});
+  for (int n = 0; n < static_cast<int>(layout.num_data()); ++n) {
+    const int m = same ? n : layout.rotated_partner(n);
+    circuit.push_op(Operation{GateType::kCnot,
+                              layout.data_qubit(control.base_, n),
+                              layout.data_qubit(target.base_, m)});
   }
-  circuit.append_slot(std::move(slot));
+  circuit.close_slot();
   return circuit;
 }
 
 Circuit NinjaStar::logical_cz_circuit(const NinjaStar& a, const NinjaStar& b) {
   Circuit circuit{"cz_L"};
-  TimeSlot slot;
+  const SurfaceCodeLayout& layout = *a.layout_;
   // Note the inverted rule relative to CNOT_L (§2.6.1): equal
   // orientations pair rotated, different orientations pair straight.
   const bool same = a.orientation_ == b.orientation_;
-  for (int n = 0; n < 9; ++n) {
-    const int m = same ? kRotatedPairing[static_cast<std::size_t>(n)] : n;
-    slot.add(Operation{GateType::kCz, Sc17Layout::data_qubit(a.base_, n),
-                       Sc17Layout::data_qubit(b.base_, m)});
+  for (int n = 0; n < static_cast<int>(layout.num_data()); ++n) {
+    const int m = same ? layout.rotated_partner(n) : n;
+    circuit.push_op(Operation{GateType::kCz, layout.data_qubit(a.base_, n),
+                              layout.data_qubit(b.base_, m)});
   }
-  circuit.append_slot(std::move(slot));
+  circuit.close_slot();
   return circuit;
 }
 
@@ -224,57 +222,75 @@ void NinjaStar::on_logical_cz(NinjaStar& a, NinjaStar& b) noexcept {
   (void)b;
 }
 
-std::array<const Check*, 4> NinjaStar::group(CheckType t) const {
-  std::array<const Check*, 4> out{};
-  std::size_t i = 0;
-  for (const Check& check : layout_->checks()) {
-    if (check.effective_type(orientation_) == t) {
-      out.at(i++) = &check;
+int NinjaStar::readout_sign(std::uint64_t ones) {
+  std::vector<int> flipped;
+  for (std::size_t d = 0; d < layout_->num_data(); ++d) {
+    if ((ones >> d) & 1u) {
+      flipped.push_back(static_cast<int>(d));
     }
   }
-  if (i != 4) {
-    throw std::logic_error("NinjaStar: malformed check groups");
+  for (int d : decode_partial_round(signature(flipped, CheckType::kX))) {
+    ones ^= std::uint64_t{1} << d;
   }
-  return out;
+  const int sign = std::popcount(ones) % 2 == 0 ? +1 : -1;
+  on_measured(sign);
+  return sign;
 }
 
-unsigned NinjaStar::extract(Syndrome s, const std::array<const Check*, 4>& g) {
-  unsigned out = 0;
-  for (unsigned bit = 0; bit < 4; ++bit) {
-    if (s & (1u << g[bit]->ancilla)) {
-      out |= 1u << bit;
+const std::vector<int>& NinjaStar::decode_group(int group, Syndrome bits) {
+  if (!luts_.empty()) {
+    return luts_[static_cast<std::size_t>(group)].decode(
+        static_cast<unsigned>(bits));
+  }
+  std::vector<int> defects;
+  for (int g = 0; g < group_size_; ++g) {
+    if ((bits >> g) & 1u) {
+      defects.push_back(g);
     }
   }
-  return out;
+  matched_ = matchers_[static_cast<std::size_t>(group)].decode(defects);
+  return matched_;
+}
+
+Syndrome NinjaStar::group_signature(int group,
+                                    const std::vector<int>& data) const {
+  if (!luts_.empty()) {
+    return luts_[static_cast<std::size_t>(group)].signature(data);
+  }
+  Syndrome bits = 0;
+  for (int g : matchers_[static_cast<std::size_t>(group)].signature(data)) {
+    bits |= Syndrome{1} << g;
+  }
+  return bits;
+}
+
+void NinjaStar::append_fixes(std::vector<Operation>& out,
+                             CheckType check_basis,
+                             const std::vector<int>& data) const {
+  // Z checks flag X errors and vice versa.
+  const GateType fix =
+      check_basis == CheckType::kZ ? GateType::kX : GateType::kZ;
+  for (int d : data) {
+    out.emplace_back(fix, layout_->data_qubit(base_, d));
+  }
 }
 
 const LutDecoder& NinjaStar::lut(CheckType basis) const {
-  const auto g = group(basis);
-  return g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-}
-
-std::array<int, 4> NinjaStar::group_ancillas(CheckType basis) const {
-  const auto g = group(basis);
-  std::array<int, 4> out{};
-  for (std::size_t bit = 0; bit < 4; ++bit) {
-    out[bit] = g[bit]->ancilla;
+  if (luts_.empty()) {
+    throw std::logic_error("NinjaStar: look-up tables exist at d = 3 only");
   }
-  return out;
+  return luts_[static_cast<std::size_t>(group_of(basis))];
 }
 
 std::vector<Operation> NinjaStar::decode_window(Syndrome r1, Syndrome r2) {
   std::vector<Operation> corrections;
   Syndrome new_carry = r2;
   for (const CheckType check_basis : {CheckType::kZ, CheckType::kX}) {
-    const auto g = group(check_basis);
-    // The LUT is tied to the ancilla hardware group, not the basis.
-    const LutDecoder& lut = g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-    const unsigned s0 = extract(carried_, g);
-    const unsigned s1 = extract(r1, g);
-    const unsigned s2 = extract(r2, g);
+    const int group = group_of(check_basis);
+    const Syndrome s1 = group_bits(r1, group);
     // mutation hook 8: the agreement window slides one round back,
     // comparing the carried round against r1 instead of r1 vs r2.
-    if (plant::bug(8) ? s0 != s1 : s1 != s2) {
+    if (s1 != group_bits(plant::bug(8) ? carried_ : r2, group)) {
       // The two rounds disagree: either a measurement error or an error
       // that struck mid-round (seen by only part of the group).  Acting
       // now on partial information can walk a correction chain into a
@@ -282,23 +298,11 @@ std::vector<Operation> NinjaStar::decode_window(Syndrome r1, Syndrome r2) {
       // where a real error shows consistently in all three rounds.
       continue;
     }
-    const unsigned voted = majority_syndrome(s0, s1, s2);
-    const std::vector<int>& data = lut.decode(voted);
-    // Z checks flag X errors and vice versa.
-    const GateType fix = check_basis == CheckType::kZ ? GateType::kX
-                                                      : GateType::kZ;
-    for (int d : data) {
-      corrections.emplace_back(fix, Sc17Layout::data_qubit(base_, d));
-    }
+    const std::vector<int>& data = decode_group(group, s1);
+    append_fixes(corrections, check_basis, data);
     // Applying the corrections flips their syndrome bits from the next
     // round on; fold that into the carried word.
-    const unsigned sig = lut.signature(data);
-    for (unsigned bit = 0; bit < 4; ++bit) {
-      if (sig & (1u << bit)) {
-        new_carry = static_cast<Syndrome>(new_carry ^
-                                          (1u << g[bit]->ancilla));
-      }
-    }
+    new_carry ^= group_signature(group, data) << (group * group_size_);
   }
   carried_ = new_carry;
   return merge_corrections(std::move(corrections));
@@ -307,87 +311,56 @@ std::vector<Operation> NinjaStar::decode_window(Syndrome r1, Syndrome r2) {
 std::vector<Operation> NinjaStar::decode_initialization(Syndrome round) {
   std::vector<Operation> corrections;
   for (const CheckType check_basis : {CheckType::kZ, CheckType::kX}) {
-    const auto g = group(check_basis);
-    const LutDecoder& lut = g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-    const unsigned s = extract(round, g);
-    const GateType fix =
-        check_basis == CheckType::kZ ? GateType::kX : GateType::kZ;
-    for (int d : lut.decode(s)) {
-      corrections.emplace_back(fix, Sc17Layout::data_qubit(base_, d));
-    }
+    const int group = group_of(check_basis);
+    append_fixes(corrections, check_basis,
+                 decode_group(group, group_bits(round, group)));
   }
-  // The LUT corrections reproduce the observed syndromes exactly, so
-  // the post-correction syndrome is ideal.
+  // The corrections reproduce the observed syndromes exactly, so the
+  // post-correction syndrome is ideal.
   carried_ = 0;
   return merge_corrections(std::move(corrections));
 }
 
 std::vector<Operation> NinjaStar::decode_gauge(Syndrome round,
                                                CheckType gauge_basis) {
-  const auto g = group(gauge_basis);
-  const LutDecoder& lut = g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-  const unsigned s = extract(round, g);
-  const GateType fix =
-      gauge_basis == CheckType::kZ ? GateType::kX : GateType::kZ;
+  const int group = group_of(gauge_basis);
   std::vector<Operation> corrections;
-  for (int d : lut.decode(s)) {
-    corrections.emplace_back(fix, Sc17Layout::data_qubit(base_, d));
-  }
+  append_fixes(corrections, gauge_basis,
+               decode_group(group, group_bits(round, group)));
   // Carry: gauge group cleared by construction, deferred group keeps
   // the observed bits for the next window.
-  Syndrome carried = 0;
-  for (const Check* check : group(gauge_basis == CheckType::kZ
-                                      ? CheckType::kX
-                                      : CheckType::kZ)) {
-    carried = static_cast<Syndrome>(
-        carried | (round & (1u << check->ancilla)));
-  }
-  carried_ = carried;
+  const int deferred = 1 - group;
+  carried_ = round & (group_mask_ << (deferred * group_size_));
   return corrections;
 }
 
 std::vector<Operation> NinjaStar::decode_injection(Syndrome round) {
-  if (orientation_ != Orientation::kNormal) {
-    throw std::logic_error("decode_injection: normal orientation required");
+  if (luts_.empty() || orientation_ != Orientation::kNormal) {
+    throw std::logic_error(
+        "decode_injection: d = 3 and the normal orientation required");
   }
   std::vector<Operation> corrections;
   for (const CheckType check_basis : {CheckType::kZ, CheckType::kX}) {
-    const auto g = group(check_basis);
-    const LutDecoder& lut =
-        g[0]->ancilla < 4 ? lut_low_injection_ : lut_high_injection_;
-    const unsigned s = extract(round, g);
-    const GateType fix =
-        check_basis == CheckType::kZ ? GateType::kX : GateType::kZ;
-    for (int d : lut.decode(s)) {
-      corrections.emplace_back(fix, Sc17Layout::data_qubit(base_, d));
-    }
+    const int group = group_of(check_basis);
+    append_fixes(corrections, check_basis,
+                 luts_[static_cast<std::size_t>(2 + group)].decode(
+                     static_cast<unsigned>(group_bits(round, group))));
   }
   carried_ = 0;
   return merge_corrections(std::move(corrections));
 }
 
 std::vector<int> NinjaStar::decode_partial_round(Syndrome syndrome) {
-  const auto g = group(CheckType::kZ);
-  const LutDecoder& lut = g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-  const unsigned s = extract(syndrome, g);
-  return lut.decode(s);
+  const int group = group_of(CheckType::kZ);
+  return decode_group(group, group_bits(syndrome, group));
 }
 
 Syndrome NinjaStar::signature(const std::vector<int>& data_locals,
                               CheckType error_basis) const {
   // An X error flips the effective-Z checks; a Z error the effective-X.
-  const CheckType flagged =
-      error_basis == CheckType::kX ? CheckType::kZ : CheckType::kX;
-  const auto g = group(flagged);
-  const LutDecoder& lut = g[0]->ancilla < 4 ? lut_low_ : lut_high_;
-  const unsigned sig = lut.signature(data_locals);
-  Syndrome out = 0;
-  for (unsigned bit = 0; bit < 4; ++bit) {
-    if (sig & (1u << bit)) {
-      out = static_cast<Syndrome>(out | (1u << g[bit]->ancilla));
-    }
-  }
-  return out;
+  const int group = group_of(error_basis == CheckType::kX ? CheckType::kZ
+                                                          : CheckType::kX);
+  return group_signature(group, data_locals) << (group * group_size_);
 }
 
 void NinjaStar::save(journal::SnapshotWriter& out) const {
@@ -396,7 +369,9 @@ void NinjaStar::save(journal::SnapshotWriter& out) const {
   out.write_u8(static_cast<std::uint8_t>(orientation_));
   out.write_u8(static_cast<std::uint8_t>(dance_));
   out.write_u8(static_cast<std::uint8_t>(state_));
-  out.write_u8(carried_);
+  for (int byte = 0; byte < carried_bytes(); ++byte) {
+    out.write_u8(static_cast<std::uint8_t>(carried_ >> (8 * byte)));
+  }
 }
 
 void NinjaStar::load(journal::SnapshotReader& in) {
@@ -416,7 +391,10 @@ void NinjaStar::load(journal::SnapshotReader& in) {
   orientation_ = static_cast<Orientation>(orientation);
   dance_ = static_cast<DanceMode>(dance);
   state_ = static_cast<StateValue>(state);
-  carried_ = in.read_u8();
+  carried_ = 0;
+  for (int byte = 0; byte < carried_bytes(); ++byte) {
+    carried_ |= Syndrome{in.read_u8()} << (8 * byte);
+  }
 }
 
 }  // namespace qpf::qec

@@ -1,6 +1,13 @@
-// Run-time model of one SC17 logical qubit (a "ninja star"): the
-// tracked properties of Table 5.2, the logical-operation conversions of
-// Table 5.1 / 5.3 (§5.1.2), and the window decoder bookkeeping of §5.3.1.
+// Run-time model of one surface-code logical qubit, a "ninja star": the
+// SC17 of the thesis at d = 3, and every odd distance up to
+// kMaxDistance beyond it.  It holds the tracked properties of Table
+// 5.2, the logical-operation conversions of Table 5.1 / 5.3 (§5.1.2),
+// and the window decoder bookkeeping of §5.3.1.
+//
+// The spatial decoder follows from the distance: the Fig 5.9 look-up
+// tables at d = 3 (the paper's decoder), minimum-weight matching
+// (MatchingDecoder) beyond.  The temporal rule is the same for both: a
+// window acts on a check group only when its two fresh rounds agree.
 #pragma once
 
 #include <array>
@@ -9,7 +16,7 @@
 
 #include "journal/snapshot.h"
 #include "qec/lut_decoder.h"
-#include "qec/sc17.h"
+#include "qec/surface_code.h"
 
 namespace qpf::qec {
 
@@ -28,18 +35,26 @@ enum class StateValue : std::uint8_t { kZero, kOne, kUnknown };
   return '?';
 }
 
-/// Syndromes are 8-bit words, bit a = outcome of local ancilla a
-/// (1 means the -1 eigenvalue was read).
-using Syndrome = std::uint8_t;
+/// Syndromes are words, bit a = outcome of local ancilla a (1 means the
+/// -1 eigenvalue was read).
+using Syndrome = std::uint64_t;
 
+/// One logical qubit of any odd distance d <= kMaxDistance (the SC17
+/// at d = 3).
 class NinjaStar {
  public:
-  /// A star occupies 17 register qubits rooted at `base`.  The layout
-  /// must outlive the star.
-  NinjaStar(Qubit base, const Sc17Layout* layout);
+  /// Largest distance whose d^2 - 1 checks fit one Syndrome word.
+  static constexpr int kMaxDistance = 7;
+
+  /// A star occupies layout->num_qubits() register qubits rooted at
+  /// `base`.  The layout must be square with distance <= kMaxDistance
+  /// (StackConfigError otherwise) and outlive the star.
+  NinjaStar(Qubit base, const SurfaceCodeLayout* layout);
 
   [[nodiscard]] Qubit base() const noexcept { return base_; }
-  [[nodiscard]] const Sc17Layout& layout() const noexcept { return *layout_; }
+  [[nodiscard]] const SurfaceCodeLayout& layout() const noexcept {
+    return *layout_;
+  }
 
   // --- Run-time properties (Table 5.2) -------------------------------
   [[nodiscard]] Orientation orientation() const noexcept { return orientation_; }
@@ -54,9 +69,9 @@ class NinjaStar {
   [[nodiscard]] Circuit logical_x_circuit() const;
   /// Z_L: chain of Z.
   [[nodiscard]] Circuit logical_z_circuit() const;
-  /// H_L: transversal H on all nine data qubits.
+  /// H_L: transversal H on all data qubits.
   [[nodiscard]] Circuit logical_h_circuit() const;
-  /// Transversal measurement of all nine data qubits.
+  /// Transversal measurement of all data qubits.
   [[nodiscard]] Circuit measure_circuit() const;
   // The next three are built once per orientation and dance mode (or
   // basis), on first use, and kept by the star: the references stay
@@ -86,17 +101,51 @@ class NinjaStar {
   static void on_logical_cnot(NinjaStar& control, NinjaStar& target) noexcept;
   static void on_logical_cz(NinjaStar& a, NinjaStar& b) noexcept;
 
+  // --- Readout (shared by arch::NinjaStarLayer and the QCU) -----------
+  /// Syndrome of the esm_circuit() round just executed.  `measured(q)`
+  /// returns the outcome of register qubit q; ancillas idle in the
+  /// current dance mode keep their carried bits.
+  template <typename Measured>
+  [[nodiscard]] Syndrome round_syndrome(const Measured& measured) const {
+    Syndrome syndrome = carried_;
+    for (const int ancilla : esm_measurement_order()) {
+      const Syndrome bit = Syndrome{1} << ancilla;
+      syndrome = measured(layout_->ancilla_qubit(base_, ancilla))
+                     ? syndrome | bit
+                     : syndrome & ~bit;
+    }
+    return syndrome;
+  }
+
+  /// Logical value (+1 / -1) of the measure_circuit() readout just
+  /// executed, read through `measured(q)` as above, and recorded with
+  /// on_measured().  The readout is corrected for X flips first: code
+  /// states satisfy every Z-check parity, so the parity violations of
+  /// the readout string pinpoint pre-readout flips without being fooled
+  /// by errors that strike after readout (§5.1.2).
+  template <typename Measured>
+  int measured_sign(const Measured& measured) {
+    std::uint64_t ones = 0;
+    for (std::size_t d = 0; d < layout_->num_data(); ++d) {
+      if (measured(layout_->data_qubit(base_, static_cast<int>(d)))) {
+        ones |= std::uint64_t{1} << d;
+      }
+    }
+    return readout_sign(ones);
+  }
+
   // --- Window decoding (§5.3.1, Fig 5.9) ------------------------------
   /// Last carried ESM round, adjusted for applied corrections.
   [[nodiscard]] Syndrome carried_syndrome() const noexcept { return carried_; }
   void set_carried_syndrome(Syndrome s) noexcept { carried_ = s; }
 
-  /// Decode one window from its two fresh rounds.  Per check group, a
-  /// per-bit majority vote over {carried, r1, r2} filters measurement
-  /// errors, the group LUT picks minimum-weight data corrections, and
-  /// the carried round is updated to r2 adjusted by the corrections'
-  /// signatures.  Returns correction operations on register qubits
-  /// (X for Z-check syndromes, Z for X-check syndromes).
+  /// Decode one window from its two fresh rounds.  Per check group: if
+  /// r1 and r2 disagree, defer (r2 is carried into the next window);
+  /// otherwise decode their common syndrome into minimum-weight data
+  /// corrections.  The carried round becomes r2 adjusted by the
+  /// corrections' signatures.  Returns correction operations on
+  /// register qubits (X for Z-check syndromes, Z for X-check
+  /// syndromes; X and Z on one qubit merge into Y).
   [[nodiscard]] std::vector<Operation> decode_window(Syndrome r1, Syndrome r2);
 
   /// Decode the very first ESM round after (re)initialization: both
@@ -118,38 +167,31 @@ class NinjaStar {
   /// Gauge-fix decode for state injection: like decode_initialization,
   /// but every correction is constrained to commute with both logical
   /// operators (even overlap with the X_L and Z_L chains), so the
-  /// injected Bloch vector survives every projection branch.  Normal
-  /// orientation only.
+  /// injected Bloch vector survives every projection branch.  d = 3 and
+  /// normal orientation only.
   [[nodiscard]] std::vector<Operation> decode_injection(Syndrome round);
 
   /// Decode the effective-Z-check syndrome for the post-measurement
   /// X-error sweep of §5.1.2.  Returns the local data qubits whose
-  /// classical readout must be flipped.  The syndrome should be the
-  /// *classical* parity violations of the transversal readout string
-  /// (signature(ones, kX)) — code states satisfy every Z-check parity,
-  /// so any violation pinpoints pre-readout flips without being fooled
-  /// by errors that strike after readout.
+  /// classical readout must be flipped.
   [[nodiscard]] std::vector<int> decode_partial_round(Syndrome syndrome);
 
-  /// Syndrome bits (within the 8-bit word) that errors on `data_locals`
-  /// of the given error basis would set.  kX errors show on effective-Z
-  /// checks and vice versa.
+  /// Syndrome bits that errors on `data_locals` of the given error basis
+  /// would set.  kX errors show on effective-Z checks and vice versa.
   [[nodiscard]] Syndrome signature(const std::vector<int>& data_locals,
                                    CheckType error_basis) const;
 
-  // --- Verification support (src/fuzz lut-window oracle) --------------
   /// The spatial LUT serving the basis' check group in the current
-  /// orientation — the same object decode_window consults, so an
-  /// independent reference decoder can be diffed against the real one.
+  /// orientation — the object decode_window consults at d = 3, so the
+  /// lut-window fuzz oracle can diff an independent reference decoder
+  /// against the real one.  Throws std::logic_error beyond d = 3.
   [[nodiscard]] const LutDecoder& lut(CheckType basis) const;
-  /// Local ancilla indices of the basis' check group, in LUT bit order
-  /// (bit b of a group syndrome is ancilla group_ancillas(basis)[b]).
-  [[nodiscard]] std::array<int, 4> group_ancillas(CheckType basis) const;
 
   // --- Snapshot / restore (crash-safe experiment engine) -------------
   /// Serialize the Table 5.2 run-time properties and the decoder's
-  /// carried round.  The LUTs are pure functions of the layout and are
-  /// not persisted.
+  /// carried round, (d^2 - 1) / 8 bytes (d^2 - 1 is a multiple of 8 for
+  /// odd d).  The decoders are pure functions of the layout and are not
+  /// persisted.
   void save(journal::SnapshotWriter& out) const;
 
   /// Restore the run-time properties into this star.  Throws
@@ -157,22 +199,47 @@ class NinjaStar {
   void load(journal::SnapshotReader& in);
 
  private:
-  /// Checks whose effective type equals t, in ascending ancilla order.
-  [[nodiscard]] std::array<const Check*, 4> group(CheckType t) const;
-  /// Extract a 4-bit group syndrome from an 8-bit word.
-  [[nodiscard]] static unsigned extract(Syndrome s,
-                                        const std::array<const Check*, 4>& g);
+  /// Hardware check group measuring `basis` this round: 0 for the
+  /// checks of normal-orientation type X (the low ancillas), 1 for the
+  /// Z checks.
+  [[nodiscard]] int group_of(CheckType basis) const noexcept {
+    return (basis == CheckType::kX) == (orientation_ == Orientation::kNormal)
+               ? 0
+               : 1;
+  }
+  /// A group's bits of a syndrome word, bit b = the group's b'th check.
+  [[nodiscard]] Syndrome group_bits(Syndrome s, int group) const noexcept {
+    return (s >> (group * group_size_)) & group_mask_;
+  }
+  /// Spatial decode of one group's bits: the LUT at d = 3, matching
+  /// beyond.  The reference stays valid until the next call.
+  [[nodiscard]] const std::vector<int>& decode_group(int group, Syndrome bits);
+  /// Group bits that flips of `data` set.
+  [[nodiscard]] Syndrome group_signature(int group,
+                                         const std::vector<int>& data) const;
+  /// Append the corrections for data qubits flagged by `check_basis`.
+  void append_fixes(std::vector<Operation>& out, CheckType check_basis,
+                    const std::vector<int>& data) const;
+  [[nodiscard]] int readout_sign(std::uint64_t ones);
+  /// Snapshot size of the carried round: (d^2 - 1) / 8 bytes.
+  [[nodiscard]] int carried_bytes() const noexcept {
+    return 2 * group_size_ / 8;
+  }
 
   Qubit base_;
-  const Sc17Layout* layout_;
+  const SurfaceCodeLayout* layout_;
+  int group_size_;         ///< checks per group: (d^2 - 1) / 2
+  Syndrome group_mask_;
   Orientation orientation_ = Orientation::kNormal;
   DanceMode dance_ = DanceMode::kZOnly;  // initial value per Table 5.2
   StateValue state_ = StateValue::kUnknown;
   Syndrome carried_ = 0;
-  LutDecoder lut_low_;   // ancillas 0..3 (X checks in normal orientation)
-  LutDecoder lut_high_;  // ancillas 4..7 (Z checks in normal orientation)
-  LutDecoder lut_low_injection_;   // Z fixes commuting with X_L
-  LutDecoder lut_high_injection_;  // X fixes commuting with Z_L
+  // d = 3: the group LUTs, then the state-injection LUTs (group 0's Z
+  // fixes commute with X_L, group 1's X fixes with Z_L).  d > 3: one
+  // matching decoder per group, and matched_ holds the last match.
+  std::vector<LutDecoder> luts_;
+  std::vector<MatchingDecoder> matchers_;
+  std::vector<int> matched_;
   // Circuit caches, indexed by orientation * 2 + dance mode (or basis);
   // empty until first use.  Pure functions of the layout and the
   // properties above, so not snapshot state.

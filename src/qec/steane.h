@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "qec/sc17.h"  // CheckType
+#include "qec/surface_code.h"  // CheckType
 
 namespace qpf::qec {
 

@@ -16,33 +16,31 @@ namespace {
 
 }  // namespace
 
-SurfaceCodeLayout::SurfaceCodeLayout(int distance)
-    : SurfaceCodeLayout(distance, distance) {}
+SurfaceCodeLayout::SurfaceCodeLayout(int distance, CnotPattern pattern)
+    : SurfaceCodeLayout(distance, distance, pattern) {}
 
-SurfaceCodeLayout::SurfaceCodeLayout(int rows, int cols)
+SurfaceCodeLayout::SurfaceCodeLayout(int rows, int cols, CnotPattern pattern)
     : rows_(rows), cols_(cols) {
   if (rows < 3 || rows % 2 == 0 || cols < 3 || cols % 2 == 0) {
     throw StackConfigError("SurfaceCodeLayout",
                            "rows and cols must be odd and >= 3");
   }
-  const auto data_at = [this](int r, int c) { return r * cols_ + c; };
-  // Enumerate candidate corner sites and keep the code's check set.
-  int next_ancilla = 0;
+  // Data qubit (r, c), row-major; -1 outside the patch.
+  const auto data_at = [this](int r, int c) {
+    return r >= 0 && r < rows_ && c >= 0 && c < cols_ ? r * cols_ + c : -1;
+  };
+  // NW, NE, SW, SE data qubits of corner site (i, j): ascending.
+  const auto corners = [&](int i, int j) {
+    return std::array<int, 4>{data_at(i - 1, j - 1), data_at(i - 1, j),
+                              data_at(i, j - 1), data_at(i, j)};
+  };
   const auto add_site = [&](int i, int j) {
     SurfaceCheck check;
     check.type = site_type(i, j);
     check.site_i = i;
     check.site_j = j;
-    check.ancilla = next_ancilla++;
-    // Neighbouring data: NW (i-1,j-1), NE (i-1,j), SW (i,j-1), SE (i,j).
-    const auto neighbour = [&](int r, int c) {
-      return r >= 0 && r < rows_ && c >= 0 && c < cols_ ? data_at(r, c) : -1;
-    };
-    const int nw = neighbour(i - 1, j - 1);
-    const int ne = neighbour(i - 1, j);
-    const int sw = neighbour(i, j - 1);
-    const int se = neighbour(i, j);
-    if (check.type == CheckType::kX) {
+    const auto [nw, ne, sw, se] = corners(i, j);
+    if (check.type == CheckType::kX || pattern == CnotPattern::kSameS) {
       check.data = {ne, nw, se, sw};  // the S pattern of Fig 2.2
     } else {
       check.data = {ne, se, nw, sw};  // the Z pattern of Fig 2.3
@@ -52,12 +50,18 @@ SurfaceCodeLayout::SurfaceCodeLayout(int rows, int cols)
         check.support.push_back(q);
       }
     }
-    std::sort(check.support.begin(), check.support.end());
     checks_.push_back(std::move(check));
   };
 
-  // X checks first (matching the SC17 convention), then Z checks.
+  // Keep the code's check sites: the X checks first, then the Z checks,
+  // each ordered by its lowest data qubit — Table 5.8's numbering at
+  // d = 3 (row-major site order would swap X ancillas 0 and 1).  Two
+  // same-basis checks never share their lowest data qubit.
+  checks_.reserve(num_data() - 1);
+  std::vector<std::array<int, 3>> sites;  // {lowest data qubit, i, j}
+  sites.reserve(num_data());
   for (CheckType pass : {CheckType::kX, CheckType::kZ}) {
+    sites.clear();
     for (int i = 0; i <= rows_; ++i) {
       for (int j = 0; j <= cols_; ++j) {
         if (site_type(i, j) != pass) {
@@ -74,157 +78,161 @@ SurfaceCodeLayout::SurfaceCodeLayout(int rows, int cols)
             (pass == CheckType::kX && (top || bottom)) ||
             (pass == CheckType::kZ && (left || right));
         if (keep) {
-          add_site(i, j);
+          const std::array<int, 4> around = corners(i, j);
+          sites.push_back({*std::find_if(around.begin(), around.end(),
+                                         [](int q) { return q >= 0; }),
+                           i, j});
         }
       }
+    }
+    std::sort(sites.begin(), sites.end());
+    for (const std::array<int, 3>& site : sites) {
+      add_site(site[1], site[2]);
     }
   }
   if (checks_.size() != num_data() - 1) {
     throw std::logic_error("SurfaceCodeLayout: malformed check set");
   }
   for (std::size_t k = 0; k < checks_.size(); ++k) {
+    checks_[k].ancilla = static_cast<int>(k);
     (checks_[k].type == CheckType::kX ? x_checks_ : z_checks_)
         .push_back(static_cast<int>(k));
   }
+  if (rows_ == cols_) {
+    for (int k = 0; k < rows_; ++k) {
+      diagonal_.push_back(data_at(k, k));
+      anti_diagonal_.push_back(data_at(k, cols_ - 1 - k));
+    }
+  }
 }
 
-std::vector<int> SurfaceCodeLayout::logical_z_data() const {
-  std::vector<int> chain(static_cast<std::size_t>(cols_));
-  for (int c = 0; c < cols_; ++c) {
-    chain[static_cast<std::size_t>(c)] = c;  // data row 0
+const std::vector<int>& SurfaceCodeLayout::logical_x_data(
+    Orientation o) const {
+  if (diagonal_.empty()) {
+    throw std::logic_error(
+        "SurfaceCodeLayout: logical chains need a square patch");
   }
-  return chain;
+  return o == Orientation::kNormal ? anti_diagonal_ : diagonal_;
 }
 
-std::vector<int> SurfaceCodeLayout::logical_x_data() const {
-  std::vector<int> chain(static_cast<std::size_t>(rows_));
-  for (int r = 0; r < rows_; ++r) {
-    chain[static_cast<std::size_t>(r)] = r * cols_;  // data column 0
-  }
-  return chain;
+const std::vector<int>& SurfaceCodeLayout::logical_z_data(
+    Orientation o) const {
+  return logical_x_data(flip(o));
 }
 
-Circuit SurfaceCodeLayout::esm_circuit(Qubit base) const {
-  Circuit circuit{"esm-" + std::to_string(rows_) + "x" +
-                  std::to_string(cols_)};
-  // Slot 1: reset the X ancillas.
-  {
-    TimeSlot slot;
-    for (int k : x_checks_) {
-      slot.add(Operation{GateType::kPrepZ,
-                         ancilla_qubit(base, checks_[k].ancilla)});
-    }
-    circuit.append_slot(std::move(slot));
+int SurfaceCodeLayout::rotated_partner(int data) const {
+  if (rows_ != cols_ || data < 0 || data >= rows_ * cols_) {
+    throw std::out_of_range("SurfaceCodeLayout: no rotated partner");
   }
-  // Slot 2: reset the Z ancillas, H on the X ancillas.
-  {
-    TimeSlot slot;
-    for (int k : z_checks_) {
-      slot.add(Operation{GateType::kPrepZ,
-                         ancilla_qubit(base, checks_[k].ancilla)});
-    }
-    for (int k : x_checks_) {
-      slot.add(
-          Operation{GateType::kH, ancilla_qubit(base, checks_[k].ancilla)});
-    }
-    circuit.append_slot(std::move(slot));
-  }
-  // Slots 3-6: CNOTs.
-  for (int cnot_slot = 0; cnot_slot < 4; ++cnot_slot) {
-    TimeSlot slot;
-    for (const SurfaceCheck& check : checks_) {
-      const int q = check.data[static_cast<std::size_t>(cnot_slot)];
-      if (q < 0) {
-        continue;
+  const int r = data / cols_;
+  const int c = data % cols_;
+  return (rows_ - 1 - c) * cols_ + r;
+}
+
+Circuit SurfaceCodeLayout::esm_circuit(Qubit base, Orientation orientation,
+                                       DanceMode dance) const {
+  Circuit circuit{"esm"};
+  // Partition the ancillas by their effective basis this round.
+  std::vector<const SurfaceCheck*> x_checks;
+  std::vector<const SurfaceCheck*> z_checks;
+  for (const SurfaceCheck& check : checks_) {
+    if (check.effective_type(orientation) == CheckType::kX) {
+      if (dance == DanceMode::kAll) {
+        x_checks.push_back(&check);
       }
-      if (check.type == CheckType::kX) {
-        slot.add(Operation{GateType::kCnot,
-                           ancilla_qubit(base, check.ancilla),
-                           data_qubit(base, q)});
-      } else {
-        slot.add(Operation{GateType::kCnot, data_qubit(base, q),
-                           ancilla_qubit(base, check.ancilla)});
+    } else {
+      z_checks.push_back(&check);
+    }
+  }
+  const auto ancilla = [&](const SurfaceCheck* check) {
+    return ancilla_qubit(base, check->ancilla);
+  };
+
+  // Slot 1: reset the X ancillas (Table 5.8).  Slots left empty in
+  // dance mode kZOnly are dropped by close_slot().
+  for (const SurfaceCheck* check : x_checks) {
+    circuit.push_op(Operation{GateType::kPrepZ, ancilla(check)});
+  }
+  circuit.close_slot();
+  // Slot 2: reset the Z ancillas and put the X ancillas in |+>.
+  for (const SurfaceCheck* check : z_checks) {
+    circuit.push_op(Operation{GateType::kPrepZ, ancilla(check)});
+  }
+  for (const SurfaceCheck* check : x_checks) {
+    circuit.push_op(Operation{GateType::kH, ancilla(check)});
+  }
+  circuit.close_slot();
+  // Slots 3-6: the interleaved CNOT schedule.
+  for (std::size_t cnot_slot = 0; cnot_slot < 4; ++cnot_slot) {
+    for (const SurfaceCheck* check : x_checks) {
+      const int d = check->data[cnot_slot];
+      if (d >= 0) {
+        circuit.push_op(
+            Operation{GateType::kCnot, ancilla(check), data_qubit(base, d)});
       }
     }
-    circuit.append_slot(std::move(slot));
-  }
-  // Slot 7: H on the X ancillas.
-  {
-    TimeSlot slot;
-    for (int k : x_checks_) {
-      slot.add(
-          Operation{GateType::kH, ancilla_qubit(base, checks_[k].ancilla)});
+    for (const SurfaceCheck* check : z_checks) {
+      const int d = check->data[cnot_slot];
+      if (d >= 0) {
+        circuit.push_op(
+            Operation{GateType::kCnot, data_qubit(base, d), ancilla(check)});
+      }
     }
-    circuit.append_slot(std::move(slot));
+    circuit.close_slot();
   }
-  // Slot 8: measure every ancilla.
-  {
-    TimeSlot slot;
-    for (const SurfaceCheck& check : checks_) {
-      slot.add(Operation{GateType::kMeasureZ,
-                         ancilla_qubit(base, check.ancilla)});
-    }
-    circuit.append_slot(std::move(slot));
+  // Slot 7: rotate the X ancillas back to the computational basis.
+  for (const SurfaceCheck* check : x_checks) {
+    circuit.push_op(Operation{GateType::kH, ancilla(check)});
   }
+  circuit.close_slot();
+  // Slot 8: measure every dancing ancilla.
+  for (int a : esm_measurement_order(orientation, dance)) {
+    circuit.push_op(Operation{GateType::kMeasureZ, ancilla_qubit(base, a)});
+  }
+  circuit.close_slot();
   return circuit;
 }
 
-std::vector<int> SurfaceCodeLayout::esm_measurement_order() const {
+std::vector<int> SurfaceCodeLayout::esm_measurement_order(
+    Orientation orientation, DanceMode dance) const {
   std::vector<int> order;
-  order.reserve(checks_.size());
   for (const SurfaceCheck& check : checks_) {
-    order.push_back(check.ancilla);
+    if (dance == DanceMode::kAll ||
+        check.effective_type(orientation) == CheckType::kZ) {
+      order.push_back(check.ancilla);
+    }
   }
   return order;
 }
 
-Circuit SurfaceCodeLayout::reset_circuit(Qubit base) const {
-  Circuit circuit{"reset"};
-  TimeSlot slot;
+Circuit SurfaceCodeLayout::transversal_circuit(GateType gate, Qubit base,
+                                               std::string name) const {
+  Circuit circuit{std::move(name)};
   for (std::size_t q = 0; q < num_data(); ++q) {
-    slot.add(Operation{GateType::kPrepZ,
-                       data_qubit(base, static_cast<int>(q))});
+    circuit.push_op(Operation{gate, data_qubit(base, static_cast<int>(q))});
   }
-  circuit.append_slot(std::move(slot));
+  circuit.close_slot();
   return circuit;
 }
 
-Circuit SurfaceCodeLayout::transversal_h_circuit(Qubit base) const {
-  Circuit circuit{"transversal-h"};
-  TimeSlot slot;
-  for (std::size_t q = 0; q < num_data(); ++q) {
-    slot.add(Operation{GateType::kH, data_qubit(base, static_cast<int>(q))});
-  }
-  circuit.append_slot(std::move(slot));
-  return circuit;
-}
-
-Circuit SurfaceCodeLayout::measure_circuit(Qubit base) const {
-  Circuit circuit{"measure"};
-  TimeSlot slot;
-  for (std::size_t q = 0; q < num_data(); ++q) {
-    slot.add(Operation{GateType::kMeasureZ,
-                       data_qubit(base, static_cast<int>(q))});
-  }
-  circuit.append_slot(std::move(slot));
-  return circuit;
-}
-
-Circuit SurfaceCodeLayout::logical_stabilizer_circuit(Qubit base,
-                                                      CheckType basis) const {
-  Circuit circuit{"logical-stabilizer"};
+Circuit SurfaceCodeLayout::logical_stabilizer_circuit(
+    Qubit base, CheckType basis, Orientation orientation) const {
+  Circuit circuit{basis == CheckType::kZ ? "logical-z-stabilizer"
+                                         : "logical-x-stabilizer"};
   const Qubit ancilla = ancilla_qubit(base, 0);
   circuit.append_in_new_slot(Operation{GateType::kPrepZ, ancilla});
   if (basis == CheckType::kZ) {
-    for (int q : logical_z_data()) {
+    // Fig 5.10a: Z-chain parity into the ancilla (detects X_L errors).
+    for (int d : logical_z_data(orientation)) {
       circuit.append_in_new_slot(
-          Operation{GateType::kCnot, data_qubit(base, q), ancilla});
+          Operation{GateType::kCnot, data_qubit(base, d), ancilla});
     }
   } else {
+    // Fig 5.10b: X-chain parity via a |+>-basis ancilla (detects Z_L).
     circuit.append_in_new_slot(Operation{GateType::kH, ancilla});
-    for (int q : logical_x_data()) {
+    for (int d : logical_x_data(orientation)) {
       circuit.append_in_new_slot(
-          Operation{GateType::kCnot, ancilla, data_qubit(base, q)});
+          Operation{GateType::kCnot, ancilla, data_qubit(base, d)});
     }
     circuit.append_in_new_slot(Operation{GateType::kH, ancilla});
   }

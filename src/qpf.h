@@ -41,10 +41,8 @@
 #include "qec/lattice_surgery.h"
 #include "qec/lut_decoder.h"
 #include "qec/ninja_star.h"
-#include "qec/sc17.h"
 #include "qec/steane.h"
 #include "qec/surface_code.h"
-#include "qec/surface_code_patch.h"
 
 // QPDO architecture.
 #include "arch/biased_error_layer.h"
@@ -58,7 +56,6 @@
 #include "arch/pauli_frame_layer.h"
 #include "arch/qx_core.h"
 #include "arch/steane_layer.h"
-#include "arch/surface_code_experiment.h"
 #include "arch/testbench.h"
 #include "arch/timing_layer.h"
 

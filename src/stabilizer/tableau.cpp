@@ -532,48 +532,16 @@ void Tableau::save(journal::SnapshotWriter& out) const {
 }
 
 Tableau Tableau::load(journal::SnapshotReader& in) {
-  const std::string layout = in.read_tag();
-  if (layout != "tableau2" && layout != "tableau") {
-    throw CheckpointError("tableau snapshot: unknown layout tag '" + layout +
-                          "'");
-  }
+  in.expect_tag("tableau2");
   const std::size_t n = in.read_size();
   if (n == 0 || n > (std::size_t{1} << 24)) {
     throw CheckpointError("tableau snapshot: implausible qubit count " +
                           std::to_string(n));
   }
   Tableau t(n);
-  if (layout == "tableau2") {
-    in.read_bytes(t.xs_.data(), t.xs_.size() * sizeof(std::uint64_t));
-    in.read_bytes(t.zs_.data(), t.zs_.size() * sizeof(std::uint64_t));
-    in.read_bytes(t.rs_.data(), t.rs_.size() * sizeof(std::uint64_t));
-  } else {
-    // Legacy row-major layout: (2n+1) rows of ceil(n/64) words per
-    // side, signs as one byte per row.  Transpose into the column-major
-    // member arrays.
-    const std::size_t rows = 2 * n + 1;
-    const std::size_t row_words = (n + kWordBits - 1) / kWordBits;
-    std::vector<std::uint64_t> xs(rows * row_words);
-    std::vector<std::uint64_t> zs(rows * row_words);
-    in.read_bytes(xs.data(), xs.size() * sizeof(std::uint64_t));
-    in.read_bytes(zs.data(), zs.size() * sizeof(std::uint64_t));
-    std::vector<std::uint8_t> signs(rows);
-    in.read_bytes(signs.data(), signs.size());
-    std::fill(t.xs_.begin(), t.xs_.end(), 0);
-    std::fill(t.zs_.begin(), t.zs_.end(), 0);
-    for (std::size_t row = 0; row < rows; ++row) {
-      for (std::size_t q = 0; q < n; ++q) {
-        const std::uint64_t bit = std::uint64_t{1} << (q % kWordBits);
-        if (xs[row * row_words + q / kWordBits] & bit) {
-          t.set_x_bit(row, q, true);
-        }
-        if (zs[row * row_words + q / kWordBits] & bit) {
-          t.set_z_bit(row, q, true);
-        }
-      }
-      t.set_r_bit(row, signs[row] != 0);
-    }
-  }
+  in.read_bytes(t.xs_.data(), t.xs_.size() * sizeof(std::uint64_t));
+  in.read_bytes(t.zs_.data(), t.zs_.size() * sizeof(std::uint64_t));
+  in.read_bytes(t.rs_.data(), t.rs_.size() * sizeof(std::uint64_t));
   t.rng_ = in.read_rng();
   const std::size_t pending = in.read_size();
   t.measurements_.clear();

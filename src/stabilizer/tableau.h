@@ -95,10 +95,9 @@ class Tableau {
   /// (exactly), and pending measurement records.
   void save(journal::SnapshotWriter& out) const;
 
-  /// Rebuild a tableau from a save() stream.  Accepts both the current
-  /// "tableau2" (column-major) layout and the legacy row-major
-  /// "tableau" layout written before the word-parallel kernels.
-  /// Throws qpf::CheckpointError on corruption or truncation.
+  /// Rebuild a tableau from a save() stream.  Throws
+  /// qpf::CheckpointError on corruption, truncation, or another layout
+  /// tag (such as the row-major "tableau" of the first kernels).
   [[nodiscard]] static Tableau load(journal::SnapshotReader& in);
 
  private:

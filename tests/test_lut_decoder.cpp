@@ -1,4 +1,4 @@
-// Tests for the LUT decoder (spatial tables + temporal majority vote).
+// Tests for the LUT decoder (the spatial tables of Fig 5.9).
 #include "qec/lut_decoder.h"
 
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/bits.h"
-#include "qec/sc17.h"
 
 namespace qpf::qec {
 namespace {
@@ -131,32 +130,6 @@ TEST(LutDecoderTest, BadArgumentsThrow) {
   EXPECT_THROW((void)lut.decode(16), std::out_of_range);
   EXPECT_THROW((void)lut.signature(9), std::out_of_range);
   EXPECT_THROW((void)lut.signature(-1), std::out_of_range);
-}
-
-TEST(MajorityVoteTest, FiltersSingleMeasurementErrors) {
-  // A transient bit present in exactly one round does not survive.
-  EXPECT_EQ(majority_syndrome(0b0000, 0b0100, 0b0000), 0b0000u);
-  // A persistent data error (appears in rounds 1 and 2) survives.
-  EXPECT_EQ(majority_syndrome(0b0000, 0b0100, 0b0100), 0b0100u);
-  // An error visible only in the last round is deferred.
-  EXPECT_EQ(majority_syndrome(0b0000, 0b0000, 0b0100), 0b0000u);
-  // Carried + both rounds: stable background is preserved.
-  EXPECT_EQ(majority_syndrome(0b1010, 0b1010, 0b1010), 0b1010u);
-  // Per-bit independence.
-  EXPECT_EQ(majority_syndrome(0b0011, 0b0110, 0b1100), 0b0110u);
-}
-
-TEST(MajorityVoteTest, WindowBoundaryRounds) {
-  // First round of the window: a carried-only bit is outvoted.
-  EXPECT_EQ(majority_syndrome(0b0100, 0b0000, 0b0000), 0b0000u);
-  // First two rounds: carried + r1 outvote a clean last round.
-  EXPECT_EQ(majority_syndrome(0b0100, 0b0100, 0b0000), 0b0100u);
-  // Straddling the boundary: carried + r2 with a clean middle round.
-  EXPECT_EQ(majority_syndrome(0b0100, 0b0000, 0b0100), 0b0100u);
-  // Last two rounds only: the error entered after the carried round.
-  EXPECT_EQ(majority_syndrome(0b0000, 0b0100, 0b0100), 0b0100u);
-  // All bits high in every round.
-  EXPECT_EQ(majority_syndrome(0b1111, 0b1111, 0b1111), 0b1111u);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Tests for the NinjaStar run-time model: properties (Tables 5.2 / 5.3),
-// logical-operation conversion (Table 5.1) and window decoding.
+// logical-operation conversion (Table 5.1) and window decoding, at d = 3
+// (LUT decoder) and d = 5 (matching decoder).
 #include "qec/ninja_star.h"
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+
+#include "circuit/error.h"
+#include "seed_support.h"
 
 namespace qpf::qec {
 namespace {
 
 class NinjaStarTest : public ::testing::Test {
  protected:
-  Sc17Layout layout_;
+  SurfaceCodeLayout layout_{3};
   NinjaStar star_{0, &layout_};
 };
 
@@ -138,11 +143,11 @@ TEST_F(NinjaStarTest, CzPairingInvertsRule) {
 
 // --- Window decoding ---------------------------------------------------
 
-// Helper: 8-bit syndrome with the given local ancilla bits set.
+// Helper: syndrome with the given local ancilla bits set.
 Syndrome syndrome_of(std::initializer_list<int> ancillas) {
   Syndrome s = 0;
   for (int a : ancillas) {
-    s = static_cast<Syndrome>(s | (1u << a));
+    s |= Syndrome{1} << a;
   }
   return s;
 }
@@ -197,8 +202,9 @@ TEST_F(NinjaStarTest, LastRoundErrorIsDeferredThenCorrected) {
 
 TEST_F(NinjaStarTest, FirstRoundOnlyErrorIsOutvoted) {
   // Window boundary: a bit present only in the carried (first) round of
-  // the 3-round window {carried, r1, r2} is outvoted 1-against-2 and
-  // must not produce a correction or survive into the next carry.
+  // the 3-round window {carried, r1, r2} is absent from the two agreeing
+  // fresh rounds, so it must not produce a correction or survive into
+  // the next carry.
   star_.on_reset();
   star_.set_carried_syndrome(syndrome_of({4}));
   EXPECT_TRUE(star_.decode_window(0, 0).empty());
@@ -206,12 +212,11 @@ TEST_F(NinjaStarTest, FirstRoundOnlyErrorIsOutvoted) {
 }
 
 TEST_F(NinjaStarTest, CarriedPlusFirstRoundStillDefers) {
-  // Window boundary: carried and r1 agree but r2 differs.  A naive
-  // majority vote would correct (2 of 3 rounds), but acting while the
-  // two fresh rounds disagree can walk a chain into a logical
-  // operator, so the decoder defers and carries r2.  (This is exactly
-  // the boundary the planted bug 8 shifts: comparing carried vs r1
-  // would vote here.)
+  // Window boundary: carried and r1 agree but r2 differs.  Two of three
+  // rounds show the bit, but acting while the two fresh rounds disagree
+  // can walk a chain into a logical operator, so the decoder defers and
+  // carries r2.  (This is exactly the boundary the planted bug 8 shifts:
+  // comparing carried vs r1 would act here.)
   star_.on_reset();
   const Syndrome s = syndrome_of({4});
   star_.set_carried_syndrome(s);
@@ -278,7 +283,7 @@ TEST_F(NinjaStarTest, DecodeInitializationClearsAnySyndrome) {
   for (unsigned raw = 0; raw < 256; raw += 37) {
     NinjaStar fresh{0, &layout_};
     fresh.on_reset();
-    (void)fresh.decode_initialization(static_cast<Syndrome>(raw));
+    (void)fresh.decode_initialization(raw);
     EXPECT_EQ(fresh.carried_syndrome(), 0);
   }
 }
@@ -300,6 +305,135 @@ TEST_F(NinjaStarTest, RotatedDecodingUsesSwappedGroups) {
   const auto corrections = star_.decode_window(s, s);
   ASSERT_EQ(corrections.size(), 1u);
   EXPECT_EQ(corrections[0].gate(), GateType::kX);
+}
+
+TEST_F(NinjaStarTest, CarriedRoundSnapshotsAsOneByte) {
+  star_.on_reset();
+  star_.set_carried_syndrome(0xa5);
+  journal::SnapshotWriter out;
+  star_.save(out);
+  NinjaStar restored{0, &layout_};
+  journal::SnapshotReader in(out.bytes());
+  restored.load(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(restored.carried_syndrome(), 0xa5u);
+  // tag + base + three property bytes + one carried byte.
+  journal::SnapshotWriter expected;
+  expected.tag("ninja-star");
+  expected.write_u32(0);
+  expected.write_u8(0);
+  expected.write_u8(0);
+  expected.write_u8(0);
+  expected.write_u8(0xa5);
+  EXPECT_EQ(out.bytes(), expected.bytes());
+}
+
+TEST(NinjaStarLayoutTest, UnsupportedLayoutsRejected) {
+  const SurfaceCodeLayout nine(9);
+  EXPECT_THROW(NinjaStar(0, &nine), StackConfigError);
+  const SurfaceCodeLayout rectangle(3, 5);
+  EXPECT_THROW(NinjaStar(0, &rectangle), StackConfigError);
+  EXPECT_THROW(NinjaStar(0, nullptr), std::invalid_argument);
+  const SurfaceCodeLayout five(5);
+  const NinjaStar star(0, &five);
+  EXPECT_THROW((void)star.lut(CheckType::kZ), std::logic_error);
+}
+
+// --- Window decoding at d = 5 (matching) -------------------------------
+
+class NinjaStarDistanceFiveTest : public ::testing::Test {
+ protected:
+  /// Syndrome of data errors of `error_basis` on the given qubits.
+  [[nodiscard]] Syndrome errors_on(std::initializer_list<int> data,
+                                   CheckType error_basis) const {
+    return star_.signature(std::vector<int>(data), error_basis);
+  }
+
+  SurfaceCodeLayout layout_{5};
+  NinjaStar star_{0, &layout_};
+};
+
+TEST_F(NinjaStarDistanceFiveTest, CleanWindowDoesNothing) {
+  star_.on_reset();
+  EXPECT_TRUE(star_.decode_window(0, 0).empty());
+  EXPECT_EQ(star_.carried_syndrome(), 0u);
+}
+
+TEST_F(NinjaStarDistanceFiveTest,
+       PersistentErrorCorrectedDisagreementDeferred) {
+  star_.on_reset();
+  // X error on the centre data qubit 12 -> defects on its Z checks.
+  const Syndrome round = errors_on({12}, CheckType::kX);
+  ASSERT_NE(round, 0u);
+  // Disagreeing rounds: deferred.
+  EXPECT_TRUE(star_.decode_window(0, round).empty());
+  EXPECT_EQ(star_.carried_syndrome(), round);
+  // Agreeing rounds: corrected, carried returns to clean.
+  const auto corrections = star_.decode_window(round, round);
+  ASSERT_EQ(corrections.size(), 1u);
+  EXPECT_EQ(corrections[0].gate(), GateType::kX);
+  EXPECT_EQ(corrections[0].qubit(0), 12u);
+  EXPECT_EQ(star_.carried_syndrome(), 0u);
+}
+
+TEST_F(NinjaStarDistanceFiveTest, WeightTwoErrorsOfBothKindsMergeIntoY) {
+  star_.on_reset();
+  // X and Z on qubit 6 plus X on qubit 18: one Y and one X.
+  const Syndrome round =
+      errors_on({6, 18}, CheckType::kX) | errors_on({6}, CheckType::kZ);
+  const auto corrections = star_.decode_window(round, round);
+  std::set<std::pair<int, Qubit>> got;
+  for (const Operation& op : corrections) {
+    got.insert({static_cast<int>(op.gate()), op.qubit(0)});
+  }
+  EXPECT_EQ(got, (std::set<std::pair<int, Qubit>>{
+                     {static_cast<int>(GateType::kY), 6},
+                     {static_cast<int>(GateType::kX), 18}}));
+  EXPECT_EQ(star_.carried_syndrome(), 0u);
+}
+
+TEST_F(NinjaStarDistanceFiveTest, InitializationClearsEverything) {
+  star_.on_reset();
+  const std::uint64_t seed = qpf::test::test_seed(3);
+  QPF_ANNOUNCE_SEED(seed);
+  std::mt19937_64 rng(seed);
+  const Syndrome round = rng() & ((Syndrome{1} << 24) - 1);
+  const auto corrections = star_.decode_initialization(round);
+  EXPECT_EQ(star_.carried_syndrome(), 0u);
+  // The corrections reproduce the observed syndrome exactly.
+  std::vector<int> x_fixes;
+  std::vector<int> z_fixes;
+  for (const Operation& op : corrections) {
+    if (op.gate() != GateType::kZ) {
+      x_fixes.push_back(static_cast<int>(op.qubit(0)));
+    }
+    if (op.gate() != GateType::kX) {
+      z_fixes.push_back(static_cast<int>(op.qubit(0)));
+    }
+  }
+  EXPECT_EQ(star_.signature(x_fixes, CheckType::kX) |
+                star_.signature(z_fixes, CheckType::kZ),
+            round);
+}
+
+TEST_F(NinjaStarDistanceFiveTest, CarriedRoundSnapshotsAsThreeBytes) {
+  star_.on_reset();
+  const Syndrome carried = 0xabcdefu;  // all 24 check bits in use
+  star_.set_carried_syndrome(carried);
+  journal::SnapshotWriter out;
+  star_.save(out);
+  NinjaStar restored{0, &layout_};
+  journal::SnapshotReader in(out.bytes());
+  restored.load(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(restored.carried_syndrome(), carried);
+  // A d = 3 star reads one carried byte and finds a second: the typed
+  // stream rejects it rather than misreading the rest.
+  SurfaceCodeLayout three(3);
+  NinjaStar small{0, &three};
+  journal::SnapshotReader wrong(out.bytes());
+  small.load(wrong);
+  EXPECT_FALSE(wrong.exhausted());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Integration tests for the ninja-star QEC layer: the §5.1 logical
 // operation verification experiments (Listings 5.1 / 5.2, Tables 5.5 /
-// 5.6) plus diagnostics and error-correction round trips.
+// 5.6) plus diagnostics and error-correction round trips, at d = 3 and
+// (the thesis' larger-distance future work) d = 5.
 #include "arch/ninja_star_layer.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 
 #include "arch/chp_core.h"
+#include "arch/control_stack.h"
 #include "arch/qx_core.h"
 #include "stabilizer/pauli_string.h"
 
@@ -18,7 +20,6 @@ namespace {
 
 using qec::CheckType;
 using qec::Orientation;
-using qec::Sc17Layout;
 
 // The 16 data-qubit basis states of |0>_L: the span of the X-stabilizer
 // masks acting on |000000000> (this reproduces Listing 5.1).
@@ -287,32 +288,13 @@ TEST(NinjaStarLayerChpTest, DiagnosticsDetectAndWindowsCorrectErrors) {
   EXPECT_FALSE(ninja.has_observable_errors(0));
   // Inject a physical X error on data qubit D4 under the layer's feet.
   Circuit error;
-  error.append(GateType::kX, Sc17Layout::data_qubit(0, 4));
+  error.append(GateType::kX, ninja.layout().data_qubit(0, 4));
   run(core, error);
   EXPECT_TRUE(ninja.has_observable_errors(0));
   // One window corrects a persistent single error.
   ninja.run_window(0);
   EXPECT_FALSE(ninja.has_observable_errors(0));
   EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1);
-}
-
-TEST(NinjaStarLayerChpTest, EverySingleDataErrorIsCorrected) {
-  for (int d = 0; d < 9; ++d) {
-    for (GateType g : {GateType::kX, GateType::kZ, GateType::kY}) {
-      ChpCore core(static_cast<std::uint64_t>(41 + d));
-      NinjaStarLayer ninja(&core);
-      ninja.create_qubits(1);
-      ninja.initialize(0, CheckType::kZ);
-      Circuit error;
-      error.append(g, Sc17Layout::data_qubit(0, static_cast<Qubit>(d)));
-      run(core, error);
-      ninja.run_window(0);
-      EXPECT_FALSE(ninja.has_observable_errors(0))
-          << name(g) << " on D" << d;
-      EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1)
-          << name(g) << " on D" << d;
-    }
-  }
 }
 
 TEST(NinjaStarLayerTest, RejectsUnsupportedLogicalGate) {
@@ -335,11 +317,177 @@ TEST(NinjaStarLayerTest, ValidatesLogicalIndices) {
   EXPECT_THROW((void)ninja.star(1), std::out_of_range);
 }
 
-TEST(NinjaStarLayerTest, WindowOptionsValidated) {
-  ChpCore core;
+// --- Any odd distance ---------------------------------------------------
+
+NinjaStarLayer::Options at_distance(int d) {
   NinjaStarLayer::Options options;
-  options.esm_rounds_per_window = 1;
-  EXPECT_THROW(NinjaStarLayer(&core, options), StackConfigError);
+  options.distance = d;
+  return options;
+}
+
+class NinjaStarLayerDistanceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NinjaStarLayerDistanceTest, ErrorFreeMemoryIsStable) {
+  ChpCore core(1);
+  NinjaStarLayer ninja(&core, at_distance(GetParam()));
+  ninja.create_qubits(1);
+  ninja.initialize(0, CheckType::kZ);
+  for (int w = 0; w < 5; ++w) {
+    ninja.run_window(0);
+    EXPECT_FALSE(ninja.has_observable_errors(0));
+    EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1);
+  }
+  EXPECT_EQ(ninja.measure_logical(0), +1);
+}
+
+TEST_P(NinjaStarLayerDistanceTest, PlusStateIsStable) {
+  ChpCore core(5);
+  NinjaStarLayer ninja(&core, at_distance(GetParam()));
+  ninja.create_qubits(1);
+  ninja.initialize(0, CheckType::kX);
+  EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kX), +1);
+  ninja.run_window(0);
+  EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kX), +1);
+}
+
+// Every single X, Y or Z error on any data qubit is corrected by the
+// next window: it shows in both of the window's last two rounds.
+TEST_P(NinjaStarLayerDistanceTest, EverySingleDataErrorIsCorrected) {
+  const int d = GetParam();
+  for (int q = 0; q < d * d; ++q) {
+    for (GateType g : {GateType::kX, GateType::kZ, GateType::kY}) {
+      ChpCore core(static_cast<std::uint64_t>(41 + q));
+      NinjaStarLayer ninja(&core, at_distance(d));
+      ninja.create_qubits(1);
+      ninja.initialize(0, CheckType::kZ);
+      Circuit error;
+      error.append(g, ninja.layout().data_qubit(0, q));
+      run(core, error);
+      ninja.run_window(0);
+      EXPECT_FALSE(ninja.has_observable_errors(0))
+          << name(g) << " on D" << q << " at d=" << d;
+      EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1)
+          << name(g) << " on D" << q << " at d=" << d;
+    }
+  }
+}
+
+// Logical X, H and a transversal readout work the same at every
+// distance: |1>_L reads -1, and H H is the identity.
+TEST_P(NinjaStarLayerDistanceTest, LogicalGatesAndReadout) {
+  ChpCore core(3);
+  NinjaStarLayer ninja(&core, at_distance(GetParam()));
+  ninja.create_qubits(2);
+  ninja.initialize(0, CheckType::kZ);
+  ninja.initialize(1, CheckType::kZ);
+  Circuit logical;
+  logical.append(GateType::kX, 0);
+  logical.append(GateType::kH, 1);
+  logical.append(GateType::kH, 1);
+  logical.append(GateType::kCnot, 0, 1);
+  ninja.add(logical);
+  ninja.execute();
+  EXPECT_EQ(ninja.measure_logical(0), -1);
+  EXPECT_EQ(ninja.measure_logical(1), -1);
+}
+
+// A CNOT between lattices of different orientation pairs data qubits by
+// the quarter turn (§2.6.1): phase kickback from a |->_L target turns
+// the rotated control |+>_L into |->_L.
+TEST_P(NinjaStarLayerDistanceTest, RotatedPairingKicksBackPhase) {
+  ChpCore core(7);
+  NinjaStarLayer ninja(&core, at_distance(GetParam()));
+  ninja.create_qubits(2);
+  ninja.initialize(0, CheckType::kZ);
+  ninja.initialize(1, CheckType::kX);
+  Circuit logical;
+  logical.append(GateType::kH, 0);  // |+>_L on a rotated lattice
+  logical.append(GateType::kZ, 1);  // |->_L on a normal lattice
+  logical.append(GateType::kCnot, 0, 1);
+  logical.append(GateType::kH, 0);
+  ninja.add(logical);
+  ninja.execute();
+  EXPECT_FALSE(ninja.has_observable_errors(0));
+  EXPECT_FALSE(ninja.has_observable_errors(1));
+  EXPECT_EQ(ninja.measure_logical_stabilizer(1, CheckType::kX), -1);
+  EXPECT_EQ(ninja.measure_logical(0), -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Distances, NinjaStarLayerDistanceTest,
+                         ::testing::Values(3, 5));
+
+TEST(NinjaStarLayerDistanceFiveTest, WeightTwoErrorsCorrected) {
+  // A pair of X errors: still below (d-1)/2 = 2 correctable weight.
+  for (const auto& pair : {std::pair{0, 7}, {12, 13}, {3, 21}}) {
+    ChpCore core(1);
+    NinjaStarLayer ninja(&core, at_distance(5));
+    ninja.create_qubits(1);
+    ninja.initialize(0, CheckType::kZ);
+    Circuit error;
+    error.append(GateType::kX, static_cast<Qubit>(pair.first));
+    error.append(GateType::kX, static_cast<Qubit>(pair.second));
+    run(core, error);
+    ninja.run_window(0);
+    ninja.run_window(0);
+    EXPECT_FALSE(ninja.has_observable_errors(0))
+        << pair.first << "," << pair.second;
+    EXPECT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1)
+        << pair.first << "," << pair.second;
+  }
+}
+
+TEST(NinjaStarLayerDistanceFiveTest, CorrectsWhatDistanceThreeCannot) {
+  // The weight-2 X error on data {2, 6} produces the same syndrome as a
+  // single X on D4 at d = 3, so the LUT "corrects" with X4 and completes
+  // X2 X4 X6 = X_L: a logical flip from two faults, as distance 3
+  // permits.  At d = 5 the same-index error (data (0,2) and (1,1)) is
+  // within the correction capacity and must be recovered.
+  const auto survives = [](int distance) {
+    ChpCore core(1);
+    NinjaStarLayer ninja(&core, at_distance(distance));
+    ninja.create_qubits(1);
+    ninja.initialize(0, CheckType::kZ);
+    Circuit error;
+    error.append(GateType::kX, 2);
+    error.append(GateType::kX, 6);
+    run(core, error);
+    ninja.run_window(0);
+    ninja.run_window(0);
+    return ninja.measure_logical_stabilizer(0, CheckType::kZ) == +1;
+  };
+  EXPECT_FALSE(survives(3));
+  EXPECT_TRUE(survives(5));
+}
+
+TEST(NinjaStarLayerDistanceFiveTest, PauliFrameSavesSlotsWithinCeiling) {
+  LerStack::Config config;
+  config.ninja_options.distance = 5;
+  config.physical_error_rate = 5e-3;
+  config.with_pauli_frame = true;
+  config.seed = 23;
+  LerStack stack(config);
+  stack.set_diagnostic_mode(true);
+  stack.ninja().initialize(0, CheckType::kZ);
+  stack.set_diagnostic_mode(false);
+  stack.reset_counters();
+  for (int w = 0; w < 100; ++w) {
+    stack.ninja().run_window(0);
+  }
+  // Eq 5.12 ceiling for d = 5, tsESM = 8: 1/33.
+  EXPECT_GT(stack.slots_saved_fraction(), 0.0);
+  EXPECT_LT(stack.slots_saved_fraction(), 1.0 / 33.0 + 1e-9);
+}
+
+TEST(NinjaStarLayerTest, DistanceValidated) {
+  ChpCore core;
+  for (int d : {1, 2, 4, 9}) {
+    EXPECT_THROW(NinjaStarLayer(&core, at_distance(d)), StackConfigError)
+        << "d=" << d;
+  }
+  NinjaStarLayer five(&core, at_distance(5));
+  five.create_qubits(2);
+  EXPECT_EQ(core.num_qubits(), 2u * 49u);
+  EXPECT_THROW(five.initialize_injected(0, Circuit{}), StackConfigError);
 }
 
 }  // namespace

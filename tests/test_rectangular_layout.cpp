@@ -55,11 +55,39 @@ TEST_P(RectangularLayoutTest, ScheduleConflictFree) {
   }
 }
 
+// Lattice surgery's logical representatives: Z along data row 0 (left
+// to right) and X along data column 0 (top to bottom) commute with
+// every check of the other basis on any rectangle.
 TEST_P(RectangularLayoutTest, LogicalChainsSpanTheRightBoundaries) {
   const auto [rows, cols] = GetParam();
   const SurfaceCodeLayout layout(rows, cols);
-  EXPECT_EQ(layout.logical_z_data().size(), static_cast<std::size_t>(cols));
-  EXPECT_EQ(layout.logical_x_data().size(), static_cast<std::size_t>(rows));
+  for (const SurfaceCheck& check : layout.checks()) {
+    std::size_t on_row0 = 0;
+    std::size_t on_col0 = 0;
+    for (int q : check.support) {
+      on_row0 += q < cols ? 1 : 0;
+      on_col0 += q % cols == 0 ? 1 : 0;
+    }
+    if (check.type == CheckType::kX) {
+      EXPECT_EQ(on_row0 % 2, 0u) << "ancilla " << check.ancilla;
+    } else {
+      EXPECT_EQ(on_col0 % 2, 0u) << "ancilla " << check.ancilla;
+    }
+  }
+}
+
+TEST_P(RectangularLayoutTest, ChecksOrderedByLowestDataQubit) {
+  const auto [rows, cols] = GetParam();
+  const SurfaceCodeLayout layout(rows, cols);
+  for (CheckType type : {CheckType::kX, CheckType::kZ}) {
+    const std::vector<int>& group = layout.checks_of(type);
+    for (std::size_t g = 0; g + 1 < group.size(); ++g) {
+      EXPECT_LT(layout.checks()[static_cast<std::size_t>(group[g])]
+                    .support.front(),
+                layout.checks()[static_cast<std::size_t>(group[g + 1])]
+                    .support.front());
+    }
+  }
 }
 
 TEST_P(RectangularLayoutTest, EsmProjectsIntoEigenstates) {
@@ -98,7 +126,7 @@ TEST_P(RectangularLayoutTest, MatchingDecoderCoversSingleErrors) {
 INSTANTIATE_TEST_SUITE_P(Shapes, RectangularLayoutTest,
                          ::testing::Values(Shape{3, 7}, Shape{7, 3},
                                            Shape{3, 5}, Shape{5, 3},
-                                           Shape{5, 7}));
+                                           Shape{5, 7}, Shape{5, 9}));
 
 TEST(RectangularLayoutTest, EvenDimensionsRejected) {
   EXPECT_THROW(SurfaceCodeLayout(3, 4), StackConfigError);

@@ -276,6 +276,33 @@ TEST_F(ResumeTest, ForeignConfigurationJournalIsRejected) {
   EXPECT_THROW((void)run_ler_campaign(different_runs), CheckpointError);
 }
 
+TEST_F(ResumeTest, JournalWithSubsystemsThisConfigLacksIsRejected) {
+  // Resume compares the whole configuration key set both ways: a plain
+  // campaign must not adopt the trials of a chaos, deadline or d = 5
+  // campaign as its own.
+  LerConfig chaos = fast_config();
+  chaos.chaos.max_gap = 50;
+  chaos.chaos.crash_weight = 0;
+  chaos.chaos.stall_weight = 1;
+  LerConfig deadline = fast_config();
+  deadline.deadline.round_budget_ns = 1e12;
+  LerConfig larger = fast_config();
+  larger.ninja_options.distance = 5;
+  for (const LerConfig& written : {chaos, deadline, larger}) {
+    std::filesystem::remove_all(dir_);
+    CampaignOptions options;
+    options.config = written;
+    options.runs = 1;
+    options.state_dir = dir_;
+    ASSERT_EQ(run_ler_campaign(options).trials_completed, 1u);
+    CampaignOptions plain = options;
+    plain.config = fast_config();
+    EXPECT_THROW((void)run_ler_campaign(plain), CheckpointError);
+    // The campaign that wrote the journal still resumes from it.
+    EXPECT_EQ(run_ler_campaign(options).trials_from_journal, 1u);
+  }
+}
+
 TEST_F(ResumeTest, TimedOutTrialIsRecordedAndCampaignContinues) {
   LerConfig config = fast_config();
   // Unreachable target + negligible errors: without the watchdog this

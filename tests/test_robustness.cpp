@@ -7,7 +7,6 @@
 
 #include "arch/control_stack.h"
 #include "arch/steane_layer.h"
-#include "arch/surface_code_experiment.h"
 #include "stabilizer/pauli_string.h"
 
 #include "seed_support.h"
@@ -16,7 +15,6 @@ namespace qpf::arch {
 namespace {
 
 using qec::CheckType;
-using qec::Sc17Layout;
 
 TEST(RobustnessTest, MaximalNoiseDoesNotBreakTheStack) {
   LerStack::Config config;
@@ -49,7 +47,7 @@ TEST(RobustnessTest, RepeatedSingleFaultsNeverAccumulate) {
     static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
                                            GateType::kZ};
     Circuit error;
-    error.append(kPaulis[rng() % 3], Sc17Layout::data_qubit(0, d));
+    error.append(kPaulis[rng() % 3], ninja.layout().data_qubit(0, d));
     run(core, error);
     ninja.run_window(0);  // may defer
     ninja.run_window(0);  // must catch up
@@ -74,7 +72,7 @@ TEST(RobustnessTest, AdversarialHookErrorsOnAncillas) {
       // (Simplified: fault the idle ancilla between windows; the next
       // window's own ESM then propagates whatever it can.)
       Circuit fault;
-      fault.append(g, Sc17Layout::ancilla_qubit(0, ancilla));
+      fault.append(g, ninja.layout().ancilla_qubit(0, ancilla));
       run(core, fault);
       ninja.run_window(0);
       ninja.run_window(0);
@@ -98,7 +96,7 @@ TEST(RobustnessTest, StabilizerValuedErrorsAreInvisible) {
     ninja.initialize(0, CheckType::kZ);
     Circuit error;
     for (int d : support) {
-      error.append(GateType::kX, Sc17Layout::data_qubit(0, d));
+      error.append(GateType::kX, ninja.layout().data_qubit(0, d));
     }
     run(core, error);
     EXPECT_FALSE(ninja.has_observable_errors(0));
@@ -108,12 +106,12 @@ TEST(RobustnessTest, StabilizerValuedErrorsAreInvisible) {
 }
 
 TEST(RobustnessTest, DistanceFiveSurvivesScatteredFaultBursts) {
-  SurfaceCodeExperiment::Config config;
-  config.distance = 5;
-  config.physical_error_rate = 0.0;
-  SurfaceCodeExperiment experiment(config);
-  experiment.set_diagnostic_mode(true);
-  experiment.initialize(CheckType::kZ);
+  ChpCore core(1);
+  NinjaStarLayer::Options options;
+  options.distance = 5;
+  NinjaStarLayer ninja(&core, options);
+  ninja.create_qubits(1);
+  ninja.initialize(0, CheckType::kZ);
   QPF_ANNOUNCE_SEED(9);
   std::mt19937_64 rng(9);
   for (int burst = 0; burst < 20; ++burst) {
@@ -127,11 +125,11 @@ TEST(RobustnessTest, DistanceFiveSurvivesScatteredFaultBursts) {
         error.append(GateType::kZ, q2);
       }
     }
-    run(experiment.device(), error);
-    experiment.run_window();
-    experiment.run_window();
-    ASSERT_FALSE(experiment.has_observable_errors()) << "burst " << burst;
-    ASSERT_EQ(experiment.measure_logical_stabilizer(CheckType::kZ), +1)
+    run(core, error);
+    ninja.run_window(0);
+    ninja.run_window(0);
+    ASSERT_FALSE(ninja.has_observable_errors(0)) << "burst " << burst;
+    ASSERT_EQ(ninja.measure_logical_stabilizer(0, CheckType::kZ), +1)
         << "burst " << burst;
   }
 }

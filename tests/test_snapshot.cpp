@@ -21,11 +21,11 @@
 
 #include "arch/chp_core.h"
 #include "arch/qx_core.h"
-#include "arch/surface_code_experiment.h"
 #include "circuit/bug_plant.h"
 #include "circuit/error.h"
 #include "core/pauli_frame.h"
 #include "io/fault_fs.h"
+#include "ler_common.h"
 #include "stabilizer/tableau.h"
 #include "statevector/state.h"
 #include "seed_support.h"
@@ -482,137 +482,85 @@ TEST_F(CheckpointFileTest, PlantedBug13DropsTheDirectoryFsync) {
 
 // --- Whole-experiment checkpoint ------------------------------------
 
-TEST(SnapshotExperimentTest, SurfaceCodeExperimentResumesIdentically) {
+bench::LerConfig trial_config(int distance, bool pauli_frame,
+                              std::uint64_t seed) {
+  bench::LerConfig config;
+  config.ninja_options.distance = distance;
+  config.physical_error_rate = 0.02;
+  config.with_pauli_frame = pauli_frame;
+  config.seed = seed;
+  config.target_logical_errors = 1000;
+  return config;
+}
+
+TEST(SnapshotExperimentTest, DistanceFiveLerTrialResumesIdentically) {
   const std::uint64_t seed = 31337;
   QPF_ANNOUNCE_SEED(seed);
-  arch::SurfaceCodeExperiment::Config config;
-  config.distance = 3;
-  config.physical_error_rate = 0.02;
-  config.with_pauli_frame = true;
-  config.seed = seed;
+  const bench::LerConfig config = trial_config(5, true, seed);
+  bench::LerTrial original(config);
+  original.step();
+  original.step();
+  SnapshotWriter saved;
+  original.save(saved);
 
-  arch::SurfaceCodeExperiment original(config);
-  original.initialize(qec::CheckType::kZ);
-  original.run_window();
-  original.run_window();
+  bench::LerTrial restored(config);
+  SnapshotReader in(saved.bytes());
+  restored.load(in);
+  EXPECT_TRUE(in.exhausted());
 
-  const std::string path = "experiment_resume_test.ckpt";
-  original.save_checkpoint(path);
-
-  arch::SurfaceCodeExperiment restored(config);
-  restored.load_checkpoint(path);
-  std::remove(path.c_str());
-
-  // Continue both and compare every observable diagnostic: the resumed
-  // experiment must be indistinguishable from the uninterrupted one.
+  // Continue both: the resumed trial must be indistinguishable from the
+  // uninterrupted one, down to its next snapshot.
   for (int window = 0; window < 4; ++window) {
-    original.run_window();
-    restored.run_window();
-    original.set_diagnostic_mode(true);
-    restored.set_diagnostic_mode(true);
-    EXPECT_EQ(restored.has_observable_errors(),
-              original.has_observable_errors())
+    original.step();
+    restored.step();
+    EXPECT_EQ(restored.logical_errors(), original.logical_errors())
         << "window " << window;
-    EXPECT_EQ(restored.measure_logical_stabilizer(qec::CheckType::kZ),
-              original.measure_logical_stabilizer(qec::CheckType::kZ))
-        << "window " << window;
-    original.set_diagnostic_mode(false);
-    restored.set_diagnostic_mode(false);
   }
+  SnapshotWriter a;
+  SnapshotWriter b;
+  original.save(a);
+  restored.save(b);
+  EXPECT_EQ(a.bytes(), b.bytes());
 }
 
 TEST(SnapshotExperimentTest, ConfigMismatchThrowsNotCrashes) {
-  arch::SurfaceCodeExperiment::Config config;
-  config.distance = 3;
-  config.seed = 7;
-
-  arch::SurfaceCodeExperiment small(config);
-  small.initialize(qec::CheckType::kZ);
-  const std::string path = "experiment_mismatch_test.ckpt";
-  small.save_checkpoint(path);
-
-  arch::SurfaceCodeExperiment::Config bigger = config;
-  bigger.distance = 5;
-  arch::SurfaceCodeExperiment wrong_distance(bigger);
-  EXPECT_THROW(wrong_distance.load_checkpoint(path), CheckpointError);
-
-  arch::SurfaceCodeExperiment::Config frameless = config;
-  frameless.with_pauli_frame = false;
-  arch::SurfaceCodeExperiment wrong_frame(frameless);
-  EXPECT_THROW(wrong_frame.load_checkpoint(path), CheckpointError);
-  std::remove(path.c_str());
-}
-
-// Snapshots written by the pre-column-major Tableau (tag "tableau":
-// row-major bit matrices, one sign byte per row) must still load.
-// Write the legacy layout by hand from a reference state and check the
-// loaded tableau is indistinguishable — same generators, same future
-// measurement outcomes (the serialized RNG state carries over).
-TEST(SnapshotLegacyTest, RowMajorTableauLayoutStillLoads) {
-  constexpr std::size_t kQubits = 5;
-  constexpr std::uint64_t kSeed = 99;
-  stab::Tableau reference(kQubits, kSeed);
-  Circuit circuit;
-  circuit.append(GateType::kH, 0);
-  circuit.append(GateType::kCnot, 0, 1);
-  circuit.append(GateType::kS, 1);
-  circuit.append(GateType::kH, 3);
-  circuit.append(GateType::kCz, 3, 4);
-  circuit.append(GateType::kX, 2);
-  reference.execute(circuit);
-
-  // Serialize in the legacy row-major layout: rows 0..n-1 are the
-  // destabilizers, n..2n-1 the stabilizers, 2n the (all-zero) scratch.
-  const std::size_t rows = 2 * kQubits + 1;
-  const std::size_t row_words = (kQubits + 63) / 64;
-  std::vector<std::uint64_t> xs(rows * row_words, 0);
-  std::vector<std::uint64_t> zs(rows * row_words, 0);
-  std::vector<std::uint8_t> signs(rows, 0);
-  for (std::size_t i = 0; i < kQubits; ++i) {
-    for (const auto& [row, p] :
-         {std::pair<std::size_t, stab::PauliString>{i,
-                                                    reference.destabilizer(i)},
-          std::pair<std::size_t, stab::PauliString>{kQubits + i,
-                                                    reference.stabilizer(i)}}) {
-      for (std::size_t q = 0; q < kQubits; ++q) {
-        if (p.x_bit(q)) {
-          xs[row * row_words + q / 64] |= std::uint64_t{1} << (q % 64);
-        }
-        if (p.z_bit(q)) {
-          zs[row * row_words + q / 64] |= std::uint64_t{1} << (q % 64);
-        }
+  struct Shape {
+    int distance;
+    bool pauli_frame;
+  };
+  const Shape shapes[] = {{3, true}, {3, false}, {5, true}, {5, false},
+                          {7, true}};
+  for (const Shape& from : shapes) {
+    bench::LerTrial source(trial_config(from.distance, from.pauli_frame, 7));
+    source.step();
+    SnapshotWriter out;
+    source.save(out);
+    for (const Shape& to : shapes) {
+      if (to.distance == from.distance && to.pauli_frame == from.pauli_frame) {
+        continue;
       }
-      signs[row] = p.sign() < 0 ? 1 : 0;
+      bench::LerTrial target(trial_config(to.distance, to.pauli_frame, 7));
+      SnapshotReader in(out.bytes());
+      EXPECT_THROW(target.load(in), CheckpointError)
+          << "d=" << from.distance << " frame=" << from.pauli_frame
+          << " into d=" << to.distance << " frame=" << to.pauli_frame;
     }
   }
-  SnapshotWriter out;
-  out.tag("tableau");
-  out.write_size(kQubits);
-  out.write_bytes(xs.data(), xs.size() * sizeof(std::uint64_t));
-  out.write_bytes(zs.data(), zs.size() * sizeof(std::uint64_t));
-  out.write_bytes(signs.data(), signs.size());
-  // No measurements were executed, so the reference RNG is still in its
-  // freshly seeded state.
-  out.write_rng(std::mt19937_64(kSeed));
-  out.write_size(0);  // no pending measurement records
+}
 
-  SnapshotReader in(out.bytes());
-  stab::Tableau loaded = stab::Tableau::load(in);
-  EXPECT_TRUE(in.exhausted());
-  ASSERT_EQ(loaded.num_qubits(), kQubits);
-  for (std::size_t i = 0; i < kQubits; ++i) {
-    EXPECT_EQ(loaded.stabilizer(i), reference.stabilizer(i)) << "row " << i;
-    EXPECT_EQ(loaded.destabilizer(i), reference.destabilizer(i))
-        << "row " << i;
-  }
-  // Future random measurements must agree bit for bit.
-  for (Qubit q = 0; q < kQubits; ++q) {
-    const auto a = reference.measure(q);
-    const auto b = loaded.measure(q);
-    EXPECT_EQ(a.value, b.value) << "qubit " << static_cast<int>(q);
-    EXPECT_EQ(a.deterministic, b.deterministic)
-        << "qubit " << static_cast<int>(q);
-  }
+// The row-major "tableau" layout of the first tableau kernels is no
+// longer read: nothing writes it, and no committed fixture holds it.
+TEST(SnapshotStateTest, RowMajorTableauTagIsRejected) {
+  stab::Tableau reference(5, 99);
+  SnapshotWriter current;
+  reference.save(current);
+  SnapshotWriter legacy;
+  legacy.tag("tableau");
+  legacy.write_size(5);
+  SnapshotReader in(legacy.bytes());
+  EXPECT_THROW((void)stab::Tableau::load(in), CheckpointError);
+  SnapshotReader ok(current.bytes());
+  EXPECT_NO_THROW((void)stab::Tableau::load(ok));
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Tests for the distance-d rotated surface code: layout invariants,
-// matching decoder, patch window logic, and tableau integration.
+// matching decoder, and tableau integration.  The d = 3 layout against
+// the thesis is in test_sc17.cpp, window decoding in test_ninja_star.cpp.
 #include "qec/surface_code.h"
 
 #include <gtest/gtest.h>
 
 #include "circuit/error.h"
 
+#include <algorithm>
+#include <iterator>
 #include <random>
 #include "seed_support.h"
 #include <set>
 
-#include "qec/surface_code_patch.h"
 #include "stabilizer/tableau.h"
 
 namespace qpf::qec {
@@ -61,32 +63,83 @@ TEST_P(SurfaceCodeLayoutTest, CnotScheduleIsConflictFree) {
   }
 }
 
-TEST_P(SurfaceCodeLayoutTest, LogicalOperatorsCommuteWithChecks) {
-  const SurfaceCodeLayout layout(GetParam());
-  const std::vector<int> zl = layout.logical_z_data();
-  const std::vector<int> xl = layout.logical_x_data();
-  EXPECT_EQ(zl.size(), static_cast<std::size_t>(GetParam()));
-  for (const SurfaceCheck& check : layout.checks()) {
-    const auto overlap = [&](const std::vector<int>& chain) {
-      std::size_t n = 0;
-      for (int q : chain) {
-        n += std::count(check.support.begin(), check.support.end(), q);
+TEST_P(SurfaceCodeLayoutTest, DiagonalLogicalsCommuteWithChecks) {
+  const int d = GetParam();
+  const SurfaceCodeLayout layout(d);
+  for (Orientation o : {Orientation::kNormal, Orientation::kRotated}) {
+    const std::vector<int>& zl = layout.logical_z_data(o);
+    const std::vector<int>& xl = layout.logical_x_data(o);
+    ASSERT_EQ(zl.size(), static_cast<std::size_t>(d));
+    ASSERT_EQ(xl.size(), static_cast<std::size_t>(d));
+    for (const SurfaceCheck& check : layout.checks()) {
+      const auto overlap = [&](const std::vector<int>& chain) {
+        std::size_t n = 0;
+        for (int q : chain) {
+          n += std::count(check.support.begin(), check.support.end(), q);
+        }
+        return n;
+      };
+      // Z_L must commute with the checks measuring X this orientation,
+      // and X_L with those measuring Z.
+      if (check.effective_type(o) == CheckType::kX) {
+        EXPECT_EQ(overlap(zl) % 2, 0u) << "ancilla " << check.ancilla;
+      } else {
+        EXPECT_EQ(overlap(xl) % 2, 0u) << "ancilla " << check.ancilla;
       }
-      return n;
-    };
-    // Z_L must commute with X checks and X_L with Z checks.
-    if (check.type == CheckType::kX) {
-      EXPECT_EQ(overlap(zl) % 2, 0u);
-    } else {
-      EXPECT_EQ(overlap(xl) % 2, 0u);
+    }
+    // X_L and Z_L anticommute: the diagonals share the centre only.
+    std::vector<int> shared;
+    std::set_intersection(zl.begin(), zl.end(), xl.begin(), xl.end(),
+                          std::back_inserter(shared));
+    EXPECT_EQ(shared, (std::vector<int>{(d * d - 1) / 2}));
+  }
+  EXPECT_EQ(layout.logical_z_data(Orientation::kNormal).front(), 0);
+  EXPECT_EQ(layout.logical_x_data(Orientation::kNormal).front(), d - 1);
+}
+
+TEST_P(SurfaceCodeLayoutTest, ChecksOrderedByLowestDataQubit) {
+  const SurfaceCodeLayout layout(GetParam());
+  for (CheckType type : {CheckType::kX, CheckType::kZ}) {
+    const std::vector<int>& group = layout.checks_of(type);
+    for (std::size_t g = 0; g + 1 < group.size(); ++g) {
+      // Strictly ascending: the keys are unique.
+      EXPECT_LT(layout.checks()[static_cast<std::size_t>(group[g])]
+                    .support.front(),
+                layout.checks()[static_cast<std::size_t>(group[g + 1])]
+                    .support.front());
     }
   }
+  for (std::size_t k = 0; k < layout.num_checks(); ++k) {
+    EXPECT_EQ(layout.checks()[k].ancilla, static_cast<int>(k));
+  }
+}
+
+TEST_P(SurfaceCodeLayoutTest, RotatedPartnerIsAQuarterTurn) {
+  const int d = GetParam();
+  const SurfaceCodeLayout layout(d);
+  std::set<int> image;
+  for (int q = 0; q < d * d; ++q) {
+    int p = q;
+    for (int turn = 0; turn < 4; ++turn) {
+      p = layout.rotated_partner(p);
+    }
+    EXPECT_EQ(p, q);
+    image.insert(layout.rotated_partner(q));
+  }
+  EXPECT_EQ(image.size(), static_cast<std::size_t>(d * d));
+  // The quarter turn maps each logical chain onto the other.
+  std::vector<int> turned;
+  for (int q : layout.logical_x_data()) {
+    turned.push_back(layout.rotated_partner(q));
+  }
+  std::sort(turned.begin(), turned.end());
+  EXPECT_EQ(turned, layout.logical_z_data());
 }
 
 TEST_P(SurfaceCodeLayoutTest, EsmStructureGeneralizesTable58) {
   const SurfaceCodeLayout layout(GetParam());
   const Circuit esm = layout.esm_circuit(0);
-  EXPECT_EQ(esm.num_slots(), 8u);
+  EXPECT_EQ(esm.num_slots(), SurfaceCodeLayout::kEsmSlots);
   EXPECT_EQ(esm.count(GateType::kPrepZ), layout.num_checks());
   EXPECT_EQ(esm.count(GateType::kMeasureZ), layout.num_checks());
   EXPECT_EQ(esm.count(GateType::kH),
@@ -99,7 +152,7 @@ TEST_P(SurfaceCodeLayoutTest, EsmStructureGeneralizesTable58) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Distances, SurfaceCodeLayoutTest,
-                         ::testing::Values(3, 5, 7));
+                         ::testing::Values(3, 5, 7, 9));
 
 TEST(SurfaceCodeLayoutTest, InvalidDistanceRejected) {
   EXPECT_THROW(SurfaceCodeLayout{2}, StackConfigError);
@@ -107,23 +160,11 @@ TEST(SurfaceCodeLayoutTest, InvalidDistanceRejected) {
   EXPECT_THROW(SurfaceCodeLayout{1}, StackConfigError);
 }
 
-TEST(SurfaceCodeLayoutTest, DistanceThreeIsSc17) {
-  const SurfaceCodeLayout layout(3);
-  const Sc17Layout sc17;
-  // Compare the check sets {type, support mask}.
-  std::multiset<std::pair<int, unsigned>> general;
-  std::multiset<std::pair<int, unsigned>> ninja;
-  for (const SurfaceCheck& check : layout.checks()) {
-    unsigned mask = 0;
-    for (int q : check.support) {
-      mask |= 1u << q;
-    }
-    general.insert({check.type == CheckType::kX ? 0 : 1, mask});
-  }
-  for (const Check& check : sc17.checks()) {
-    ninja.insert({check.type == CheckType::kX ? 0 : 1, check.mask});
-  }
-  EXPECT_EQ(general, ninja);
+TEST(SurfaceCodeLayoutTest, RectangleHasNoDiagonalLogicals) {
+  const SurfaceCodeLayout layout(3, 7);
+  EXPECT_THROW((void)layout.logical_x_data(), std::logic_error);
+  EXPECT_THROW((void)layout.logical_z_data(), std::logic_error);
+  EXPECT_THROW((void)layout.rotated_partner(0), std::out_of_range);
 }
 
 // --- Matching decoder --------------------------------------------------
@@ -191,64 +232,6 @@ TEST(MatchingDecoderTest, OutOfRangeDefectRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Distances, MatchingDecoderTest,
                          ::testing::Values(3, 5, 7));
-
-// --- Patch window logic -------------------------------------------------
-
-TEST(SurfaceCodePatchTest, CleanWindowDoesNothing) {
-  const SurfaceCodeLayout layout(5);
-  SurfaceCodePatch patch(&layout, 0);
-  const SurfaceCodePatch::Bits clean(layout.num_checks(), 0);
-  EXPECT_TRUE(patch.decode_window(clean, clean).empty());
-}
-
-TEST(SurfaceCodePatchTest, PersistentErrorCorrectedDisagreementDeferred) {
-  const SurfaceCodeLayout layout(5);
-  SurfaceCodePatch patch(&layout, 0);
-  const MatchingDecoder decoder(layout, CheckType::kZ);
-  // X error on data qubit 12 -> defects on its Z checks.
-  SurfaceCodePatch::Bits round(layout.num_checks(), 0);
-  for (int g : decoder.signature({12})) {
-    round[static_cast<std::size_t>(
-        layout.checks_of(CheckType::kZ)[static_cast<std::size_t>(g)])] = 1;
-  }
-  // Disagreeing rounds: deferred.
-  const SurfaceCodePatch::Bits clean(layout.num_checks(), 0);
-  EXPECT_TRUE(patch.decode_window(clean, round).empty());
-  EXPECT_EQ(patch.carried(), round);
-  // Agreeing rounds: corrected, carried returns to clean.
-  const auto corrections = patch.decode_window(round, round);
-  ASSERT_EQ(corrections.size(), 1u);
-  EXPECT_EQ(corrections[0].gate(), GateType::kX);
-  EXPECT_EQ(patch.carried(), clean);
-}
-
-TEST(SurfaceCodePatchTest, InitializationClearsEverything) {
-  const SurfaceCodeLayout layout(5);
-  SurfaceCodePatch patch(&layout, 0);
-  const std::uint64_t seed = qpf::test::test_seed(3);
-  QPF_ANNOUNCE_SEED(seed);
-  std::mt19937_64 rng(seed);
-  SurfaceCodePatch::Bits round(layout.num_checks(), 0);
-  for (auto& bit : round) {
-    bit = rng() % 2;
-  }
-  (void)patch.decode_initialization(round);
-  for (std::uint8_t bit : patch.carried()) {
-    EXPECT_EQ(bit, 0);
-  }
-}
-
-TEST(SurfaceCodePatchTest, SizeMismatchesRejected) {
-  const SurfaceCodeLayout layout(3);
-  SurfaceCodePatch patch(&layout, 0);
-  const SurfaceCodePatch::Bits wrong(3, 0);
-  const SurfaceCodePatch::Bits right(layout.num_checks(), 0);
-  EXPECT_THROW((void)patch.decode_window(wrong, right),
-               std::invalid_argument);
-  EXPECT_THROW((void)patch.decode_initialization(wrong),
-               std::invalid_argument);
-  EXPECT_THROW(patch.set_carried(wrong), std::invalid_argument);
-}
 
 // --- Tableau integration -------------------------------------------------
 

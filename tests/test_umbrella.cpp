@@ -17,7 +17,7 @@ TEST(UmbrellaTest, EndToEndSmoke) {
   frame.execute();
   EXPECT_EQ(frame.get_state()[0], qpf::arch::BinaryValue::kOne);
 
-  const qpf::qec::Sc17Layout layout;
+  const qpf::qec::SurfaceCodeLayout layout(3);
   EXPECT_EQ(layout.checks().size(), 8u);
   const qpf::qec::LatticeSurgery surgery;
   EXPECT_FALSE(surgery.xx_check_subset().empty());

@@ -9,9 +9,10 @@
 #                                                (default: build-tsan)
 #
 # Pass QPF_SANITIZE_FILTER to override the test selection; by default
-# only the fault/robustness and fuzz suites run (ASan) or the
-# threaded-campaign and fuzz suites (TSan), which keeps the sanitized
-# run fast while still covering every new mutation path.
+# only the fault/robustness, fuzz and surface-code (layout, decoders,
+# lattice surgery, QCU) suites run (ASan) or the threaded-campaign and
+# fuzz suites (TSan), which keeps the sanitized run fast while still
+# covering every new mutation path.
 set -euo pipefail
 
 trap 'exit 130' INT
@@ -25,7 +26,7 @@ if [ "$mode" = "thread" ]; then
   filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"
