@@ -6,8 +6,6 @@ namespace qpf::plant {
 
 namespace {
 
-int g_override = -1;  // < 0: defer to the environment
-
 [[nodiscard]] int from_environment() noexcept {
   const char* env = std::getenv("QPF_PLANT_BUG");
   if (env == nullptr) {
@@ -17,18 +15,30 @@ int g_override = -1;  // < 0: defer to the environment
   return (n >= 1 && n <= kCount) ? n : 0;
 }
 
-}  // namespace
-
-int active() noexcept {
-  if (g_override >= 0) {
-    return g_override;
-  }
-  static const int env_value = from_environment();
-  return env_value;
+// Read once, on first use.
+[[nodiscard]] int environment_value() noexcept {
+  static const int value = from_environment();
+  return value;
 }
 
+}  // namespace
+
+namespace detail {
+
+int read_environment() noexcept {
+  // Publish the environment value unless set_for_testing() got there
+  // first.
+  int expected = -1;
+  g_active.compare_exchange_strong(expected, environment_value(),
+                                   std::memory_order_relaxed);
+  return g_active.load(std::memory_order_relaxed);
+}
+
+}  // namespace detail
+
 void set_for_testing(int n) noexcept {
-  g_override = (n <= kCount) ? n : 0;
+  detail::g_active.store(n < 0 ? environment_value() : (n <= kCount ? n : 0),
+                         std::memory_order_relaxed);
 }
 
 const char* describe(int n) noexcept {

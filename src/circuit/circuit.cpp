@@ -34,11 +34,13 @@ void Circuit::append(const Operation& op) {
     append_in_new_slot(op);
     return;
   }
+  widen(op);
   ops_.push_back(op);
   ++ends_.back();
 }
 
 void Circuit::append_in_new_slot(const Operation& op) {
+  widen(op);
   ops_.push_back(op);
   ends_.push_back(ops_.size());
 }
@@ -51,6 +53,9 @@ void Circuit::append_slot(SlotView slot) {
     const std::vector<Operation> copy(slot.begin(), slot.end());
     append_slot(SlotView(copy.data(), copy.data() + copy.size()));
     return;
+  }
+  for (const Operation& op : slot) {
+    widen(op);
   }
   ops_.insert(ops_.end(), slot.begin(), slot.end());
   close_slot();
@@ -79,14 +84,6 @@ std::size_t Circuit::count(GateCategory c) const noexcept {
   return static_cast<std::size_t>(std::count_if(
       ops.begin(), ops.end(),
       [c](const Operation& op) { return category(op.gate()) == c; }));
-}
-
-std::size_t Circuit::min_register_size() const noexcept {
-  std::size_t size = 0;
-  for (const Operation& op : operations()) {
-    size = std::max<std::size_t>(size, op.max_qubit() + 1);
-  }
-  return size;
 }
 
 std::string Circuit::str() const {

@@ -162,7 +162,10 @@ class Circuit {
   /// not check for conflicts: the caller guarantees that one slot's
   /// operations touch distinct qubits.  Every other member sees only
   /// closed slots; close the open slot before using them.
-  void push_op(const Operation& op) { ops_.push_back(op); }
+  void push_op(const Operation& op) {
+    widen(op);
+    ops_.push_back(op);
+  }
   void close_slot() {
     if (ops_.size() > num_operations()) {
       ends_.push_back(ops_.size());
@@ -174,6 +177,7 @@ class Circuit {
     name_.clear();
     ops_.clear();
     ends_.clear();
+    width_ = 0;
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -202,7 +206,9 @@ class Circuit {
 
   /// Smallest register size able to run this circuit (max index + 1);
   /// 0 for an empty circuit.
-  [[nodiscard]] std::size_t min_register_size() const noexcept;
+  [[nodiscard]] std::size_t min_register_size() const noexcept {
+    return width_;
+  }
 
   /// Multi-line "slot k: op; op; ..." rendering.
   [[nodiscard]] std::string str() const;
@@ -215,9 +221,16 @@ class Circuit {
   [[nodiscard]] bool operator==(const Circuit& other) const noexcept;
 
  private:
+  void widen(const Operation& op) noexcept {
+    if (op.max_qubit() >= width_) {
+      width_ = std::size_t{op.max_qubit()} + 1;
+    }
+  }
+
   std::string name_;
   std::vector<Operation> ops_;
   std::vector<std::size_t> ends_;  ///< one past slot i's last op, in ops_
+  std::size_t width_ = 0;          ///< min_register_size(), kept by appends
 };
 
 }  // namespace qpf

@@ -10,6 +10,10 @@ namespace qpf::stab {
 
 namespace {
 constexpr std::size_t kWordBits = 64;
+// z_hint_ bit set while a qubit's Z eigenvalue is untracked; bit 0 is
+// the value otherwise.  Flipping bit 0 of an unknown hint leaves it
+// unknown, so X and Y flip unconditionally.
+constexpr std::uint8_t kUnknownZ = 2;
 }
 
 Tableau::Tableau(std::size_t num_qubits, std::uint64_t seed)
@@ -24,6 +28,8 @@ Tableau::Tableau(std::size_t num_qubits, std::uint64_t seed)
   rs_.assign(cw_, 0);
   phase_lo_.assign(cw_, 0);
   phase_hi_.assign(cw_, 0);
+  targets_.assign(cw_, 0);
+  z_hint_.assign(n_, 0);  // |0...0>: +Z_q stabilizes every qubit
   for (std::size_t i = 0; i < n_; ++i) {
     set_x_bit(i, i, true);        // destabilizer i = X_i
     set_z_bit(n_ + i, i, true);   // stabilizer i   = Z_i
@@ -60,14 +66,40 @@ void Tableau::set_r_bit(std::size_t row, bool v) noexcept {
   word = v ? (word | mask) : (word & ~mask);
 }
 
+// The per-row loops below walk the columns through local pointers and
+// a local stride: a store through a column word may alias any member,
+// so a loop over x_col(q) would reload xs_, cw_ and n_ on every column.
+
 void Tableau::zero_row(std::size_t row) noexcept {
   const std::size_t w = row / kWordBits;
   const std::uint64_t clear = ~(std::uint64_t{1} << (row % kWordBits));
-  for (std::size_t q = 0; q < n_; ++q) {
-    x_col(q)[w] &= clear;
-    z_col(q)[w] &= clear;
+  std::uint64_t* x = xs_.data() + w;
+  std::uint64_t* z = zs_.data() + w;
+  const std::size_t cw = cw_;
+  for (std::size_t q = n_; q > 0; --q, x += cw, z += cw) {
+    *x &= clear;
+    *z &= clear;
   }
   rs_[w] &= clear;
+}
+
+void Tableau::copy_row(std::size_t dst, std::size_t src) noexcept {
+  const std::size_t dw = dst / kWordBits;
+  const std::size_t ds = dst % kWordBits;
+  const std::size_t sw = src / kWordBits;
+  const std::size_t ss = src % kWordBits;
+  const std::uint64_t keep = ~(std::uint64_t{1} << ds);
+  const auto copy_bit = [=](std::uint64_t* column) {
+    column[dw] = (column[dw] & keep) | (((column[sw] >> ss) & 1) << ds);
+  };
+  std::uint64_t* x = xs_.data();
+  std::uint64_t* z = zs_.data();
+  const std::size_t cw = cw_;
+  for (std::size_t q = n_; q > 0; --q, x += cw, z += cw) {
+    copy_bit(x);
+    copy_bit(z);
+  }
+  copy_bit(rs_.data());
 }
 
 std::uint64_t Tableau::range_mask(std::size_t w, std::size_t lo,
@@ -93,38 +125,33 @@ void Tableau::check_qubit(Qubit q) const {
 void Tableau::rowsum(std::size_t h, std::size_t i) noexcept {
   // Phase exponent of i^k accumulated over all qubits (AG Eq. for g()),
   // plus 2*(r_h + r_i); the result is always 0 or 2 mod 4.
+  // kG[x1 z1 x2 z2] = g(x1,z1,x2,z2) mod 4, with row i's Pauli x1 z1:
+  //   X: g = z2*(2*x2-1);  Y: g = z2-x2;  Z: g = x2*(1-2*z2).
+  static constexpr unsigned kG[16] = {0, 0, 0, 0,   // I (skipped)
+                                      0, 0, 1, 3,   // Z
+                                      0, 3, 0, 1,   // X
+                                      0, 1, 3, 0};  // Y
   const std::size_t hw = h / kWordBits;
-  const std::uint64_t hb = std::uint64_t{1} << (h % kWordBits);
+  const std::size_t hs = h % kWordBits;
   const std::size_t iw = i / kWordBits;
-  const std::uint64_t ib = std::uint64_t{1} << (i % kWordBits);
-  int phase = 2 * (static_cast<int>(r_bit(h)) + static_cast<int>(r_bit(i)));
-  for (std::size_t q = 0; q < n_; ++q) {
-    std::uint64_t* x = x_col(q);
-    std::uint64_t* z = z_col(q);
-    const bool x1 = (x[iw] & ib) != 0;
-    const bool z1 = (z[iw] & ib) != 0;
-    if (!x1 && !z1) {
-      continue;  // row i acts as identity on q
+  const std::size_t is = i % kWordBits;
+  unsigned phase = 2 * (static_cast<unsigned>(r_bit(h)) + r_bit(i));
+  std::uint64_t* x = xs_.data();
+  std::uint64_t* z = zs_.data();
+  const std::size_t cw = cw_;
+  for (std::size_t q = n_; q > 0; --q, x += cw, z += cw) {
+    const std::uint64_t x1 = (x[iw] >> is) & 1;
+    const std::uint64_t z1 = (z[iw] >> is) & 1;
+    if ((x1 | z1) == 0) {
+      continue;  // row i acts as identity on q: no phase, no store
     }
-    const bool x2 = (x[hw] & hb) != 0;
-    const bool z2 = (z[hw] & hb) != 0;
-    // g(x1,z1,x2,z2):
-    //   row i has X: g = z2*(2*x2-1);  Y: g = z2-x2;  Z: g = x2*(1-2*z2)
-    if (x1 && !z1) {
-      phase += z2 ? (x2 ? 1 : -1) : 0;
-    } else if (x1 && z1) {
-      phase += static_cast<int>(z2) - static_cast<int>(x2);
-    } else {
-      phase += x2 ? (z2 ? -1 : 1) : 0;
-    }
-    if (x1) {
-      x[hw] ^= hb;
-    }
-    if (z1) {
-      z[hw] ^= hb;
-    }
+    const std::uint64_t x2 = (x[hw] >> hs) & 1;
+    const std::uint64_t z2 = (z[hw] >> hs) & 1;
+    phase += kG[x1 << 3 | z1 << 2 | x2 << 1 | z2];
+    x[hw] ^= x1 << hs;
+    z[hw] ^= z1 << hs;
   }
-  set_r_bit(h, ((phase % 4) + 4) % 4 == 2);
+  set_r_bit(h, (phase & 3) == 2);
 }
 
 void Tableau::rowsum_batch(const std::uint64_t* targets, std::size_t p) {
@@ -201,6 +228,7 @@ void Tableau::apply_h(Qubit q) {
     x[w] = zw;
     z[w] = xw;
   }
+  z_hint_[q] = kUnknownZ;  // Z_q -> X_q
 }
 
 void Tableau::apply_s(Qubit q) {
@@ -231,6 +259,7 @@ void Tableau::apply_x(Qubit q) {
   for (std::size_t w = 0; w < cw_; ++w) {
     rs_[w] ^= z[w];
   }
+  z_hint_[q] ^= 1;  // Z_q -> -Z_q
 }
 
 void Tableau::apply_z(Qubit q) {
@@ -248,6 +277,7 @@ void Tableau::apply_y(Qubit q) {
   for (std::size_t w = 0; w < cw_; ++w) {
     rs_[w] ^= x[w] ^ z[w];
   }
+  z_hint_[q] ^= 1;  // Z_q -> -Z_q
 }
 
 void Tableau::apply_cnot(Qubit control, Qubit target) {
@@ -269,6 +299,12 @@ void Tableau::apply_cnot(Qubit control, Qubit target) {
     xt[w] = xtw ^ xcw;
     zc[w] = zcw ^ ztw;
   }
+  // Z_c is unchanged and Z_t -> Z_c Z_t, so the target keeps a value
+  // only when both factors have one.
+  const std::uint8_t c = z_hint_[control];
+  const std::uint8_t t = z_hint_[target];
+  z_hint_[target] =
+      static_cast<std::uint8_t>(((c ^ t) & 1) | ((c | t) & kUnknownZ));
 }
 
 void Tableau::apply_cz(Qubit control, Qubit target) {
@@ -298,6 +334,7 @@ void Tableau::apply_swap(Qubit a, Qubit b) {
   }
   std::swap_ranges(x_col(a), x_col(a) + cw_, x_col(b));
   std::swap_ranges(z_col(a), z_col(a) + cw_, z_col(b));
+  std::swap(z_hint_[a], z_hint_[b]);
 }
 
 void Tableau::apply_unitary(const Operation& op) {
@@ -351,6 +388,16 @@ void Tableau::apply_pauli(const PauliString& p) {
 
 MeasureResult Tableau::measure(Qubit q) {
   check_qubit(q);
+  const std::size_t scratch = 2 * n_;
+  if ((z_hint_[q] & kUnknownZ) == 0) {
+    // (-1)^v Z_q is in the group: the outcome is v, and the stabilizer
+    // product below would leave exactly +/- Z_q in the scratch row.
+    const bool value = z_hint_[q] != 0;
+    zero_row(scratch);
+    set_z_bit(scratch, q, true);
+    set_r_bit(scratch, value);
+    return {.value = value, .deterministic = true};
+  }
   // Look for a stabilizer row that anticommutes with Z_q: a set bit in
   // the rows [n, 2n) slice of X column q.
   const std::uint64_t* xq = x_col(q);
@@ -366,39 +413,45 @@ MeasureResult Tableau::measure(Qubit q) {
   if (random) {
     // Broadcast rowsum: every other row with an X at q absorbs row p.
     // The target mask is exactly X column q over live rows, minus p.
-    std::vector<std::uint64_t> targets(cw_);
     for (std::size_t w = 0; w < cw_; ++w) {
-      targets[w] = xq[w] & range_mask(w, 0, 2 * n_);
+      targets_[w] = xq[w] & range_mask(w, 0, 2 * n_);
     }
-    targets[p / kWordBits] &= ~(std::uint64_t{1} << (p % kWordBits));
-    rowsum_batch(targets.data(), p);
+    targets_[p / kWordBits] &= ~(std::uint64_t{1} << (p % kWordBits));
+    rowsum_batch(targets_.data(), p);
     // Destabilizer p-n := old stabilizer p; stabilizer p := +/- Z_q.
-    const std::size_t d = p - n_;
-    for (std::size_t c = 0; c < n_; ++c) {
-      set_x_bit(d, c, x_bit(p, c));
-      set_z_bit(d, c, z_bit(p, c));
-    }
-    set_r_bit(d, r_bit(p));
+    copy_row(p - n_, p);
     zero_row(p);
     set_z_bit(p, q, true);
     const bool outcome = (rng_() & 1) != 0;
     set_r_bit(p, outcome);
+    z_hint_[q] = outcome ? 1 : 0;
     return {.value = outcome, .deterministic = false};
   }
-  // Deterministic: accumulate the stabilizer product matching Z_q into
-  // the scratch row.
-  const std::size_t scratch = 2 * n_;
-  zero_row(scratch);
+  // Deterministic: Z_q is +/- the product of the stabilizers whose
+  // destabilizers have an X at q, accumulated in the scratch row.  The
+  // first factor is copied: rowsum into a zeroed row would leave the
+  // same bits and sign.
+  bool empty = true;
   for (std::size_t w = 0; w < cw_; ++w) {
     std::uint64_t hits = xq[w] & range_mask(w, 0, n_);
     while (hits != 0) {
       const std::size_t i =
           w * kWordBits + static_cast<std::size_t>(countr_zero64(hits));
       hits &= hits - 1;
-      rowsum(scratch, i + n_);
+      if (empty) {
+        copy_row(scratch, i + n_);
+        empty = false;
+      } else {
+        rowsum(scratch, i + n_);
+      }
     }
   }
-  return {.value = r_bit(scratch), .deterministic = true};
+  if (empty) {
+    zero_row(scratch);
+  }
+  const bool value = r_bit(scratch);
+  z_hint_[q] = value ? 1 : 0;
+  return {.value = value, .deterministic = true};
 }
 
 void Tableau::reset(Qubit q) {
@@ -425,6 +478,14 @@ void Tableau::execute(const Circuit& circuit) {
       execute(op);
     }
   }
+}
+
+std::optional<bool> Tableau::z_hint(Qubit q) const {
+  check_qubit(q);
+  if ((z_hint_[q] & kUnknownZ) != 0) {
+    return std::nullopt;
+  }
+  return z_hint_[q] != 0;
 }
 
 std::vector<MeasureResult> Tableau::take_measurements() {
@@ -543,6 +604,7 @@ Tableau Tableau::load(journal::SnapshotReader& in) {
   in.read_bytes(t.zs_.data(), t.zs_.size() * sizeof(std::uint64_t));
   in.read_bytes(t.rs_.data(), t.rs_.size() * sizeof(std::uint64_t));
   t.rng_ = in.read_rng();
+  std::fill(t.z_hint_.begin(), t.z_hint_.end(), kUnknownZ);
   const std::size_t pending = in.read_size();
   t.measurements_.clear();
   for (std::size_t i = 0; i < pending; ++i) {

@@ -10,10 +10,14 @@
 // uses a word-parallel broadcast rowsum (one source row accumulated
 // into every anticommuting row at once, with bit-sliced mod-4 phase
 // counters), keeping the O(n^2/w) CHP cost while the per-gate cost
-// drops to O(n/w).  See DESIGN.md "Column-major tableau layout".
+// drops to O(n/w).  A per-qubit Z-eigenvalue hint, kept by every gate
+// kernel, lets a measurement or reset whose outcome the tableau already
+// knows skip the stabilizer product.  See DESIGN.md "Word-parallel
+// tableau kernels".
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -89,6 +93,14 @@ class Tableau {
   /// Probability that measuring q yields 1: 0, 0.5, or 1.
   [[nodiscard]] double probability_one(Qubit q) const;
 
+  /// The Z-eigenvalue hint of qubit q: v when (-1)^v Z_q is known to be
+  /// in the stabilizer group; nullopt after load(), after H on q, and
+  /// after a CNOT onto q whose operands were not both hinted.  nullopt
+  /// does not mean the outcome is random.  The hint is derived state:
+  /// save() omits it and measure(q) uses it to skip the stabilizer
+  /// product.
+  [[nodiscard]] std::optional<bool> z_hint(Qubit q) const;
+
   // --- Snapshot / restore (crash-safe experiment engine) -------------
   /// Serialize the complete simulator state: tableau bits (column-major
   /// layout, tag "tableau2"), packed sign words, the RNG engine
@@ -123,6 +135,7 @@ class Tableau {
   void set_z_bit(std::size_t row, std::size_t q, bool v) noexcept;
   void set_r_bit(std::size_t row, bool v) noexcept;
   void zero_row(std::size_t row) noexcept;
+  void copy_row(std::size_t dst, std::size_t src) noexcept;
   /// row h *= row i, tracking the phase (AG "rowsum"); one column at a
   /// time — used on the scratch row where targets are single rows.
   void rowsum(std::size_t h, std::size_t i) noexcept;
@@ -142,9 +155,14 @@ class Tableau {
   std::vector<std::uint64_t> xs_;
   std::vector<std::uint64_t> zs_;
   std::vector<std::uint64_t> rs_;
-  // Scratch for rowsum_batch's bit-sliced phase counters (mod 4).
+  // Scratch for rowsum_batch's bit-sliced phase counters (mod 4) and
+  // its target mask.
   std::vector<std::uint64_t> phase_lo_;
   std::vector<std::uint64_t> phase_hi_;
+  std::vector<std::uint64_t> targets_;
+  // Per qubit: v in {0, 1} when (-1)^v Z_q is in the stabilizer group;
+  // bit 1 (kUnknownZ in tableau.cpp) set when the kernels lost track.
+  std::vector<std::uint8_t> z_hint_;
   std::mt19937_64 rng_;
   std::vector<MeasureResult> measurements_;
 };

@@ -2,7 +2,8 @@
 // one window plus the diagnostics probes on the Fig 5.8 stack -- may
 // make only a few heap allocations.  The rewrite buffers, the ChpCore
 // queue and the cached ESM circuits are reused; what is left is mostly
-// the BinaryState that Core::get_state() returns by value.
+// the BinaryState that Core::get_state() returns by value.  Tableau
+// measurements and resets, random or not, allocate nothing.
 //
 // This file is its own executable (qpf_alloc_tests) because it replaces
 // the global operator new with a counting one.
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "ler_common.h"
+#include "stabilizer/tableau.h"
 
 namespace {
 
@@ -84,6 +86,40 @@ TEST(AllocBudgetTest, NoFrameWindowStaysWithinBudget) {
       allocations_per_step(endless(3e-4, false, qec::CheckType::kX));
   RecordProperty("allocations_per_step", std::to_string(per_step));
   EXPECT_LE(per_step, kBudgetPerStep);
+}
+
+// A warmed Tableau(17): 10k random measurements, 10k deterministic
+// ancilla readouts after CNOTs from Bell pairs (the stabilizer-product
+// path) and 10k resets right after them (the hint path).
+TEST(AllocBudgetTest, TableauMeasurementsDoNotAllocate) {
+  constexpr Qubit kAncilla = 16;
+  constexpr Qubit kRandom = 15;
+  stab::Tableau tableau(17, 3);
+  for (Qubit q = 0; q + 1 < kRandom; q += 2) {
+    tableau.apply_h(q);
+    tableau.apply_cnot(q, q + 1);
+  }
+  int random = 0;
+  int deterministic = 0;
+  const auto run = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      tableau.apply_h(kRandom);
+      random += tableau.measure(kRandom).deterministic ? 0 : 1;
+      const auto pair = static_cast<Qubit>(2 * (i % 7));
+      tableau.apply_cnot(pair, kAncilla);
+      tableau.apply_cnot(pair + 1, kAncilla);
+      deterministic += tableau.measure(kAncilla).deterministic ? 1 : 0;
+      tableau.reset(kAncilla);
+    }
+  };
+  run(100);
+  random = 0;
+  deterministic = 0;
+  const std::size_t before = g_allocations.load();
+  run(10000);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(random, 10000);
+  EXPECT_EQ(deterministic, 10000);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "circuit/qasm.h"
+#include "journal/snapshot.h"
 
 namespace qpf {
 namespace {
@@ -110,6 +114,76 @@ TEST(CircuitTest, MinRegisterSize) {
   EXPECT_EQ(c.min_register_size(), 0u);
   c.append(GateType::kCnot, 2, 9);
   EXPECT_EQ(c.min_register_size(), 10u);
+}
+
+// min_register_size() is state kept by every mutator; it must always
+// equal a scan of the operations.
+std::size_t scanned_width(const Circuit& c) {
+  std::size_t width = 0;
+  for (const Operation& op : c.operations()) {
+    width = std::max<std::size_t>(width, op.max_qubit() + 1);
+  }
+  return width;
+}
+
+TEST(CircuitTest, WidthTracksEveryMutator) {
+  Circuit c;
+  const auto expect_scan = [](const Circuit& circuit, const char* step) {
+    EXPECT_EQ(circuit.min_register_size(), scanned_width(circuit)) << step;
+  };
+  expect_scan(c, "empty");
+  c.append(GateType::kH, 3);
+  expect_scan(c, "append");
+  c.append(GateType::kCnot, 5, 1);
+  expect_scan(c, "append two-qubit");
+  c.append_in_new_slot(Operation{GateType::kX, 7});
+  expect_scan(c, "append_in_new_slot");
+
+  TimeSlot slot;
+  slot.add(Operation{GateType::kCz, 2, 11});
+  c.append_slot(slot);
+  expect_scan(c, "append_slot");
+  c.append_slot(SlotView{});
+  expect_scan(c, "append_slot empty");
+  c.append_slot(c.slot(2));  // a view into the same circuit
+  expect_scan(c, "append_slot self view");
+
+  Circuit other;
+  other.append(GateType::kMeasureZ, 14);
+  c.append_circuit(other);
+  expect_scan(c, "append_circuit");
+  c.append_circuit(c);
+  expect_scan(c, "append_circuit self");
+  EXPECT_EQ(c.min_register_size(), 15u);
+
+  c.push_op(Operation{GateType::kSwap, 20, 4});
+  c.push_op(Operation{GateType::kPrepZ, 2});
+  c.close_slot();
+  expect_scan(c, "push_op/close_slot");
+  EXPECT_EQ(c.min_register_size(), 21u);
+
+  const Circuit copy = c;
+  expect_scan(copy, "copy");
+  EXPECT_EQ(copy.min_register_size(), 21u);
+
+  journal::SnapshotWriter out;
+  out.write_circuit(c);
+  journal::SnapshotReader in(out.bytes());
+  const Circuit read = in.read_circuit();
+  expect_scan(read, "read_circuit");
+  EXPECT_EQ(read.min_register_size(), 21u);
+
+  const Circuit parsed = from_qasm("qubits 40\nh q9\ncnot q2,q12\n");
+  expect_scan(parsed, "from_qasm");
+  EXPECT_EQ(parsed.min_register_size(), 13u);
+
+  c.clear();
+  expect_scan(c, "clear");
+  EXPECT_EQ(c.min_register_size(), 0u);
+  c.push_op(Operation{GateType::kH, 1});
+  c.close_slot();
+  expect_scan(c, "push_op after clear");
+  EXPECT_EQ(c.min_register_size(), 2u);
 }
 
 TEST(CircuitTest, Equality) {

@@ -193,11 +193,16 @@ echo "  qpf_ler: kill@k and sticky fail@k swept over $n_ler durable ops," \
 # --- serve helpers (check_serve.sh idiom) ---------------------------
 # start_server <logfile> [flags...]: ephemeral port, exports
 # $server_pid and $port.  $faultfs (may be empty) reaches only the
-# server, never the load generator.
+# server, never the load generator.  The logs are emptied here, before
+# the launch: the background job truncates them only once it runs, so
+# a loop that reuses a log could otherwise scrape the previous
+# (stopped) server's port and fail to connect.
 faultfs=""
 start_server() {
     local log="$1"
     shift
+    : >"$log"
+    : >"$log.err"
     if [ -n "$faultfs" ]; then
         env QPF_FAULTFS="$faultfs" "$qpf_serve" --port=0 "$@" \
             >"$log" 2>"$log.err" &
@@ -230,14 +235,34 @@ stop_server() {
     server_pid=""
 }
 
+# run_load <what> <server-log> [qpf_serve_load flags...]: drive the
+# running server; a failure names <what> and carries the load
+# generator's stderr, whether the server is still alive, and the
+# server's stderr log.
+run_load() {
+    local what="$1" log="$2"
+    shift 2
+    local status=0
+    "$qpf_load" --port="$port" "$@" >/dev/null 2>"$workdir/load.err" \
+        || status=$?
+    [ "$status" -eq 0 ] && return 0
+    local alive="exited"
+    kill -0 "$server_pid" 2>/dev/null && alive="running"
+    fail "$what (qpf_serve_load exit $status, server pid $server_pid $alive)
+  qpf_serve_load stderr:
+$(sed 's/^/    /' "$workdir/load.err")
+  qpf_serve stderr ($log.err):
+$(sed 's/^/    /' "$log.err")"
+}
+
 # --- 3. qpf_serve: kill at every durable op of the drain ------------
 state="$workdir/serve_state"
 mkdir -p "$state"
 faultfs="count:$workdir/serve.oplog"
 start_server "$workdir/serve_count.log" --state-dir="$state"
 faultfs=""
-"$qpf_load" --port="$port" --sessions=3 --requests=4 --no-close \
-    >/dev/null 2>&1 || fail "qpf_serve counting load failed"
+run_load "qpf_serve counting load failed" "$workdir/serve_count.log" \
+    --sessions=3 --requests=4 --no-close
 stop_server
 [ "$server_exit" -eq 130 ] || \
     fail "counting-pass drain exited $server_exit (want 130)"
@@ -250,8 +275,8 @@ for k in $(seq 1 "$n_serve"); do
     faultfs="kill@$k"
     start_server "$workdir/serve_kill.log" --state-dir="$state"
     faultfs=""
-    "$qpf_load" --port="$port" --sessions=3 --requests=4 --no-close \
-        >/dev/null 2>&1 || fail "kill@$k: load before drain failed"
+    run_load "kill@$k: load before drain failed" "$workdir/serve_kill.log" \
+        --sessions=3 --requests=4 --no-close
     stop_server
     [ "$server_exit" -eq 137 ] || \
         fail "kill@$k: drain exited $server_exit (want 137, injected SIGKILL)"
@@ -261,9 +286,8 @@ for k in $(seq 1 "$n_serve"); do
     # stale .tmp the kill may have left must never confuse restore.
     parked=$(ls "$state" | grep -c '\.session$' || true)
     start_server "$workdir/serve_restore.log" --state-dir="$state"
-    "$qpf_load" --port="$port" --sessions=3 --requests=4 --resume \
-        >/dev/null 2>&1 \
-        || fail "kill@$k: --resume load after restart failed"
+    run_load "kill@$k: --resume load after restart failed" \
+        "$workdir/serve_restore.log" --sessions=3 --requests=4 --resume
     stop_server
     [ "$server_exit" -eq 130 ] || \
         fail "kill@$k: post-restart drain exited $server_exit (want 130)"
@@ -281,9 +305,9 @@ mkdir -p "$state_ref"
 start_server "$workdir/enospc_ref.log" --state-dir="$state_ref" \
     --idle-evict-ms=100
 mkdir -p "$workdir/enospc_ref"
-"$qpf_load" --port="$port" --sessions=3 --requests=6 --no-close \
-    --transcript-dir="$workdir/enospc_ref" >/dev/null 2>&1 \
-    || fail "ENOSPC reference load failed"
+run_load "ENOSPC reference load failed" "$workdir/enospc_ref.log" \
+    --sessions=3 --requests=6 --no-close \
+    --transcript-dir="$workdir/enospc_ref"
 sleep 0.5
 stop_server
 [ "$server_exit" -eq 130 ] || \
@@ -295,9 +319,9 @@ faultfs="enospc-under=$state"
 start_server "$workdir/enospc.log" --state-dir="$state" --idle-evict-ms=100
 faultfs=""
 mkdir -p "$workdir/enospc_fault"
-"$qpf_load" --port="$port" --sessions=3 --requests=6 --no-close \
-    --transcript-dir="$workdir/enospc_fault" >/dev/null 2>&1 \
-    || fail "load against the ENOSPC-starved server failed"
+run_load "load against the ENOSPC-starved server failed" \
+    "$workdir/enospc.log" --sessions=3 --requests=6 --no-close \
+    --transcript-dir="$workdir/enospc_fault"
 sleep 0.5   # idle parking fires, every park hits ENOSPC
 stop_server
 [ "$server_exit" -eq 130 ] || \

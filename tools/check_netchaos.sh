@@ -61,10 +61,14 @@ trap 'exit 130' INT
 trap 'exit 143' TERM
 
 # start_server <logfile> [extra flags...]: launch on an ephemeral port,
-# export $server_pid and $port.
+# export $server_pid and $port.  The logs are emptied before the launch
+# (the background job truncates them only once it runs), so the reset@K
+# sweep, which reuses one log, never scrapes a stopped server's port.
 start_server() {
     log="$1"
     shift
+    : >"$log"
+    : >"$log.err"
     "$qpf_serve" --port=0 "$@" >"$log" 2>"$log.err" &
     server_pid=$!
     port=""
