@@ -1,14 +1,16 @@
 // Microbenchmarks for the performance-critical primitives: tableau
 // updates, state-vector gates, Pauli-frame stream processing, LUT
-// decoding and full QEC windows.
+// decoding, full QEC windows and LER steps (a window plus the
+// diagnostics).
 //
 // Two modes:
 //  * default: the google-benchmark suite (BM_* below); extra arguments
 //    are forwarded, so --benchmark_filter etc. work as usual.
 //  * --json PATH: the tableau-kernel sweep — the Clifford kernels, a
-//    random-outcome measurement, a reset after a readout and an ancilla
-//    readout after CNOTs, each timed at n = 17, 100, 500, 2000 and
-//    recorded in ns/op in the machine-readable report.
+//    random-outcome measurement, a reset after a readout, an ancilla
+//    readout after CNOTs and the expectation read of a weight-4
+//    observable, each timed at n = 17, 100, 500, 2000 and recorded in
+//    ns/op in the machine-readable report.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 
 #include "arch/control_stack.h"
 #include "bench_json.h"
+#include "ler_common.h"
 #include "circuit/random.h"
 #include "core/pauli_frame.h"
 #include "qec/lut_decoder.h"
@@ -125,6 +128,24 @@ void BM_QecWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_QecWindow)->Arg(0)->Arg(1);
 
+// What LerTrial::step() costs: BM_QecWindow plus the diagnostics, so the
+// gap between the two is the diagnostics' share.
+void BM_LerStep(benchmark::State& state) {
+  bench::LerConfig config;
+  config.physical_error_rate = 1e-3;
+  config.with_pauli_frame = state.range(0) != 0;
+  config.target_logical_errors = ~std::size_t{0};
+  config.max_windows = ~std::size_t{0};
+  bench::LerTrial trial(config);
+  for (auto _ : state) {
+    trial.step();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(config.with_pauli_frame ? "with-pauli-frame"
+                                         : "without-pauli-frame");
+}
+BENCHMARK(BM_LerStep)->Arg(0)->Arg(1);
+
 // --- --json kernel sweep ---------------------------------------------
 
 constexpr std::size_t kSweepSizes[] = {17, 100, 500, 2000};
@@ -220,6 +241,18 @@ void entangle_pairs(stab::Tableau& t) {
     // undone: the readout takes the stabilizer product.
     const auto ancilla = static_cast<Qubit>(n - 1);
     const std::size_t pairs = (n - 1) / 2;
+    // X X on one Bell pair times Z Z on the next: a weight-4 observable
+    // the state fixes, read as the product of two stabilizer rows.
+    std::vector<stab::SparsePauli> observables;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const auto a = static_cast<Qubit>(2 * p);
+      const auto b = static_cast<Qubit>(2 * ((p + 1) % pairs));
+      observables.push_back({{{a, stab::Pauli::kX},
+                              {a + 1, stab::Pauli::kX},
+                              {b, stab::Pauli::kZ},
+                              {b + 1, stab::Pauli::kZ}},
+                             false});
+    }
     sweep("readout", measure_ops, entangle_pairs,
           [&](stab::Tableau& t, std::size_t i) {
             const auto a = static_cast<Qubit>(2 * (i % pairs));
@@ -228,6 +261,11 @@ void entangle_pairs(stab::Tableau& t) {
             (void)t.measure(ancilla);
             t.apply_cnot(a + 1, ancilla);
             t.apply_cnot(a, ancilla);
+          });
+    int value = 0;
+    sweep("expectation", measure_ops, entangle_pairs,
+          [&](stab::Tableau& t, std::size_t i) {
+            t.expectations({&observables[i % pairs], 1}, {&value, 1});
           });
   }
   return points;

@@ -24,6 +24,11 @@ class BiasedErrorLayer final : public Layer {
     }
   }
 
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    peek_when_bypassed(observables, values);
+  }
+
   [[nodiscard]] const qec::BiasedNoiseModel& model() const noexcept {
     return model_;
   }

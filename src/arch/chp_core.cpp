@@ -1,5 +1,6 @@
 #include "arch/chp_core.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "circuit/error.h"
@@ -70,6 +71,18 @@ void ChpCore::execute() {
 }
 
 BinaryState ChpCore::get_state() const { return binary_; }
+
+void ChpCore::peek(std::span<const stab::SparsePauli> observables,
+                   std::span<int> values) const {
+  if (tableau_ == nullptr) {
+    throw std::logic_error("ChpCore: no qubits allocated");
+  }
+  if (queued_ != 0) {
+    std::fill(values.begin(), values.end(), 0);
+    return;
+  }
+  tableau_->expectations(observables, values);
+}
 
 std::optional<sv::StateVector> ChpCore::get_quantum_state() const {
   return std::nullopt;  // stabilizer backends expose no amplitudes

@@ -25,6 +25,11 @@ class ChpCore final : public Core {
   [[nodiscard]] std::size_t num_qubits() const override {
     return binary_.size();
   }
+  /// Answered from the tableau (Tableau::expectations); 0 while added
+  /// circuits wait for execute(), since layers above may already have
+  /// accounted for them.
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override;
 
   /// Direct tableau access for stabilizer assertions in tests.  Null
   /// until qubits exist.

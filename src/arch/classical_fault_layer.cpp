@@ -10,7 +10,7 @@ namespace qpf::arch {
 namespace {
 
 void require_rate(double p, const char* kind) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails too
     throw StackConfigError("ClassicalFaultLayer",
                            std::string(kind) + " rate out of [0,1]");
   }

@@ -125,6 +125,10 @@ class ClassicalFaultLayer final : public Layer {
   void execute() override;
 
   [[nodiscard]] BinaryState get_state() const override;
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    peek_when_bypassed(observables, values);
+  }
 
   [[nodiscard]] const ClassicalFaultRates& rates() const noexcept {
     return rates_;

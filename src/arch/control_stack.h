@@ -24,9 +24,11 @@
 //
 // diagnostic mode bypasses the error, classical-fault, counter, timing
 // and supervisor layers (§5.3.1) so the probe circuits are fault-free
-// and uncounted; the Pauli frame and validating layers stay active so
-// their records remain consistent.  Leaving diagnostic mode refreshes
-// the supervisor's good point (probes mutate the chain underneath it).
+// and uncounted, and so those layers pass the diagnostics' reads
+// through (Core::peek); the Pauli frame and validating layers stay
+// active so their records remain consistent.  Leaving diagnostic mode
+// refreshes the supervisor's good point (a probe that falls back to its
+// circuit mutates the chain underneath it).
 //
 // With every classical fault rate at zero, chaos off, supervision off,
 // no deadline, protection off, and validation off, the stack is

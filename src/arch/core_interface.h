@@ -4,8 +4,10 @@
 // speaks this interface, so layers can be recombined freely (Fig 4.3).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "circuit/circuit.h"
 #include "circuit/error.h"
 #include "journal/snapshot.h"
+#include "stabilizer/pauli_string.h"
 #include "statevector/state.h"
 
 namespace qpf::arch {
@@ -73,6 +76,17 @@ class Core {
 
   /// Current register size.
   [[nodiscard]] virtual std::size_t num_qubits() const = 0;
+
+  /// Read Pauli observables on this element's register without running
+  /// anything: values[k] = +1 / -1 when the state after the last
+  /// execute() fixes observables[k] (its sign included), 0 when
+  /// measuring it would give a random outcome or this element cannot
+  /// tell.  The default cannot tell.
+  virtual void peek(std::span<const stab::SparsePauli> observables,
+                    std::span<int> values) const {
+    (void)observables;
+    std::fill(values.begin(), values.end(), 0);
+  }
 
   // --- Snapshot capability (crash-safe experiment engine, PR 2) ------
   //

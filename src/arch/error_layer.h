@@ -27,6 +27,11 @@ class ErrorLayer final : public Layer {
     }
   }
 
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    peek_when_bypassed(observables, values);
+  }
+
   [[nodiscard]] const qec::DepolarizingModel& model() const noexcept {
     return model_;
   }

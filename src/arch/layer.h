@@ -38,6 +38,10 @@ class Layer : public Core {
   [[nodiscard]] std::size_t num_qubits() const override {
     return lower_->num_qubits();
   }
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    lower_->peek(observables, values);
+  }
 
   // A plain layer holds no mutable state, so its snapshot is exactly
   // the chain below.  Stateful layers override all three, writing their
@@ -59,6 +63,18 @@ class Layer : public Core {
  protected:
   [[nodiscard]] Core& lower() noexcept { return *lower_; }
   [[nodiscard]] const Core& lower() const noexcept { return *lower_; }
+
+  /// peek() of a layer that acts on every circuit it forwards (noise,
+  /// counts, modeled time): a read replaces a circuit this layer would
+  /// have acted on, so it answers only while bypassed.
+  void peek_when_bypassed(std::span<const stab::SparsePauli> observables,
+                          std::span<int> values) const {
+    if (bypass_) {
+      lower_->peek(observables, values);
+    } else {
+      std::fill(values.begin(), values.end(), 0);
+    }
+  }
 
   bool bypass_ = false;
 

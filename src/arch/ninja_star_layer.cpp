@@ -1,5 +1,6 @@
 #include "arch/ninja_star_layer.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -112,6 +113,12 @@ const NinjaStar& NinjaStarLayer::star(Qubit logical) const {
 void NinjaStarLayer::run_lower(const Circuit& circuit) {
   lower().add(circuit);
   lower().execute();
+}
+
+bool NinjaStarLayer::read(const std::vector<stab::SparsePauli>& observables) {
+  values_.resize(observables.size());
+  lower().peek(observables, values_);
+  return std::find(values_.begin(), values_.end(), 0) == values_.end();
 }
 
 void NinjaStarLayer::run_corrections(std::string_view name,
@@ -235,6 +242,18 @@ bool NinjaStarLayer::has_observable_errors(Qubit logical) {
 
 Syndrome NinjaStarLayer::probe_syndrome(Qubit logical) {
   NinjaStar& s = star(logical);
+  if (read(s.esm_observables())) {
+    // The checks come first, in measurement order; a -1 reads as 1.
+    // Ancillas idle in this dance mode keep their carried bits, as in
+    // round_syndrome().
+    Syndrome syndrome = s.carried_syndrome();
+    const std::vector<int>& order = s.esm_measurement_order();
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const Syndrome bit = Syndrome{1} << order[k];
+      syndrome = values_[k] < 0 ? syndrome | bit : syndrome & ~bit;
+    }
+    return syndrome;
+  }
   const Syndrome carried = s.carried_syndrome();
   const Syndrome probe = run_esm_round(s);
   // The probe round must not perturb the decoder bookkeeping.
@@ -245,6 +264,9 @@ Syndrome NinjaStarLayer::probe_syndrome(Qubit logical) {
 int NinjaStarLayer::measure_logical_stabilizer(Qubit logical,
                                                CheckType basis) {
   NinjaStar& s = star(logical);
+  if (read(s.logical_stabilizer_observables(basis))) {
+    return values_[0];
+  }
   run_lower(s.logical_stabilizer_circuit(basis));
   return measured_one(lower().get_state(), layout_.ancilla_qubit(s.base(), 0))
              ? -1

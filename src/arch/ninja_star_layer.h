@@ -12,6 +12,10 @@
 // experiment API used by the LER study of §5.3: explicit initialization,
 // windows (ESM rounds + decode + correct), and the diagnostics checks
 // (observable-error probe and Fig 5.10 logical-stabilizer readout).
+// The diagnostics read the signs of the observables their circuits
+// measure through Core::peek, and run the circuits only when the stack
+// below cannot answer or some value is random (DESIGN.md, "Diagnostics
+// as observables").
 #pragma once
 
 #include <string_view>
@@ -53,6 +57,12 @@ class NinjaStarLayer final : public Layer {
   [[nodiscard]] std::size_t num_qubits() const override {
     return stars_.size();
   }
+  /// 0: observables above this layer are logical, and the layer keeps
+  /// no logical-level state to read them from.
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    Core::peek(observables, values);
+  }
 
   // --- Experiment API --------------------------------------------------
   [[nodiscard]] qec::NinjaStar& star(Qubit logical);
@@ -78,19 +88,23 @@ class NinjaStarLayer final : public Layer {
   /// carried round (Fig 5.9), then issue the corrections.
   void run_window(Qubit logical);
 
-  /// Diagnostic probe (§5.3.1): run one full ESM round and report
-  /// whether any check deviates from the code space.  Run it with the
-  /// error and counter layers bypassed.
+  /// Diagnostic probe (§5.3.1): whether any check of one full ESM round
+  /// deviates from the code space.  Run it with the error and counter
+  /// layers bypassed.
   [[nodiscard]] bool has_observable_errors(Qubit logical);
 
-  /// Diagnostic syndrome readout: one full ESM round, returning the raw
-  /// syndrome word without touching the decoder bookkeeping.  Run it
-  /// with the error and counter layers bypassed.
+  /// Diagnostic syndrome readout: the raw syndrome word of one full ESM
+  /// round, without touching the decoder bookkeeping.  Read from the
+  /// checks when the stack below fixes every check and every ancilla
+  /// the round resets; otherwise the round runs.  Run it with the error
+  /// and counter layers bypassed.
   [[nodiscard]] qec::Syndrome probe_syndrome(Qubit logical);
 
   /// Fig 5.10: measure the logical stabilizer (kZ -> Z-chain parity
   /// detecting X_L flips; kX -> X-chain parity detecting Z_L flips)
-  /// without disturbing the state.  Returns +1 or -1.
+  /// without disturbing the state.  Returns +1 or -1.  Read from the
+  /// chain when the stack below fixes it and the borrowed ancilla;
+  /// otherwise the circuit runs.
   [[nodiscard]] int measure_logical_stabilizer(Qubit logical,
                                                qec::CheckType basis);
 
@@ -121,6 +135,9 @@ class NinjaStarLayer final : public Layer {
   qec::Syndrome run_esm_round(qec::NinjaStar& star);
   /// Execute a circuit through the stack below.
   void run_lower(const Circuit& circuit);
+  /// Peek `observables` below into values_; true when every value is
+  /// fixed, so the circuit they decide would draw no randomness.
+  [[nodiscard]] bool read(const std::vector<stab::SparsePauli>& observables);
   /// Execute decoder corrections (at most one per qubit) as one slot;
   /// nothing when `ops` is empty.
   void run_corrections(std::string_view name,
@@ -132,6 +149,7 @@ class NinjaStarLayer final : public Layer {
   std::vector<qec::NinjaStar> stars_;
   std::vector<Circuit> queue_;
   Circuit corrections_;  ///< run_corrections() buffer; not snapshot state
+  std::vector<int> values_;  ///< read() buffer; not snapshot state
   TimingLayer* watchdog_ = nullptr;  // non-owning, may be null
 };
 

@@ -1,5 +1,7 @@
 #include "arch/pauli_frame_layer.h"
 
+#include <algorithm>
+
 #include "circuit/bug_plant.h"
 #include "circuit/error.h"
 
@@ -43,6 +45,17 @@ BinaryState PauliFrameLayer::get_state() const {
     state[q] = corrected ? BinaryValue::kOne : BinaryValue::kZero;
   }
   return state;
+}
+
+void PauliFrameLayer::peek(std::span<const stab::SparsePauli> observables,
+                           std::span<int> values) const {
+  require_frame();
+  if (protection_ != pf::Protection::kNone) {
+    std::fill(values.begin(), values.end(), 0);
+    return;
+  }
+  lower().peek(observables, values);
+  frame_->correct_values(observables, values);
 }
 
 void PauliFrameLayer::flush() {

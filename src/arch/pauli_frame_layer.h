@@ -47,6 +47,14 @@ class PauliFrameLayer final : public Layer {
 
   [[nodiscard]] BinaryState get_state() const override;
 
+  /// The read below, negated wherever the observable anticommutes with
+  /// the records (physical state = records x ideal state).  A protected
+  /// frame answers 0: its guarded record reads would count as checks
+  /// and may repair records, which the circuit a read replaces does
+  /// differently.
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override;
+
   /// Apply every pending record on the qubits (needed before comparing
   /// raw quantum states, §5.2.2) and run it.
   void flush();

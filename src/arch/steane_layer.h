@@ -25,6 +25,11 @@ class SteaneLayer final : public Layer {
   [[nodiscard]] std::size_t num_qubits() const override {
     return logical_state_.size();
   }
+  /// 0: observables above this layer are logical (see NinjaStarLayer).
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    Core::peek(observables, values);
+  }
 
   // --- Experiment API --------------------------------------------------
   /// Reset logical qubit q to |0>_L: transversal reset plus one decoded

@@ -73,6 +73,12 @@ class ValidatingLayer final : public Layer {
   void remove_qubits() override;
   void add(const Circuit& circuit) override;
   [[nodiscard]] BinaryState get_state() const override;
+  /// 0: the cross-checks run per circuit and the reports count
+  /// circuits, so every diagnostic keeps going through them.
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    Core::peek(observables, values);
+  }
 
   [[nodiscard]] const std::vector<FaultReport>& reports() const noexcept {
     return reports_;

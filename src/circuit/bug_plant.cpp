@@ -92,6 +92,10 @@ const char* describe(int n) noexcept {
       return "executor-commit-reorder: the deterministic executor commits "
              "results in completion-arrival order instead of task-index "
              "order, so parallel output bytes depend on scheduling";
+    case 16:
+      return "frame-read-ignores-z: the frame's observable read flips a "
+             "value only for X records, ignoring the Z half, so X-type "
+             "checks and chains read the pre-correction sign";
     default:
       return "?";
   }

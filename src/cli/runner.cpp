@@ -827,7 +827,7 @@ std::optional<RunnerOptions> parse_arguments(
         error = "bad error rate '" + value + "'";
         return std::nullopt;
       }
-      if (options.error_rate < 0.0 || options.error_rate > 1.0) {
+      if (!(options.error_rate >= 0.0 && options.error_rate <= 1.0)) {
         error = "error rate out of [0,1]";
         return std::nullopt;
       }
@@ -848,8 +848,8 @@ std::optional<RunnerOptions> parse_arguments(
         error = "bad classical fault rate '" + value + "'";
         return std::nullopt;
       }
-      if (options.classical_fault_rate < 0.0 ||
-          options.classical_fault_rate > 1.0) {
+      if (!(options.classical_fault_rate >= 0.0 &&
+            options.classical_fault_rate <= 1.0)) {
         error = "classical fault rate out of [0,1]";
         return std::nullopt;
       }

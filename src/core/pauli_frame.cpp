@@ -170,6 +170,22 @@ std::size_t PauliFrame::flush_into(Qubit q, Circuit& out) {
   return (has_x(r) ? 1 : 0) + (has_z(r) ? 1 : 0);
 }
 
+void PauliFrame::correct_values(std::span<const stab::SparsePauli> observables,
+                                std::span<int> values) const {
+  // Records and Paulis both keep X in bit 0 and Z in bit 1.
+  const unsigned see_z = plant::bug(16) ? 0 : 1;  // mutation hook: ignore Z
+  for (std::size_t k = 0; k < observables.size(); ++k) {
+    unsigned flip = 0;
+    for (const stab::PauliTerm& term : observables[k].terms) {
+      const auto r = static_cast<unsigned>(records_.at(term.qubit));
+      const auto p = static_cast<unsigned>(term.pauli);
+      // X anticommutes with a Z record, Z with an X record.
+      flip ^= (p & (r >> 1) & see_z) ^ ((p >> 1) & r & 1);
+    }
+    values[k] = flip != 0 ? -values[k] : values[k];
+  }
+}
+
 std::vector<Operation> PauliFrame::flush(Qubit q) {
   Circuit out;
   flush_into(q, out);

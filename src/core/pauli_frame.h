@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "circuit/circuit.h"
 #include "core/pauli_record.h"
 #include "journal/snapshot.h"
+#include "stabilizer/pauli_string.h"
 
 namespace qpf::pf {
 
@@ -130,6 +132,14 @@ class PauliFrame {
   [[nodiscard]] bool correct_measurement(Qubit q, bool raw) const {
     return map_measurement(load(q), raw);
   }
+
+  /// Turn values of observables read on the physical state into values
+  /// on the ideal state: negate values[k] wherever observables[k]
+  /// anticommutes with the records (physical state = records x ideal
+  /// state); the observable-level Table 3.2.  Reads the primary bank
+  /// without verification, so it is exact only under Protection::kNone.
+  void correct_values(std::span<const stab::SparsePauli> observables,
+                      std::span<int> values) const;
 
   /// Pending Pauli gates for qubit q, as operations, and reset the
   /// record to I.  (X before Z when both are pending; order only affects

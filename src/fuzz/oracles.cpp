@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -12,6 +13,8 @@
 
 #include "arch/chp_core.h"
 #include "arch/classical_fault_layer.h"
+#include "arch/error_layer.h"
+#include "arch/ninja_star_layer.h"
 #include "arch/pauli_frame_layer.h"
 #include "arch/qx_core.h"
 #include "arch/supervisor_layer.h"
@@ -1435,6 +1438,192 @@ OracleOutcome check_executor_determinism(std::uint64_t seed) {
                                "task 0 forced to finish last");
 }
 
+// --- peek-vs-probe ----------------------------------------------------
+
+namespace {
+
+/// The layer right under NinjaStarLayer in the peek-vs-probe stacks: it
+/// counts the circuits sent down, and on the twin it cannot read, so
+/// every diagnostic there runs its circuit.
+class Tap final : public arch::Layer {
+ public:
+  Tap(arch::Core* lower, bool readable) : Layer(lower), readable_(readable) {}
+  void add(const Circuit& circuit) override {
+    ++circuits_;
+    lower().add(circuit);
+  }
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    if (readable_) {
+      lower().peek(observables, values);
+    } else {
+      Core::peek(observables, values);
+    }
+  }
+  [[nodiscard]] std::size_t circuits() const noexcept { return circuits_; }
+
+ private:
+  bool readable_;
+  std::size_t circuits_ = 0;
+};
+
+/// ChpCore, ErrorLayer, [PauliFrameLayer], Tap, NinjaStarLayer.
+struct PeekStack {
+  PeekStack(int distance, bool with_frame, bool readable, std::uint64_t seed,
+            double per)
+      : core(derive_seed(seed, label_hash("core"))),
+        noise(&core, per, derive_seed(seed, label_hash("noise"))) {
+    arch::Core* below = &noise;
+    if (with_frame) {
+      frame = std::make_unique<arch::PauliFrameLayer>(below);
+      below = frame.get();
+    }
+    tap = std::make_unique<Tap>(below, readable);
+    arch::NinjaStarLayer::Options options;
+    options.distance = distance;
+    ninja = std::make_unique<arch::NinjaStarLayer>(tap.get(), options);
+    ninja->create_qubits(1);
+  }
+
+  arch::ChpCore core;
+  arch::ErrorLayer noise;
+  std::unique_ptr<arch::PauliFrameLayer> frame;
+  std::unique_ptr<Tap> tap;
+  std::unique_ptr<arch::NinjaStarLayer> ninja;
+};
+
+/// Whether `circuit` draws randomness on `tableau` (a copy): a reset or
+/// a measurement with a random outcome.  Diagnostic circuits carry no
+/// Pauli gates, so the frame forwards them unchanged.
+bool draws_randomness(stab::Tableau tableau, const Circuit& circuit) {
+  bool random = false;
+  for (const Operation& op : circuit.operations()) {
+    switch (category(op.gate())) {
+      case GateCategory::kInitialization: {
+        const stab::MeasureResult m = tableau.measure(op.qubit(0));
+        random = random || !m.deterministic;
+        if (m.value) {
+          tableau.apply_x(op.qubit(0));
+        }
+        break;
+      }
+      case GateCategory::kMeasurement:
+        random = random || !tableau.measure(op.qubit(0)).deterministic;
+        break;
+      default:
+        tableau.apply_unitary(op);
+        break;
+    }
+  }
+  return random;
+}
+
+/// One perturbation of the read-capable stack between diagnostics.
+std::string perturb(PeekStack& stack, SplitMix& rng) {
+  const qec::SurfaceCodeLayout& layout = stack.ninja->layout();
+  const auto data = static_cast<Qubit>(rng.below(layout.num_data()));
+  const auto ancilla = layout.ancilla_qubit(
+      0, static_cast<int>(rng.below(layout.num_checks())));
+  static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
+                                         GateType::kZ};
+  const GateType pauli = kPaulis[rng.below(3)];
+  Circuit circuit{"perturbation"};
+  switch (rng.below(8)) {
+    case 0: {  // a logical gate, then its window
+      static constexpr GateType kLogical[] = {GateType::kX, GateType::kZ,
+                                              GateType::kH};
+      const GateType gate = kLogical[rng.below(3)];
+      circuit.append(gate, 0);
+      stack.ninja->add(circuit);
+      stack.ninja->execute();
+      return std::string("logical ") + std::string(name(gate));
+    }
+    case 1:  // through the frame: a record when it is on
+      circuit.append(pauli, data);
+      arch::run(*stack.tap, circuit);
+      return std::string("frame ") + std::string(name(pauli)) + " on data " +
+             std::to_string(data);
+    case 2:  // on the device, below the frame
+      circuit.append(pauli, rng.chance(0.5) ? data : ancilla);
+      arch::run(stack.core, circuit);
+      return std::string("device ") + std::string(name(pauli)) + " on " +
+             std::to_string(circuit.operations()[0].qubit(0));
+    case 3:  // leaves checks or an ancilla undetermined
+      circuit.append(GateType::kH, rng.chance(0.5) ? data : ancilla);
+      arch::run(stack.core, circuit);
+      return "device H on " + std::to_string(circuit.operations()[0].qubit(0));
+    default:
+      stack.ninja->run_window(0);
+      return "window";
+  }
+}
+
+}  // namespace
+
+OracleOutcome check_peek_vs_probe(std::uint64_t seed) {
+  using qec::CheckType;
+  constexpr std::size_t kSteps = 8;  // diagnostics per run
+
+  SplitMix rng(derive_seed(seed, label_hash("peek-vs-probe")));
+  const int distance = rng.chance(0.5) ? 3 : 5;
+  const bool with_frame = rng.chance(0.5);
+  const CheckType basis = rng.chance(0.5) ? CheckType::kZ : CheckType::kX;
+  constexpr double kPer = 2e-3;
+  PeekStack real(distance, with_frame, /*readable=*/true, seed, kPer);
+  PeekStack twin(distance, with_frame, /*readable=*/false, seed, kPer);
+  real.noise.set_bypass(true);
+  real.ninja->initialize(0, basis);
+  real.noise.set_bypass(false);
+
+  std::string history;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    history += (history.empty() ? "" : ", ") + perturb(real, rng);
+    journal::SnapshotWriter snapshot;
+    real.ninja->save_state(snapshot);
+    journal::SnapshotReader reader{snapshot.bytes()};
+    twin.ninja->load_state(reader);
+    real.noise.set_bypass(true);
+    twin.noise.set_bypass(true);
+
+    const qec::NinjaStar& star = twin.ninja->star(0);
+    const bool esm_random =
+        draws_randomness(*twin.core.tableau(), star.esm_circuit());
+    std::size_t before = real.tap->circuits();
+    const qec::Syndrome read_syndrome = real.ninja->probe_syndrome(0);
+    const bool esm_read = real.tap->circuits() == before;
+    const qec::Syndrome probe_syndrome = twin.ninja->probe_syndrome(0);
+
+    const bool chain_random = draws_randomness(
+        *twin.core.tableau(), star.logical_stabilizer_circuit(basis));
+    before = real.tap->circuits();
+    const int read_sign = real.ninja->measure_logical_stabilizer(0, basis);
+    const bool chain_read = real.tap->circuits() == before;
+    const int probe_sign = twin.ninja->measure_logical_stabilizer(0, basis);
+    real.noise.set_bypass(false);
+    twin.noise.set_bypass(false);
+
+    std::ostringstream why;
+    if (read_syndrome != probe_syndrome || read_sign != probe_sign) {
+      why << "diagnostics differ from the probe circuits: syndrome "
+          << read_syndrome << " vs " << probe_syndrome << ", sign "
+          << read_sign << " vs " << probe_sign << " (read: syndrome "
+          << esm_read << ", chain " << chain_read << ")";
+    } else if (esm_read == esm_random || chain_read == chain_random) {
+      why << "the read must answer exactly when the circuit is "
+             "deterministic: ESM random "
+          << esm_random << " read " << esm_read << ", chain random "
+          << chain_random << " read " << chain_read;
+    } else {
+      continue;
+    }
+    why << "; d=" << distance << " frame=" << with_frame
+        << " basis=" << (basis == CheckType::kZ ? "z" : "x") << " step "
+        << step << " after " << history;
+    return OracleOutcome::fail(why.str());
+  }
+  return OracleOutcome::pass();
+}
+
 // --- registry ---------------------------------------------------------
 
 namespace {
@@ -1452,6 +1641,11 @@ OracleOutcome lut_window_adapter(const Circuit&, std::uint64_t seed,
 OracleOutcome executor_determinism_adapter(const Circuit&, std::uint64_t seed,
                                            const OracleTuning&) {
   return check_executor_determinism(seed);
+}
+
+OracleOutcome peek_vs_probe_adapter(const Circuit&, std::uint64_t seed,
+                                    const OracleTuning&) {
+  return check_peek_vs_probe(seed);
 }
 
 }  // namespace
@@ -1477,6 +1671,7 @@ const std::vector<OracleSpec>& all_oracles() {
       {"net-fault", CircuitKind::kUnitary, check_net_fault, false, true},
       {"executor-determinism", CircuitKind::kNone,
        executor_determinism_adapter, false},
+      {"peek-vs-probe", CircuitKind::kNone, peek_vs_probe_adapter, false},
   };
   return kOracles;
 }

@@ -66,6 +66,15 @@
 //                 deterministically forces task 0 to *finish last*
 //                 (planted bug 15 commits in arrival order and fails
 //                 exactly that schedule).
+//   peek-vs-probe — NinjaStarLayer's diagnostics read the probe syndrome
+//                 and the logical sign through Core::peek.  After noisy
+//                 windows, logical X/Z/H, injected Paulis and H's that
+//                 leave a check or ancilla undetermined (d 3 or 5, frame
+//                 on or off, either basis), both must equal the probe
+//                 circuits on a snapshot twin that cannot read, and the
+//                 read must answer exactly when the twin's circuit draws
+//                 no randomness (planted bug 16 drops the Z half of the
+//                 frame's flip).
 #pragma once
 
 #include <cstdint>
@@ -153,6 +162,7 @@ enum class CircuitKind : std::uint8_t {
                                             std::uint64_t seed,
                                             const OracleTuning& tuning);
 [[nodiscard]] OracleOutcome check_executor_determinism(std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_peek_vs_probe(std::uint64_t seed);
 
 // --- Registry ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ BiasedNoiseModel::BiasedNoiseModel(double p, double eta, std::uint64_t seed)
       px_(p / (2.0 * (eta + 1.0))),
       pz_(p * eta / (eta + 1.0)),
       rng_(seed) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails too
     throw StackConfigError("BiasedNoiseModel", "p out of [0,1]");
   }
   if (eta <= 0.0) {

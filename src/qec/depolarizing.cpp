@@ -49,7 +49,7 @@ FlipThreshold::FlipThreshold(double p) {
 
 DepolarizingModel::DepolarizingModel(double p, std::uint64_t seed)
     : p_(p), threshold_(p), rng_(seed) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails too
     throw StackConfigError("DepolarizingModel", "p out of [0,1]");
   }
 }

@@ -146,6 +146,52 @@ const Circuit& NinjaStar::logical_stabilizer_circuit(CheckType basis) const {
   return stabilizer;
 }
 
+const std::vector<stab::SparsePauli>& NinjaStar::esm_observables() const {
+  std::vector<stab::SparsePauli>& observables =
+      esm_observables_[static_cast<std::size_t>(orientation_) * 2 +
+                       static_cast<std::size_t>(dance_)];
+  if (observables.empty()) {
+    const std::vector<int>& order = esm_measurement_order();
+    for (const int a : order) {
+      const SurfaceCheck& check =
+          layout_->checks()[static_cast<std::size_t>(a)];
+      const stab::Pauli pauli =
+          check.effective_type(orientation_) == CheckType::kX ? stab::Pauli::kX
+                                                              : stab::Pauli::kZ;
+      stab::SparsePauli parity;
+      for (const int d : check.support) {
+        parity.terms.push_back({layout_->data_qubit(base_, d), pauli});
+      }
+      observables.push_back(std::move(parity));
+    }
+    for (const int a : order) {
+      observables.push_back(
+          {{{layout_->ancilla_qubit(base_, a), stab::Pauli::kZ}}, false});
+    }
+  }
+  return observables;
+}
+
+const std::vector<stab::SparsePauli>& NinjaStar::logical_stabilizer_observables(
+    CheckType basis) const {
+  std::vector<stab::SparsePauli>& observables =
+      stabilizer_observables_[static_cast<std::size_t>(orientation_) * 2 +
+                              static_cast<std::size_t>(basis)];
+  if (observables.empty()) {
+    const bool z = basis == CheckType::kZ;
+    stab::SparsePauli chain;
+    for (const int d : z ? layout_->logical_z_data(orientation_)
+                         : layout_->logical_x_data(orientation_)) {
+      chain.terms.push_back({layout_->data_qubit(base_, d),
+                             z ? stab::Pauli::kZ : stab::Pauli::kX});
+    }
+    observables.push_back(std::move(chain));
+    observables.push_back(
+        {{{layout_->ancilla_qubit(base_, 0), stab::Pauli::kZ}}, false});
+  }
+  return observables;
+}
+
 Circuit NinjaStar::logical_cnot_circuit(const NinjaStar& control,
                                         const NinjaStar& target) {
   Circuit circuit{"cnot_L"};

@@ -17,6 +17,7 @@
 #include "journal/snapshot.h"
 #include "qec/lut_decoder.h"
 #include "qec/surface_code.h"
+#include "stabilizer/pauli_string.h"
 
 namespace qpf::qec {
 
@@ -83,6 +84,16 @@ class NinjaStar {
   /// Fig 5.10 logical-error detection circuit (borrow local ancilla 0).
   [[nodiscard]] const Circuit& logical_stabilizer_circuit(
       CheckType basis) const;
+  // The observables that decide the two circuits above without running
+  // them, cached the same way.  When all of them are fixed, the circuit
+  // draws no randomness and reads exactly their values.
+  /// Each measured check in esm_measurement_order(), then Z of each of
+  /// those ancillas (the ones the round resets).
+  [[nodiscard]] const std::vector<stab::SparsePauli>& esm_observables() const;
+  /// The logical chain logical_stabilizer_circuit(basis) measures, then
+  /// Z of the ancilla it borrows and resets.
+  [[nodiscard]] const std::vector<stab::SparsePauli>&
+  logical_stabilizer_observables(CheckType basis) const;
 
   /// Transversal CNOT_L / CZ_L; pairing depends on both orientations
   /// (§2.6.1).
@@ -246,6 +257,9 @@ class NinjaStar {
   mutable std::array<Circuit, 4> esm_;
   mutable std::array<std::vector<int>, 4> esm_order_;
   mutable std::array<Circuit, 4> stabilizer_;
+  mutable std::array<std::vector<stab::SparsePauli>, 4> esm_observables_;
+  mutable std::array<std::vector<stab::SparsePauli>, 4>
+      stabilizer_observables_;
 };
 
 }  // namespace qpf::qec

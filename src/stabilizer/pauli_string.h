@@ -2,12 +2,16 @@
 //
 // Used to express the SC17 stabilizers of Tables 2.1 / 2.2 and to query
 // the tableau simulator for stabilizer membership and expectation values.
+// SparsePauli lists only the non-identity factors: the form the batch
+// reads of a wide register take (Tableau::expectations, Core::peek).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "circuit/operation.h"
 
 namespace qpf::stab {
 
@@ -56,6 +60,18 @@ class PauliString {
  private:
   std::vector<Pauli> paulis_;
   bool negative_ = false;
+};
+
+/// One non-identity factor of a SparsePauli.
+struct PauliTerm {
+  Qubit qubit = 0;
+  Pauli pauli = Pauli::kI;
+};
+
+/// A signed Pauli observable given by its factors, on distinct qubits.
+struct SparsePauli {
+  std::vector<PauliTerm> terms;
+  bool negative = false;
 };
 
 }  // namespace qpf::stab

@@ -12,13 +12,17 @@
 // counters), keeping the O(n^2/w) CHP cost while the per-gate cost
 // drops to O(n/w).  A per-qubit Z-eigenvalue hint, kept by every gate
 // kernel, lets a measurement or reset whose outcome the tableau already
-// knows skip the stabilizer product.  See DESIGN.md "Word-parallel
-// tableau kernels".
+// knows skip the stabilizer product.  Expectation values are read
+// without touching the state: a word-wide XOR of an observable's
+// columns finds the rows it anticommutes with, and the sign of its
+// stabilizer product comes from its own columns when the product has
+// at most two rows.  See DESIGN.md "Word-parallel tableau kernels".
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -79,6 +83,16 @@ class Tableau {
   /// state: +1 / -1 when it is (anti)stabilized, 0 when the measurement
   /// outcome would be random.
   [[nodiscard]] int expectation(const PauliString& p) const;
+
+  /// Batch form: values[k] = expectation of observables[k]; a Z-only
+  /// observable on hinted qubits is answered from the hints.  Reads
+  /// only: the state, the RNG and the save() bytes stay as they were;
+  /// but it uses member scratch, so two threads must not read one
+  /// tableau at once.  Throws std::invalid_argument when the spans
+  /// differ in length and std::out_of_range for a qubit outside the
+  /// register.
+  void expectations(std::span<const SparsePauli> observables,
+                    std::span<int> values) const;
 
   /// True if the signed Pauli string stabilizes the current state.
   [[nodiscard]] bool is_stabilized_by(const PauliString& p) const {
@@ -165,6 +179,11 @@ class Tableau {
   std::vector<std::uint8_t> z_hint_;
   std::mt19937_64 rng_;
   std::vector<MeasureResult> measurements_;
+  // expectations() scratch, not state: the current observable's
+  // anticommuting rows and the destabilizer and stabilizer row masks
+  // (cw_ words each), and the rows of its product.
+  mutable std::vector<std::uint64_t> read_scratch_;
+  mutable std::vector<std::size_t> read_factors_;
 };
 
 }  // namespace qpf::stab

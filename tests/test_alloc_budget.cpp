@@ -1,9 +1,11 @@
 // Allocation budget of the QEC window: a warmed-up LerTrial::step() --
-// one window plus the diagnostics probes on the Fig 5.8 stack -- may
-// make only a few heap allocations.  The rewrite buffers, the ChpCore
-// queue and the cached ESM circuits are reused; what is left is mostly
-// the BinaryState that Core::get_state() returns by value.  Tableau
-// measurements and resets, random or not, allocate nothing.
+// one window plus the diagnostics on the Fig 5.8 stack -- may make only
+// a few heap allocations.  The rewrite buffers, the ChpCore queue and
+// the cached ESM circuits and observables are reused; what is left is
+// mostly the BinaryState that Core::get_state() returns by value, about
+// 2 allocations a step (about 4 while the diagnostics ran circuits).
+// Tableau measurements and resets, random or not, and the diagnostics'
+// reads allocate nothing.
 //
 // This file is its own executable (qpf_alloc_tests) because it replaces
 // the global operator new with a counting one.
@@ -16,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/control_stack.h"
 #include "ler_common.h"
 #include "stabilizer/tableau.h"
 
@@ -86,6 +89,39 @@ TEST(AllocBudgetTest, NoFrameWindowStaysWithinBudget) {
       allocations_per_step(endless(3e-4, false, qec::CheckType::kX));
   RecordProperty("allocations_per_step", std::to_string(per_step));
   EXPECT_LE(per_step, kBudgetPerStep);
+}
+
+// The diagnostics on a warmed LerStack (the ler_pf shape), read from
+// the stack: no probe circuit reaches the frame, and nothing allocates.
+TEST(AllocBudgetTest, DiagnosticReadsDoNotAllocate) {
+  arch::LerStack::Config config;
+  config.physical_error_rate = 1e-3;
+  config.with_pauli_frame = true;
+  config.seed = 7;
+  arch::LerStack stack(config);
+  stack.set_diagnostic_mode(true);
+  stack.ninja().initialize(0, qec::CheckType::kZ);
+  stack.set_diagnostic_mode(false);
+  const pf::FrameStats& frame = stack.pauli_frame_layer()->frame().stats();
+  std::size_t allocations = 0;
+  std::size_t read = 0;
+  for (int step = 0; step < 3000; ++step) {
+    stack.ninja().run_window(0);
+    stack.set_diagnostic_mode(true);
+    const std::size_t gates = frame.input_gates;
+    const std::size_t before = g_allocations.load();
+    (void)stack.ninja().has_observable_errors(0);
+    (void)stack.ninja().measure_logical_stabilizer(0, qec::CheckType::kZ);
+    const std::size_t after = g_allocations.load();
+    stack.set_diagnostic_mode(false);
+    if (step < 100 || frame.input_gates != gates) {
+      continue;  // warming up, or a read declined and a circuit ran
+    }
+    allocations += after - before;
+    ++read;
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(read, 2500u);
 }
 
 // A warmed Tableau(17): 10k random measurements, 10k deterministic

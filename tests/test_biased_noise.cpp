@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "circuit/error.h"
 
 #include "arch/biased_error_layer.h"
@@ -27,6 +29,7 @@ TEST(BiasedNoiseTest, HalfBiasIsSymmetric) {
 
 TEST(BiasedNoiseTest, ValidationRejectsBadParameters) {
   EXPECT_THROW(BiasedNoiseModel(-0.1, 1.0, 1), StackConfigError);
+  EXPECT_THROW(BiasedNoiseModel(std::nan(""), 1.0, 1), StackConfigError);
   EXPECT_THROW(BiasedNoiseModel(0.1, 0.0, 1), StackConfigError);
   EXPECT_THROW(BiasedNoiseModel(0.1, -2.0, 1), StackConfigError);
 }

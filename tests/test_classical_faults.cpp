@@ -3,6 +3,8 @@
 // full LerStack fault campaign.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/chp_core.h"
 #include "arch/classical_fault_layer.h"
 #include "arch/control_stack.h"
@@ -35,6 +37,9 @@ TEST(ClassicalFaultLayerTest, RatesValidated) {
   EXPECT_THROW(
       ClassicalFaultLayer(&core, ClassicalFaultRates::uniform(2.0), 1),
       StackConfigError);
+  EXPECT_THROW(ClassicalFaultLayer(
+                   &core, ClassicalFaultRates{0, 0, 0, std::nan("")}, 1),
+               StackConfigError);
   EXPECT_NO_THROW(
       ClassicalFaultLayer(&core, ClassicalFaultRates::uniform(1.0), 1));
 }

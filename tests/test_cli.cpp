@@ -1,16 +1,21 @@
-// Tests for the qpf_run command-line library (cli/runner.h).
+// Tests for the qpf_run command-line library (cli/runner.h), and for
+// the numeric arguments of the qpf_ler and qpf_chaos binaries.
 #include "cli/runner.h"
 
 #include "journal/run_journal.h"
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 namespace qpf::cli {
@@ -251,6 +256,58 @@ TEST(CliToolTest, SuccessfulRunExitsZero) {
   EXPECT_NE(out.str().find("|01>"), std::string::npos);
   EXPECT_TRUE(err.str().empty());
   std::remove(path);
+}
+
+/// Run a built tool binary with `arguments` (stdout discarded); returns
+/// its exit code, 128 + the signal when one killed it, and its stderr.
+int run_binary(const std::string& binary, const std::string& arguments,
+               std::string& err) {
+  // One file per test: ctest runs the cases of this suite in parallel.
+  const std::string err_path =
+      std::string("cli_tool_stderr_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  const int status = std::system(
+      (binary + " " + arguments + " > /dev/null 2> " + err_path).c_str());
+  std::ifstream in(err_path);
+  err.assign(std::istreambuf_iterator<char>(in),
+             std::istreambuf_iterator<char>());
+  std::remove(err_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+/// Both LER tools reject `option` with exit 2 and the usage text.
+void expect_usage_error(const std::string& option) {
+  const std::string ler = QPF_LER_TOOL;
+  const std::string chaos = QPF_CHAOS_TOOL;
+  for (const std::string& tool :
+       {ler + " --max-windows=10 --runs=1",
+        chaos + " --scenario=baseline --max-windows=10"}) {
+    std::string err;
+    EXPECT_EQ(run_binary(tool, option, err), 2) << tool << " " << option;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << tool << " " << option;
+  }
+}
+
+TEST(CliToolTest, LerToolsRejectANegativeCount) {
+  // std::stoull wrapped "-1" to 2^64 - 1, and the seed vector of that
+  // many trials aborted with std::length_error.
+  expect_usage_error("--runs=-1");
+}
+
+TEST(CliToolTest, LerToolsRejectANanRate) {
+  // NaN passed `p < 0 || p > 1` and ran a noise-free campaign.
+  expect_usage_error("--per=nan");
+}
+
+TEST(CliToolTest, LerToolsRejectTrailingText) {
+  // std::stod read "1e-3junk" as 1e-3.
+  expect_usage_error("--per=1e-3junk");
+}
+
+TEST(CliParseTest, NanRatesAreRejected) {
+  EXPECT_FALSE(parse({"--error-rate=nan", "a.qasm"}).has_value());
+  EXPECT_FALSE(parse({"--classical-fault-rate=nan", "a.qasm"}).has_value());
 }
 
 TEST(CliParseTest, CheckpointFlags) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "circuit/error.h"
 
 namespace qpf::qec {
@@ -105,6 +107,7 @@ TEST(DepolarizingTest, TwoQubitErrorsCoverBothSides) {
 TEST(DepolarizingTest, InvalidRateRejected) {
   EXPECT_THROW(DepolarizingModel(-0.1, 1), StackConfigError);
   EXPECT_THROW(DepolarizingModel(1.5, 1), StackConfigError);
+  EXPECT_THROW(DepolarizingModel(std::nan(""), 1), StackConfigError);
 }
 
 TEST(DepolarizingTest, RegisterTooSmallRejected) {

@@ -44,8 +44,9 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"conjugation", "metamorphic"};
     case 4:  // skipped non-Clifford flush
       return {"semantics", "mirror-chp", "mirror-qx"};
-    case 5:  // reset keeps the record
-      return {"mirror-chp", "mirror-qx", "arbiter", "sampling"};
+    case 5:  // reset keeps the record (the probe ESM's resets keep them)
+      return {"mirror-chp", "mirror-qx", "arbiter", "sampling",
+              "peek-vs-probe"};
     case 6:  // layer corrects measurements with the Z component
       return {"sampling", "mirror-chp", "mirror-qx", "metamorphic"};
     case 7:  // tableau H kernel drops the sign word
@@ -54,8 +55,9 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"lut-window"};
     case 9:  // supervisor replay drops the first pending circuit
       return {"chaos"};
-    case 10:  // snapshot drops the primary record bank
-      return {"snapshot"};
+    case 10:  // snapshot drops the primary record bank (peek-vs-probe
+              // builds its twins from snapshots)
+      return {"snapshot", "peek-vs-probe"};
     case 11:  // arbiter forwards absorbed Paulis to the PEL
       return {"arbiter", "mirror-chp", "mirror-qx"};
     case 12:  // wire-frame decoder skips the body CRC
@@ -66,6 +68,8 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"net-fault"};
     case 15:  // executor commits results in arrival order
       return {"executor-determinism"};
+    case 16:  // the frame's observable read ignores its Z records
+      return {"peek-vs-probe"};
     default:
       return {};
   }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "circuit/error.h"
+#include "cli/numeric_args.h"
 #include "cli/stdio_guard.h"
 #include "io/file_ops.h"
 #include "ler_common.h"
@@ -168,23 +169,23 @@ int main(int argc, char** argv) {
       if (consume_prefix(argument, "--scenario=", value)) {
         scenario = value;
       } else if (consume_prefix(argument, "--per=", value)) {
-        options.config.physical_error_rate = std::stod(value);
+        options.config.physical_error_rate = qpf::cli::parse_rate(value);
       } else if (consume_prefix(argument, "--runs=", value)) {
-        options.runs = std::stoull(value);
+        options.runs = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--errors=", value)) {
-        options.config.target_logical_errors = std::stoull(value);
+        options.config.target_logical_errors = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--max-windows=", value)) {
-        options.config.max_windows = std::stoull(value);
+        options.config.max_windows = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--seed=", value)) {
-        options.config.seed = std::stoull(value);
+        options.config.seed = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--chaos-seed=", value)) {
-        options.config.chaos.seed = std::stoull(value);
+        options.config.chaos.seed = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--state-dir=", value)) {
         options.state_dir = value;
       } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-        options.checkpoint_every_windows = std::stoull(value);
+        options.checkpoint_every_windows = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--jobs=", value)) {
-        options.jobs = qpf::bench::resolve_jobs(std::stoull(value));
+        options.jobs = qpf::bench::resolve_jobs(qpf::cli::parse_count(value));
       } else if (argument == "--help") {
         usage(std::cout);
         return 0;
