@@ -128,12 +128,14 @@ void BM_QecWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_QecWindow)->Arg(0)->Arg(1);
 
-// What LerTrial::step() costs: BM_QecWindow plus the diagnostics, so the
-// gap between the two is the diagnostics' share.
+// What LerTrial::step() costs at distance d: BM_QecWindow plus the
+// diagnostics, so at d = 3 the gap between the two is the diagnostics'
+// share.
 void BM_LerStep(benchmark::State& state) {
   bench::LerConfig config;
   config.physical_error_rate = 1e-3;
-  config.with_pauli_frame = state.range(0) != 0;
+  config.ninja_options.distance = static_cast<int>(state.range(0));
+  config.with_pauli_frame = state.range(1) != 0;
   config.target_logical_errors = ~std::size_t{0};
   config.max_windows = ~std::size_t{0};
   bench::LerTrial trial(config);
@@ -144,7 +146,7 @@ void BM_LerStep(benchmark::State& state) {
   state.SetLabel(config.with_pauli_frame ? "with-pauli-frame"
                                          : "without-pauli-frame");
 }
-BENCHMARK(BM_LerStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_LerStep)->ArgNames({"d", "frame"})->ArgsProduct({{3, 5, 7}, {0, 1}});
 
 // --- --json kernel sweep ---------------------------------------------
 

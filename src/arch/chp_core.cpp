@@ -114,6 +114,9 @@ void ChpCore::load_state(journal::SnapshotReader& in) {
     tableau_.reset();
   }
   const std::size_t register_size = in.read_size();
+  if (tableau_ == nullptr && register_size != 0) {
+    throw CheckpointError("chp core snapshot: register without a tableau");
+  }
   binary_.clear();
   for (std::size_t i = 0; i < register_size; ++i) {
     const std::uint8_t v = in.read_u8();

@@ -20,7 +20,9 @@
 //                                plus the scripted chaos schedule)
 //       ErrorLayer               (symmetric depolarizing noise)
 //       CounterLayer  (bottom)  (physical stream incl. injected faults)
-//       ChpCore                  (stabilizer simulation backend)
+//       FrameCore                (stabilizer simulation backend: a
+//                                Pauli frame over a memoised noiseless
+//                                reference, exactly ChpCore's results)
 //
 // diagnostic mode bypasses the error, classical-fault, counter, timing
 // and supervisor layers (§5.3.1) so the probe circuits are fault-free
@@ -40,10 +42,10 @@
 #include <cstdint>
 #include <memory>
 
-#include "arch/chp_core.h"
 #include "arch/classical_fault_layer.h"
 #include "arch/counter_layer.h"
 #include "arch/error_layer.h"
+#include "arch/frame_core.h"
 #include "arch/ninja_star_layer.h"
 #include "arch/pauli_frame_layer.h"
 #include "arch/supervisor_layer.h"
@@ -101,6 +103,9 @@ class LerStack {
     return error_->tally();
   }
 
+  /// The core at the bottom of the stack (memo statistics).
+  [[nodiscard]] const FrameCore& core() const noexcept { return core_; }
+
   [[nodiscard]] bool has_pauli_frame() const noexcept {
     return frame_ != nullptr;
   }
@@ -152,7 +157,7 @@ class LerStack {
   void load_state(journal::SnapshotReader& in);
 
  private:
-  ChpCore core_;
+  FrameCore core_;
   std::unique_ptr<CounterLayer> counter_bottom_;
   std::unique_ptr<ErrorLayer> error_;
   std::unique_ptr<ClassicalFaultLayer> faults_;  // may be null

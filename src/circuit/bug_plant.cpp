@@ -96,6 +96,9 @@ const char* describe(int n) noexcept {
       return "frame-read-ignores-z: the frame's observable read flips a "
              "value only for X records, ignoring the Z half, so X-type "
              "checks and chains read the pre-correction sign";
+    case 17:
+      return "frame-core-hit-ignores-x: a FrameCore memo hit reports the "
+             "reference's measurement bit without the X record's flip";
     default:
       return "?";
   }

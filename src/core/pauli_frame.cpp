@@ -1,5 +1,7 @@
 #include "core/pauli_frame.h"
 
+#include <stdexcept>
+
 #include "circuit/bug_plant.h"
 #include "circuit/error.h"
 
@@ -170,20 +172,29 @@ std::size_t PauliFrame::flush_into(Qubit q, Circuit& out) {
   return (has_x(r) ? 1 : 0) + (has_z(r) ? 1 : 0);
 }
 
-void PauliFrame::correct_values(std::span<const stab::SparsePauli> observables,
-                                std::span<int> values) const {
+void correct_values(std::span<const PauliRecord> records,
+                    std::span<const stab::SparsePauli> observables,
+                    std::span<int> values) {
   // Records and Paulis both keep X in bit 0 and Z in bit 1.
   const unsigned see_z = plant::bug(16) ? 0 : 1;  // mutation hook: ignore Z
   for (std::size_t k = 0; k < observables.size(); ++k) {
     unsigned flip = 0;
     for (const stab::PauliTerm& term : observables[k].terms) {
-      const auto r = static_cast<unsigned>(records_.at(term.qubit));
+      if (term.qubit >= records.size()) {
+        throw std::out_of_range("correct_values: qubit without a record");
+      }
+      const auto r = static_cast<unsigned>(records[term.qubit]);
       const auto p = static_cast<unsigned>(term.pauli);
       // X anticommutes with a Z record, Z with an X record.
       flip ^= (p & (r >> 1) & see_z) ^ ((p >> 1) & r & 1);
     }
     values[k] = flip != 0 ? -values[k] : values[k];
   }
+}
+
+void PauliFrame::correct_values(std::span<const stab::SparsePauli> observables,
+                                std::span<int> values) const {
+  pf::correct_values(records_, observables, values);
 }
 
 std::vector<Operation> PauliFrame::flush(Qubit q) {
@@ -272,7 +283,7 @@ void write_bank(journal::SnapshotWriter& out,
 
 std::vector<PauliRecord> read_bank(journal::SnapshotReader& in) {
   const std::size_t size = in.read_size();
-  if (size > (std::size_t{1} << 32)) {
+  if (size > in.remaining()) {
     throw CheckpointError("pauli frame snapshot: implausible bank size " +
                           std::to_string(size));
   }
@@ -331,11 +342,11 @@ PauliFrame PauliFrame::load(journal::SnapshotReader& in) {
   const auto protection = static_cast<Protection>(protection_byte);
   std::vector<PauliRecord> records = read_bank(in);
   const std::size_t guard_size = in.read_size();
+  if (guard_size > in.remaining()) {
+    throw CheckpointError("pauli frame snapshot: implausible guard size");
+  }
   std::vector<std::uint8_t> guard(guard_size);
   if (guard_size != 0) {
-    if (guard_size > (std::size_t{1} << 32)) {
-      throw CheckpointError("pauli frame snapshot: implausible guard size");
-    }
     in.read_bytes(guard.data(), guard_size);
   }
   std::vector<PauliRecord> bank_b = read_bank(in);

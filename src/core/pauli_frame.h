@@ -63,6 +63,15 @@ struct FrameStats {
   }
 };
 
+/// Turn values of observables read on the physical state into values
+/// on the ideal state: negate values[k] wherever observables[k]
+/// anticommutes with the records, one per qubit (physical state =
+/// records x ideal state); the observable-level Table 3.2.  Throws
+/// std::out_of_range for a qubit without a record.
+void correct_values(std::span<const PauliRecord> records,
+                    std::span<const stab::SparsePauli> observables,
+                    std::span<int> values);
+
 /// Record-store protection scheme against classical memory faults.
 enum class Protection : std::uint8_t {
   kNone,    ///< plain records, zero overhead
@@ -133,11 +142,9 @@ class PauliFrame {
     return map_measurement(load(q), raw);
   }
 
-  /// Turn values of observables read on the physical state into values
-  /// on the ideal state: negate values[k] wherever observables[k]
-  /// anticommutes with the records (physical state = records x ideal
-  /// state); the observable-level Table 3.2.  Reads the primary bank
-  /// without verification, so it is exact only under Protection::kNone.
+  /// pf::correct_values() with this frame's records.  Reads the primary
+  /// bank without verification, so it is exact only under
+  /// Protection::kNone.
   void correct_values(std::span<const stab::SparsePauli> observables,
                       std::span<int> values) const;
 

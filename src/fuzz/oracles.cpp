@@ -14,6 +14,7 @@
 #include "arch/chp_core.h"
 #include "arch/classical_fault_layer.h"
 #include "arch/error_layer.h"
+#include "arch/frame_core.h"
 #include "arch/ninja_star_layer.h"
 #include "arch/pauli_frame_layer.h"
 #include "arch/qx_core.h"
@@ -1624,6 +1625,163 @@ OracleOutcome check_peek_vs_probe(std::uint64_t seed) {
   return OracleOutcome::pass();
 }
 
+// --- frame-core -------------------------------------------------------
+
+namespace {
+
+/// A random Clifford skeleton on n >= 2 qubits: either a parity round
+/// (reset the last qubit, CNOT or H-CNOT-H checks from the others onto
+/// it, measure it), whose repeats reach the same reference states so
+/// FrameCore's memo hits, or a scramble of random Cliffords, resets and
+/// measurements that draws randomness.
+Circuit frame_core_skeleton(std::size_t n, SplitMix& rng) {
+  Circuit out{"skeleton"};
+  const auto ancilla = static_cast<Qubit>(n - 1);
+  const auto pick = [&](std::size_t bound) {
+    return static_cast<Qubit>(rng.below(bound));
+  };
+  if (rng.chance(0.6)) {
+    out.append(GateType::kPrepZ, ancilla);
+    const bool x_check = rng.chance(0.5);
+    if (x_check) {
+      out.append(GateType::kH, ancilla);
+    }
+    for (Qubit q = 0; q < ancilla; ++q) {
+      if (rng.chance(0.7)) {
+        if (x_check) {
+          out.append(GateType::kCnot, ancilla, q);
+        } else {
+          out.append(GateType::kCnot, q, ancilla);
+        }
+      }
+    }
+    if (x_check) {
+      out.append(GateType::kH, ancilla);
+    }
+    out.append(GateType::kMeasureZ, ancilla);
+    return out;
+  }
+  static constexpr GateType kOneQubit[] = {GateType::kH, GateType::kS,
+                                           GateType::kSdag, GateType::kPrepZ,
+                                           GateType::kMeasureZ};
+  static constexpr GateType kTwoQubit[] = {GateType::kCnot, GateType::kCz,
+                                           GateType::kSwap};
+  const std::size_t gates = 2 + rng.below(8);
+  for (std::size_t g = 0; g < gates; ++g) {
+    if (rng.chance(0.35)) {
+      const Qubit a = pick(n);
+      const auto b = static_cast<Qubit>((a + 1 + pick(n - 1)) % n);
+      out.append(kTwoQubit[rng.below(3)], a, b);
+    } else {
+      out.append(kOneQubit[rng.below(5)], pick(n));
+    }
+  }
+  return out;
+}
+
+/// The skeleton with Paulis (I included) sprinkled before its gates and
+/// at its end, one operation per slot.
+Circuit with_paulis(const Circuit& skeleton, std::size_t n, SplitMix& rng) {
+  static constexpr GateType kPaulis[] = {GateType::kI, GateType::kX,
+                                         GateType::kY, GateType::kZ};
+  Circuit out{"batch"};
+  const auto sprinkle = [&] {
+    while (rng.chance(0.3)) {
+      out.append_in_new_slot(Operation{kPaulis[rng.below(4)],
+                                       static_cast<Qubit>(rng.below(n))});
+    }
+  };
+  for (const Operation& op : skeleton.operations()) {
+    sprinkle();
+    out.append_in_new_slot(op);
+  }
+  sprinkle();
+  return out;
+}
+
+/// Random signed observables on distinct qubits.
+std::vector<stab::SparsePauli> frame_core_observables(std::size_t n,
+                                                      SplitMix& rng) {
+  std::vector<stab::SparsePauli> out(1 + rng.below(4));
+  for (stab::SparsePauli& observable : out) {
+    observable.negative = rng.chance(0.5);
+    for (std::size_t q = 0; q < n; ++q) {
+      if (rng.chance(0.5)) {
+        observable.terms.push_back(
+            {static_cast<Qubit>(q),
+             static_cast<stab::Pauli>(1 + rng.below(3))});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> snapshot_bytes(const arch::Core& core) {
+  journal::SnapshotWriter out;
+  core.save_state(out);
+  return out.bytes();
+}
+
+}  // namespace
+
+OracleOutcome check_frame_core(std::uint64_t seed) {
+  constexpr std::size_t kSteps = 24;
+  SplitMix rng(derive_seed(seed, label_hash("frame-core")));
+  const std::size_t n = 2 + rng.below(5);
+  const std::uint64_t core_seed = derive_seed(seed, label_hash("core"));
+  arch::ChpCore chp(core_seed);
+  auto frame = std::make_unique<arch::FrameCore>(core_seed);
+  chp.create_qubits(n);
+  frame->create_qubits(n);
+  std::vector<Circuit> skeletons;
+  for (std::size_t k = 1 + rng.below(3); k > 0; --k) {
+    skeletons.push_back(frame_core_skeleton(n, rng));
+  }
+  const std::size_t cut = rng.below(kSteps);
+  std::vector<int> chp_values;
+  std::vector<int> frame_values;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const Circuit batch =
+        with_paulis(skeletons[rng.below(skeletons.size())], n, rng);
+    arch::run(chp, batch);
+    arch::run(*frame, batch);
+    std::ostringstream why;
+    why << "n=" << n << " step " << step << ": ";
+    const std::string chp_state = render(chp.get_state());
+    const std::string frame_state = render(frame->get_state());
+    if (chp_state != frame_state) {
+      why << "get_state " << frame_state << " vs ChpCore " << chp_state
+          << " after " << batch.num_operations() << " operations";
+      return OracleOutcome::fail(why.str());
+    }
+    const std::vector<stab::SparsePauli> observables =
+        frame_core_observables(n, rng);
+    chp_values.assign(observables.size(), 0);
+    frame_values.assign(observables.size(), 0);
+    chp.peek(observables, chp_values);
+    frame->peek(observables, frame_values);
+    if (chp_values != frame_values) {
+      why << "peek values differ from ChpCore's";
+      return OracleOutcome::fail(why.str());
+    }
+    const std::vector<std::uint8_t> bytes = snapshot_bytes(*frame);
+    if (bytes != snapshot_bytes(chp)) {
+      why << "save_state bytes differ from ChpCore's";
+      return OracleOutcome::fail(why.str());
+    }
+    if (step == cut) {
+      // Resume from the bytes: into a fresh core, or into this one with
+      // its memo kept.
+      if (rng.chance(0.5)) {
+        frame = std::make_unique<arch::FrameCore>();
+      }
+      journal::SnapshotReader in{bytes};
+      frame->load_state(in);
+    }
+  }
+  return OracleOutcome::pass();
+}
+
 // --- registry ---------------------------------------------------------
 
 namespace {
@@ -1646,6 +1804,11 @@ OracleOutcome executor_determinism_adapter(const Circuit&, std::uint64_t seed,
 OracleOutcome peek_vs_probe_adapter(const Circuit&, std::uint64_t seed,
                                     const OracleTuning&) {
   return check_peek_vs_probe(seed);
+}
+
+OracleOutcome frame_core_adapter(const Circuit&, std::uint64_t seed,
+                                 const OracleTuning&) {
+  return check_frame_core(seed);
 }
 
 }  // namespace
@@ -1672,6 +1835,7 @@ const std::vector<OracleSpec>& all_oracles() {
       {"executor-determinism", CircuitKind::kNone,
        executor_determinism_adapter, false},
       {"peek-vs-probe", CircuitKind::kNone, peek_vs_probe_adapter, false},
+      {"frame-core", CircuitKind::kNone, frame_core_adapter, false},
   };
   return kOracles;
 }

@@ -75,6 +75,15 @@
 //                 read must answer exactly when the twin's circuit draws
 //                 no randomness (planted bug 16 drops the Z half of the
 //                 frame's flip).
+//   frame-core  — FrameCore against ChpCore from one seed on random
+//                 Clifford+Pauli batches: parity rounds repeated with
+//                 fresh Paulis (so the memo hits, with X records on
+//                 measured ancillas) and scrambles with resets and
+//                 random measurements (so the frame absorbs pivots);
+//                 get_state, random peeks and save_state bytes must
+//                 agree after every batch, and at a random cut the run
+//                 resumes from those bytes (planted bug 17 drops the X
+//                 record from a memo hit).
 #pragma once
 
 #include <cstdint>
@@ -163,6 +172,7 @@ enum class CircuitKind : std::uint8_t {
                                             const OracleTuning& tuning);
 [[nodiscard]] OracleOutcome check_executor_determinism(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_peek_vs_probe(std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_frame_core(std::uint64_t seed);
 
 // --- Registry ---------------------------------------------------------
 

@@ -120,6 +120,12 @@ class SnapshotReader {
     return offset_ == bytes_.size();
   }
   [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
+  /// Bytes not yet consumed: an upper bound on anything the rest of
+  /// the stream can hold, for loaders to check a size against before
+  /// they allocate for it.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return bytes_.size() - offset_;
+  }
 
  private:
   void expect_type(std::uint8_t expected);

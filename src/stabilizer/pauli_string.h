@@ -66,12 +66,16 @@ class PauliString {
 struct PauliTerm {
   Qubit qubit = 0;
   Pauli pauli = Pauli::kI;
+
+  [[nodiscard]] bool operator==(const PauliTerm&) const = default;
 };
 
 /// A signed Pauli observable given by its factors, on distinct qubits.
 struct SparsePauli {
   std::vector<PauliTerm> terms;
   bool negative = false;
+
+  [[nodiscard]] bool operator==(const SparsePauli&) const = default;
 };
 
 }  // namespace qpf::stab

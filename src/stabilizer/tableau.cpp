@@ -400,19 +400,9 @@ MeasureResult Tableau::measure(Qubit q) {
     set_r_bit(scratch, value);
     return {.value = value, .deterministic = true};
   }
-  // Look for a stabilizer row that anticommutes with Z_q: a set bit in
-  // the rows [n, 2n) slice of X column q.
   const std::uint64_t* xq = x_col(q);
-  std::size_t p = 0;
-  bool random = false;
-  for (std::size_t w = n_ / kWordBits; w < cw_ && !random; ++w) {
-    const std::uint64_t hits = xq[w] & range_mask(w, n_, 2 * n_);
-    if (hits != 0) {
-      p = w * kWordBits + static_cast<std::size_t>(countr_zero64(hits));
-      random = true;
-    }
-  }
-  if (random) {
+  const std::size_t p = scan_pivot(q);
+  if (p != scratch) {
     // Broadcast rowsum: every other row with an X at q absorbs row p.
     // The target mask is exactly X column q over live rows, minus p.
     for (std::size_t w = 0; w < cw_; ++w) {
@@ -454,6 +444,46 @@ MeasureResult Tableau::measure(Qubit q) {
   const bool value = r_bit(scratch);
   z_hint_[q] = value ? 1 : 0;
   return {.value = value, .deterministic = true};
+}
+
+std::size_t Tableau::scan_pivot(Qubit q) const noexcept {
+  // A stabilizer row that anticommutes with Z_q is a set bit in the
+  // rows [n, 2n) slice of X column q.
+  const std::uint64_t* xq = x_col(q);
+  for (std::size_t w = n_ / kWordBits; w < cw_; ++w) {
+    const std::uint64_t hits = xq[w] & range_mask(w, n_, 2 * n_);
+    if (hits != 0) {
+      return w * kWordBits + static_cast<std::size_t>(countr_zero64(hits));
+    }
+  }
+  return 2 * n_;
+}
+
+std::optional<std::size_t> Tableau::random_pivot(Qubit q) const {
+  check_qubit(q);
+  if ((z_hint_[q] & kUnknownZ) == 0) {
+    return std::nullopt;
+  }
+  const std::size_t p = scan_pivot(q);
+  return p == 2 * n_ ? std::nullopt : std::optional<std::size_t>(p - n_);
+}
+
+void Tableau::copy_image(std::uint64_t* words,
+                         std::uint8_t* hints) const noexcept {
+  words = std::copy(xs_.begin(), xs_.end(), words);
+  words = std::copy(zs_.begin(), zs_.end(), words);
+  std::copy(rs_.begin(), rs_.end(), words);
+  std::copy(z_hint_.begin(), z_hint_.end(), hints);
+}
+
+void Tableau::assign_image(const std::uint64_t* words,
+                           const std::uint8_t* hints) noexcept {
+  std::copy(words, words + xs_.size(), xs_.begin());
+  words += xs_.size();
+  std::copy(words, words + zs_.size(), zs_.begin());
+  words += zs_.size();
+  std::copy(words, words + rs_.size(), rs_.begin());
+  std::copy(hints, hints + n_, z_hint_.begin());
 }
 
 void Tableau::reset(Qubit q) {
@@ -678,7 +708,12 @@ void Tableau::save(journal::SnapshotWriter& out) const {
 Tableau Tableau::load(journal::SnapshotReader& in) {
   in.expect_tag("tableau2");
   const std::size_t n = in.read_size();
-  if (n == 0 || n > (std::size_t{1} << 24)) {
+  // The X, Z and sign columns follow as (2n + 1) * ceil((2n+1)/64)
+  // words: a count the rest of the stream cannot hold is rejected
+  // before the tableau is allocated.
+  const std::size_t words = (2 * n + 1 + kWordBits - 1) / kWordBits;
+  if (n == 0 || n > (std::size_t{1} << 24) ||
+      (2 * n + 1) * (words * sizeof(std::uint64_t)) > in.remaining()) {
     throw CheckpointError("tableau snapshot: implausible qubit count " +
                           std::to_string(n));
   }

@@ -115,6 +115,24 @@ class Tableau {
   /// product.
   [[nodiscard]] std::optional<bool> z_hint(Qubit q) const;
 
+  /// The stabilizer generator (index i < n) that measure(q) would
+  /// replace: the first one that anticommutes with Z_q.  nullopt when
+  /// the outcome is determined.
+  [[nodiscard]] std::optional<std::size_t> random_pivot(Qubit q) const;
+
+  // --- State images (arch::FrameCore's reference states) -------------
+  /// Words of an image: the X, Z and sign columns, scratch row included.
+  [[nodiscard]] std::size_t image_words() const noexcept {
+    return (2 * n_ + 1) * cw_;
+  }
+  /// Write the image into `words` (image_words() of them) and the Z
+  /// hints into `hints` (num_qubits() bytes).
+  void copy_image(std::uint64_t* words, std::uint8_t* hints) const noexcept;
+  /// Overwrite the state with a copy_image() of a tableau of the same
+  /// size.  The RNG and the pending measurement records stay.
+  void assign_image(const std::uint64_t* words,
+                    const std::uint8_t* hints) noexcept;
+
   // --- Snapshot / restore (crash-safe experiment engine) -------------
   /// Serialize the complete simulator state: tableau bits (column-major
   /// layout, tag "tableau2"), packed sign words, the RNG engine
@@ -157,6 +175,9 @@ class Tableau {
   /// row whose bit is set in `targets` (cw_ words; p must be excluded),
   /// tracking all phases at once via bit-sliced mod-4 counters.
   void rowsum_batch(const std::uint64_t* targets, std::size_t p);
+  /// Row index (in [n, 2n)) of the first stabilizer with an X or Y at
+  /// q, or 2n when there is none.
+  [[nodiscard]] std::size_t scan_pivot(Qubit q) const noexcept;
   /// Mask of the bits of column word w whose row index is in [lo, hi).
   [[nodiscard]] static std::uint64_t range_mask(std::size_t w, std::size_t lo,
                                                 std::size_t hi) noexcept;

@@ -1,11 +1,12 @@
 // Allocation budget of the QEC window: a warmed-up LerTrial::step() --
 // one window plus the diagnostics on the Fig 5.8 stack -- may make only
-// a few heap allocations.  The rewrite buffers, the ChpCore queue and
-// the cached ESM circuits and observables are reused; what is left is
-// mostly the BinaryState that Core::get_state() returns by value, about
-// 2 allocations a step (about 4 while the diagnostics ran circuits).
-// Tableau measurements and resets, random or not, and the diagnostics'
-// reads allocate nothing.
+// a few heap allocations.  The rewrite buffers, the FrameCore queue and
+// memo and the cached ESM circuits and observables are reused; what is
+// left is mostly the BinaryState that Core::get_state() returns by
+// value, about 2 allocations a step (about 4 while the diagnostics ran
+// circuits).  Tableau measurements and resets, random or not, the
+// diagnostics' reads, and a warmed FrameCore's execute() and peek()
+// allocate nothing.
 //
 // This file is its own executable (qpf_alloc_tests) because it replaces
 // the global operator new with a counting one.
@@ -19,6 +20,10 @@
 #include <gtest/gtest.h>
 
 #include "arch/control_stack.h"
+#include "arch/error_layer.h"
+#include "arch/frame_core.h"
+#include "arch/ninja_star_layer.h"
+#include "arch/pauli_frame_layer.h"
 #include "ler_common.h"
 #include "stabilizer/tableau.h"
 
@@ -122,6 +127,72 @@ TEST(AllocBudgetTest, DiagnosticReadsDoNotAllocate) {
   }
   EXPECT_EQ(allocations, 0u);
   EXPECT_GT(read, 2500u);
+}
+
+/// Right above the core: counts the allocations made below its
+/// execute() and peek().
+class CoreAllocations final : public arch::Layer {
+ public:
+  using Layer::Layer;
+  void execute() override {
+    const std::size_t before = g_allocations.load();
+    lower().execute();
+    allocations += g_allocations.load() - before;
+    ++executes;
+  }
+  void peek(std::span<const stab::SparsePauli> observables,
+            std::span<int> values) const override {
+    const std::size_t before = g_allocations.load();
+    lower().peek(observables, values);
+    allocations += g_allocations.load() - before;
+    ++peeks;
+  }
+  mutable std::size_t allocations = 0;
+  std::size_t executes = 0;
+  mutable std::size_t peeks = 0;
+};
+
+// FrameCore under QEC windows and their diagnostics (d = 3 and 5, frame
+// off and on): once the memo is warm, the ESM rounds and corrections
+// replay memoised skeletons and the reads come from the memo, with no
+// allocation.
+TEST(AllocBudgetTest, WarmedFrameCoreWindowDoesNotAllocate) {
+  for (const int distance : {3, 5}) {
+    for (const bool with_frame : {false, true}) {
+      arch::FrameCore core(5);
+      CoreAllocations probe(&core);
+      arch::ErrorLayer noise(&probe, 1e-3, 6);
+      arch::PauliFrameLayer frame(&noise);
+      arch::NinjaStarLayer::Options options;
+      options.distance = distance;
+      arch::NinjaStarLayer ninja(
+          with_frame ? static_cast<arch::Core*>(&frame) : &noise, options);
+      ninja.create_qubits(1);
+      noise.set_bypass(true);
+      ninja.initialize(0, qec::CheckType::kZ);
+      noise.set_bypass(false);
+      const auto step = [&] {
+        ninja.run_window(0);
+        noise.set_bypass(true);
+        if (!ninja.has_observable_errors(0)) {
+          (void)ninja.measure_logical_stabilizer(0, qec::CheckType::kZ);
+        }
+        noise.set_bypass(false);
+      };
+      for (int i = 0; i < 500; ++i) {
+        step();
+      }
+      probe.allocations = 0;
+      probe.executes = 0;
+      probe.peeks = 0;
+      for (int i = 0; i < 3000; ++i) {
+        step();
+      }
+      EXPECT_EQ(probe.allocations, 0u) << distance << " " << with_frame;
+      EXPECT_GT(probe.executes, 3000u) << distance << " " << with_frame;
+      EXPECT_GT(probe.peeks, 3000u) << distance << " " << with_frame;
+    }
+  }
 }
 
 // A warmed Tableau(17): 10k random measurements, 10k deterministic

@@ -305,6 +305,36 @@ TEST(CliToolTest, LerToolsRejectTrailingText) {
   expect_usage_error("--per=1e-3junk");
 }
 
+TEST(CliToolTest, LerToolRunsAnOddDistance) {
+  std::string err;
+  EXPECT_EQ(run_binary(QPF_LER_TOOL, "--max-windows=10 --runs=1 --distance=5",
+                       err),
+            0)
+      << err;
+}
+
+/// qpf_ler alone rejects `option` with exit 2 and the usage text.
+void expect_ler_usage_error(const std::string& option) {
+  std::string err;
+  EXPECT_EQ(run_binary(QPF_LER_TOOL, "--max-windows=10 --runs=1 " + option,
+                       err),
+            2)
+      << option;
+  EXPECT_NE(err.find("usage:"), std::string::npos) << option;
+}
+
+TEST(CliToolTest, LerToolRejectsAnEvenDistance) {
+  expect_ler_usage_error("--distance=4");
+}
+
+TEST(CliToolTest, LerToolRejectsADistanceAboveTheLargest) {
+  expect_ler_usage_error("--distance=9");
+}
+
+TEST(CliToolTest, LerToolRejectsTrailingTextInTheDistance) {
+  expect_ler_usage_error("--distance=5x");
+}
+
 TEST(CliParseTest, NanRatesAreRejected) {
   EXPECT_FALSE(parse({"--error-rate=nan", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--classical-fault-rate=nan", "a.qasm"}).has_value());

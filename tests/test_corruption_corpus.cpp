@@ -4,16 +4,21 @@
 // byte offset; and a mangled journal must always read as a valid
 // prefix — never a crash, never a silent partial load.
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "arch/chp_core.h"
+#include "arch/frame_core.h"
 #include "circuit/error.h"
+#include "core/pauli_frame.h"
 
 #include "journal/run_journal.h"
 #include "journal/snapshot.h"
+#include "stabilizer/tableau.h"
 
 namespace qpf::journal {
 namespace {
@@ -142,6 +147,117 @@ TEST(SnapshotStreamCorpusTest, BitFlipsNeverEscapeTheTypedError) {
   }
   // Type-tag and length bytes must have tripped the typed path.
   EXPECT_GT(typed_failures, 0u);
+}
+
+// --- Size fields that loaders allocate from -------------------------
+
+/// A stream and the offsets of the u64 payloads of its size fields: the
+/// values a loader sizes an allocation by.
+struct SizedStream {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> sizes;
+};
+
+/// The offset of the payload of the u64 element at the reader's cursor
+/// (after its one-byte type tag); then read past it.
+std::size_t size_field(SnapshotReader& in) {
+  const std::size_t at = in.offset() + 1;
+  (void)in.read_size();
+  return at;
+}
+
+SizedStream tableau_stream() {
+  stab::Tableau tableau(17, 5);
+  tableau.apply_h(3);
+  tableau.apply_cnot(3, 9);
+  SnapshotWriter out;
+  tableau.save(out);
+  SnapshotReader in(out.bytes());
+  in.expect_tag("tableau2");
+  return {out.bytes(), {size_field(in)}};
+}
+
+SizedStream frame_stream(pf::Protection protection) {
+  pf::PauliFrame frame(17, protection);
+  SnapshotWriter out;
+  frame.save(out);
+  SnapshotReader in(out.bytes());
+  in.expect_tag("pauli-frame");
+  (void)in.read_u8();
+  std::vector<std::size_t> sizes;
+  // The records, the guard and the two shadow banks.
+  for (int field = 0; field < 4; ++field) {
+    sizes.push_back(in.offset() + 1);
+    std::vector<std::uint8_t> block(in.read_size());
+    if (!block.empty()) {
+      in.read_bytes(block.data(), block.size());
+    }
+  }
+  return {out.bytes(), sizes};
+}
+
+SizedStream chp_core_stream() {
+  arch::ChpCore core(3);
+  core.create_qubits(17);
+  SnapshotWriter out;
+  core.save_state(out);
+  SnapshotReader in(out.bytes());
+  in.expect_tag("chp-core");
+  (void)in.read_u64();
+  (void)in.read_bool();
+  SnapshotReader tableau = in;
+  tableau.expect_tag("tableau2");
+  const std::size_t qubits = size_field(tableau);
+  (void)stab::Tableau::load(in);
+  return {out.bytes(), {qubits, size_field(in)}};
+}
+
+TEST(SnapshotStreamCorpusTest, SizeFieldFlipsFailBeforeAllocating) {
+  // A flipped size must be rejected before anything is allocated for
+  // it: bit 20 of the qubit count asks the tableau for terabytes, and a
+  // high bit of a guard size for gigabytes.  Every loader below either
+  // decodes the flip or throws CheckpointError; anything else (such as
+  // std::bad_alloc) fails the test.
+  const auto load_tableau = [](SnapshotReader& in) {
+    (void)stab::Tableau::load(in);
+  };
+  const auto load_frame = [](SnapshotReader& in) {
+    (void)pf::PauliFrame::load(in);
+  };
+  const auto load_chp = [](SnapshotReader& in) {
+    arch::ChpCore core;
+    core.load_state(in);
+  };
+  const auto load_frame_core = [](SnapshotReader& in) {
+    arch::FrameCore core;
+    core.load_state(in);
+  };
+  struct Case {
+    const char* name;
+    SizedStream stream;
+    std::function<void(SnapshotReader&)> load;
+  };
+  const Case cases[] = {
+      {"tableau", tableau_stream(), load_tableau},
+      {"frame/parity", frame_stream(pf::Protection::kParity), load_frame},
+      {"frame/vote", frame_stream(pf::Protection::kVote), load_frame},
+      {"chp-core", chp_core_stream(), load_chp},
+      {"chp-core into FrameCore", chp_core_stream(), load_frame_core},
+  };
+  for (const Case& c : cases) {
+    ASSERT_FALSE(c.stream.sizes.empty()) << c.name;
+    for (const std::size_t at : c.stream.sizes) {
+      for (int bit = 0; bit < 64; ++bit) {
+        std::vector<std::uint8_t> mangled = c.stream.bytes;
+        mangled[at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        SnapshotReader in(mangled);
+        try {
+          c.load(in);  // a flip that keeps the stream consistent decodes
+        } catch (const CheckpointError&) {
+        }
+      }
+    }
+  }
 }
 
 class JournalCorpusTest : public ::testing::Test {

@@ -68,8 +68,10 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"net-fault"};
     case 15:  // executor commits results in arrival order
       return {"executor-determinism"};
-    case 16:  // the frame's observable read ignores its Z records
-      return {"peek-vs-probe"};
+    case 16:  // the frames' observable reads ignore their Z records
+      return {"peek-vs-probe", "frame-core"};
+    case 17:  // a FrameCore memo hit ignores the X record
+      return {"frame-core"};
     default:
       return {};
   }

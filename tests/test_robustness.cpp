@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "arch/chp_core.h"
 #include "arch/control_stack.h"
 #include "arch/steane_layer.h"
 #include "stabilizer/pauli_string.h"

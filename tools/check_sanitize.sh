@@ -11,10 +11,11 @@
 # Pass QPF_SANITIZE_FILTER to override the test selection; by default
 # only the fault/robustness, fuzz, surface-code (layout, decoders,
 # lattice surgery, QCU, the QEC layers), tableau (kernels, hint,
-# expectation reads, cross-validation, ChpCore), frame, observable-read,
-# golden-bytes and circuit suites run (ASan) or the threaded-campaign
-# and fuzz suites (TSan), which keeps the sanitized run fast while still
-# covering every new mutation path.
+# expectation reads, cross-validation, ChpCore, FrameCore), frame,
+# observable-read, golden-bytes, parent-journal and circuit suites run
+# (ASan) or the threaded-campaign, parent-journal and fuzz suites
+# (TSan), which keeps the sanitized run fast while still covering every
+# new mutation path.
 set -euo pipefail
 
 trap 'exit 130' INT
@@ -25,10 +26,10 @@ mode=${QPF_SANITIZE:-ON}
 
 if [ "$mode" = "thread" ]; then
   build_dir=${1:-"$repo_root/build-tsan"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|ParentJournal'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint|FrameCore|ParentJournal'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"

@@ -46,6 +46,9 @@ int usage(std::ostream& out) {
          "  --seed=S               base seed of the trial seed chain "
          "(default 1)\n"
          "  --basis=z|x            logical basis watched (default z)\n"
+         "  --distance=D           surface-code distance: odd, 3 to "
+      << qpf::qec::NinjaStar::kMaxDistance
+      << " (default 3)\n"
          "  --pauli-frame          insert the Pauli frame layer\n"
          "  --state-dir=DIR        durable journal + checkpoint; an\n"
          "                         existing journal resumes the campaign\n"
@@ -95,6 +98,15 @@ int main(int argc, char** argv) {
           std::cerr << "qpf_ler: unknown basis '" << value << "'\n";
           return usage(std::cerr);
         }
+      } else if (consume_prefix(argument, "--distance=", value)) {
+        const std::uint64_t distance = qpf::cli::parse_count(value);
+        if (distance < 3 || distance > qpf::qec::NinjaStar::kMaxDistance ||
+            distance % 2 == 0) {
+          std::cerr << "qpf_ler: --distance must be odd, 3 to "
+                    << qpf::qec::NinjaStar::kMaxDistance << "\n";
+          return usage(std::cerr);
+        }
+        options.config.ninja_options.distance = static_cast<int>(distance);
       } else if (argument == "--pauli-frame") {
         options.config.with_pauli_frame = true;
       } else if (consume_prefix(argument, "--state-dir=", value)) {
