@@ -3,83 +3,52 @@
 // physical error rate and watch the X_L / Z_L logical error rates split
 // — and confirm the Pauli frame stays LER-neutral under bias too.
 //
+// Every cell is an LER point of the shared engine (ler_common.h) on the
+// Fig 5.8 stack with LerConfig::bias set: QPF_LER_RUNS trials on the
+// seed chain, fanned out over --jobs workers.
+//
 // Scale via QPF_LER_RUNS / QPF_LER_ERRORS.
 #include <cstdio>
 
-#include "arch/biased_error_layer.h"
-#include "arch/chp_core.h"
-#include "arch/ninja_star_layer.h"
-#include "arch/pauli_frame_layer.h"
 #include "bench_json.h"
 #include "ler_common.h"
 
-namespace {
-
-using namespace qpf;
-using arch::BiasedErrorLayer;
-using arch::ChpCore;
-using arch::NinjaStarLayer;
-using arch::PauliFrameLayer;
-using qec::CheckType;
-
-double measure_ler(double per, double eta, CheckType basis, bool with_pf,
-                   std::size_t target_errors, std::uint64_t seed) {
-  ChpCore core(seed);
-  BiasedErrorLayer noisy(&core, per, eta, seed ^ 0xb1a5ULL);
-  PauliFrameLayer frame(&noisy);
-  NinjaStarLayer ninja(with_pf ? static_cast<arch::Core*>(&frame)
-                               : static_cast<arch::Core*>(&noisy));
-  ninja.create_qubits(1);
-  noisy.set_bypass(true);
-  ninja.initialize(0, basis);
-  noisy.set_bypass(false);
-  std::size_t flips = 0;
-  std::size_t windows = 0;
-  int expected = +1;
-  const std::size_t cap = 300'000;
-  while (flips < target_errors && windows < cap) {
-    ninja.run_window(0);
-    ++windows;
-    noisy.set_bypass(true);
-    if (!ninja.has_observable_errors(0)) {
-      const int sign = ninja.measure_logical_stabilizer(0, basis);
-      if (sign != expected) {
-        ++flips;
-        expected = sign;
-      }
-    }
-    noisy.set_bypass(false);
-  }
-  return windows == 0 ? 0.0
-                      : static_cast<double>(flips) /
-                            static_cast<double>(windows);
-}
-
-}  // namespace
+using qpf::qec::CheckType;
 
 int main(int argc, char** argv) {
   qpf::bench::BenchCli cli("bench_biased_noise", argc, argv);
   cli.require_no_extra_args();
   qpf::bench::announce_seed("bench_biased_noise", 0xe7a);
   const std::size_t errors = qpf::bench::env_size_t("QPF_LER_ERRORS", 10);
+  const std::size_t runs = qpf::bench::env_size_t("QPF_LER_RUNS", 3);
   const double per = 1e-3;
   std::printf("bench_biased_noise: SC17 under dephasing-biased noise "
               "(future work; [28]), PER = %.0e\n",
               per);
-  cli.report.config.num("per", per).uinteger("target_errors", errors);
+  cli.report.config.num("per", per)
+      .uinteger("runs", runs)
+      .uinteger("target_errors", errors)
+      .uinteger("jobs", cli.jobs());
   const qpf::bench::WallTimer timer;
   std::printf("\n%-8s %-13s %-13s %-8s %-13s %-13s\n", "eta",
               "LER X_L(noPF)", "LER Z_L(noPF)", "Z/X", "LER X_L(PF)",
               "LER Z_L(PF)");
   for (double eta : {0.5, 3.0, 10.0, 30.0}) {
-    const double x_nopf = measure_ler(per, eta, CheckType::kZ, false, errors,
-                                      0xe7a + static_cast<int>(eta * 10));
-    const double z_nopf = measure_ler(per, eta, CheckType::kX, false, errors,
-                                      0xe7b + static_cast<int>(eta * 10));
-    const double x_pf = measure_ler(per, eta, CheckType::kZ, true, errors,
-                                    0xe7c + static_cast<int>(eta * 10));
-    const double z_pf = measure_ler(per, eta, CheckType::kX, true, errors,
-                                    0xe7d + static_cast<int>(eta * 10));
+    const auto ler = [&](CheckType basis, bool with_pf, std::uint64_t seed) {
+      qpf::bench::LerConfig config;
+      config.physical_error_rate = per;
+      config.bias = eta;
+      config.basis = basis;
+      config.with_pauli_frame = with_pf;
+      config.target_logical_errors = errors;
+      config.max_windows = 300'000;
+      config.seed = seed + static_cast<int>(eta * 10);
+      return qpf::bench::run_ler_point(config, runs, cli.jobs()).mean_ler;
+    };
+    const double x_nopf = ler(CheckType::kZ, false, 0xe7a);
+    const double z_nopf = ler(CheckType::kX, false, 0xe7b);
+    const double x_pf = ler(CheckType::kZ, true, 0xe7c);
+    const double z_pf = ler(CheckType::kX, true, 0xe7d);
     std::printf("%-8.1f %-13.3e %-13.3e %-8.2f %-13.3e %-13.3e\n", eta,
                 x_nopf, z_nopf, x_nopf > 0.0 ? z_nopf / x_nopf : 0.0, x_pf,
                 z_pf);

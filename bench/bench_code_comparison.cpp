@@ -3,13 +3,14 @@
 // methodology.  Both are distance-3 codes; the surface code buys its
 // nearest-neighbour layout with more qubits (17 vs 13) and a longer
 // ESM, while Steane's high-weight checks punish it under circuit noise.
+// The SC17 column is one trial per PER of the shared LER engine
+// (ler_common.h); the Steane column runs one trial of its own loop.
 //
 // Scale via QPF_LER_ERRORS.
 #include <cstdio>
 
 #include "arch/chp_core.h"
 #include "arch/error_layer.h"
-#include "arch/ninja_star_layer.h"
 #include "arch/steane_layer.h"
 #include "bench_json.h"
 #include "ler_common.h"
@@ -22,32 +23,16 @@ using arch::ErrorLayer;
 using qec::CheckType;
 
 double sc17_ler(double per, std::size_t target_errors, std::uint64_t seed) {
-  ChpCore core(seed);
-  ErrorLayer noisy(&core, per, seed ^ 0x5c17ULL);
-  arch::NinjaStarLayer ninja(&noisy);
-  ninja.create_qubits(1);
-  noisy.set_bypass(true);
-  ninja.initialize(0, CheckType::kZ);
-  noisy.set_bypass(false);
-  std::size_t flips = 0;
-  std::size_t windows = 0;
-  int expected = +1;
-  while (flips < target_errors && windows < 300'000) {
-    ninja.run_window(0);
-    ++windows;
-    noisy.set_bypass(true);
-    if (!ninja.has_observable_errors(0)) {
-      const int sign = ninja.measure_logical_stabilizer(0, CheckType::kZ);
-      if (sign != expected) {
-        ++flips;
-        expected = sign;
-      }
-    }
-    noisy.set_bypass(false);
-  }
-  return static_cast<double>(flips) / static_cast<double>(windows);
+  qpf::bench::LerConfig config;
+  config.physical_error_rate = per;
+  config.target_logical_errors = target_errors;
+  config.max_windows = 300'000;
+  config.seed = seed;
+  return qpf::bench::run_ler_point(config, 1).mean_ler;
 }
 
+// Steane has no LerStack top, so its column keeps its own Listing 5.7
+// loop over the same noise layer and window methodology.
 double steane_ler(double per, std::size_t target_errors, std::uint64_t seed) {
   ChpCore core(seed);
   ErrorLayer noisy(&core, per, seed ^ 0x57eaULL);

@@ -7,7 +7,9 @@
 //      until even a final perfect decode cannot recover the state.
 //
 // Scale via QPF_LER_RUNS / QPF_LER_ERRORS.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_json.h"
 #include "ler_common.h"
@@ -19,6 +21,7 @@ using qpf::bench::LerConfig;
 using qpf::bench::LerPoint;
 using qpf::qec::CheckType;
 using qpf::qec::CnotPattern;
+using qpf::qec::NinjaStar;
 
 LerPoint measure(double per, CnotPattern pattern, std::size_t errors,
                  std::size_t runs, std::size_t jobs) {
@@ -36,23 +39,24 @@ LerPoint measure(double per, CnotPattern pattern, std::size_t errors,
 // Logical lifetime: windows until the accumulated data error is beyond
 // recovery.  Each window we read the raw syndrome (diagnostically),
 // compute the correction a final perfect decode would apply, and fold
-// its effect into the Z0Z4Z8 probe parity classically.  If the decoded
-// parity is -1, the logical information is lost.  This metric is well
-// defined both with the online decoder running and with it disabled
-// (where errors accumulate until the LUT decodes them to the wrong
-// chain side).
+// its effect into the Z_L-chain probe parity classically.  If the
+// decoded parity is -1, the logical information is lost.  This metric
+// is well defined both with the online decoder running and with it
+// disabled (where errors accumulate until the LUT decodes them to the
+// wrong chain side).  Each run is a LerTrial on the seed chain from
+// 0xab1e, stepped window by window through its stack.
 double mean_logical_lifetime(double per, bool decoding, std::size_t runs) {
+  LerConfig config;
+  config.physical_error_rate = per;
+  config.with_pauli_frame = false;
+  config.ninja_options.decoding_enabled = decoding;
   double total = 0.0;
+  std::uint64_t seed = 0xab1e;
   for (std::size_t r = 0; r < runs; ++r) {
-    LerStack::Config config;
-    config.physical_error_rate = per;
-    config.with_pauli_frame = false;
-    config.seed = 0xab1e + r;
-    config.ninja_options.decoding_enabled = decoding;
-    LerStack stack(config);
-    stack.set_diagnostic_mode(true);
-    stack.ninja().initialize(0, CheckType::kZ);
-    stack.set_diagnostic_mode(false);
+    seed = qpf::bench::next_trial_seed(seed);
+    config.seed = seed;
+    qpf::bench::LerTrial trial(config);
+    LerStack& stack = trial.stack();
     std::size_t windows = 0;
     constexpr std::size_t kCap = 100'000;
     while (windows < kCap) {
@@ -64,15 +68,17 @@ double mean_logical_lifetime(double per, bool decoding, std::size_t runs) {
           stack.ninja().measure_logical_stabilizer(0, CheckType::kZ);
       stack.set_diagnostic_mode(false);
       // Final perfect decode, applied virtually: X corrections on the
-      // Z_L chain {0,4,8} flip the probe parity.
-      qpf::qec::NinjaStar scratch = stack.ninja().star(0);
+      // Z_L chain flip the probe parity.
+      NinjaStar scratch = stack.ninja().star(0);
+      const std::vector<int>& chain =
+          scratch.layout().logical_z_data(scratch.orientation());
       int decoded_sign = raw_sign;
       for (const auto& op : scratch.decode_initialization(syndrome)) {
         if (op.gate() == qpf::GateType::kZ) {
           continue;  // Z corrections do not affect the Z-chain parity
         }
-        const auto local = op.qubit(0) % 17;
-        if (local == 0 || local == 4 || local == 8) {
+        const auto local = static_cast<int>(op.qubit(0) - scratch.base());
+        if (std::find(chain.begin(), chain.end(), local) != chain.end()) {
           decoded_sign = -decoded_sign;
         }
       }

@@ -5,6 +5,7 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "cli/numeric_args.h"
 #include "ler_common.h"
 
 namespace qpf::bench {
@@ -160,13 +161,12 @@ BenchCli::BenchCli(std::string name, int argc, char** argv,
     if (value_of("--json", value)) {
       json_path_ = value;
     } else if (value_of("--jobs", value)) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+      try {
+        jobs_ = resolve_jobs(static_cast<std::size_t>(cli::parse_count(value)));
+      } catch (const std::invalid_argument&) {
         std::cerr << report.name << ": bad --jobs value '" << value << "'\n";
         std::exit(2);
       }
-      jobs_ = resolve_jobs(static_cast<std::size_t>(parsed));
     } else if (argument == "--help") {
       std::cout << report.name
                 << " [--json PATH] [--jobs N]\n"

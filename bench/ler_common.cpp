@@ -10,6 +10,7 @@
 #include <iostream>
 #include <memory>
 
+#include "cli/numeric_args.h"
 #include "exec/executor.h"
 #include "journal/run_journal.h"
 #include "stats/summary.h"
@@ -23,6 +24,7 @@ LerTrial::LerTrial(const LerConfig& config)
     : config_(config), stack_([&] {
         LerStack::Config stack_config;
         stack_config.physical_error_rate = config.physical_error_rate;
+        stack_config.bias = config.bias;
         stack_config.with_pauli_frame = config.with_pauli_frame;
         stack_config.seed = config.seed;
         stack_config.ninja_options = config.ninja_options;
@@ -182,13 +184,17 @@ void make_directory(const std::string& path) {
   entry.fields["basis"] = options.config.basis == CheckType::kZ ? "z" : "x";
   entry.fields["pauli_frame"] = options.config.with_pauli_frame ? "1" : "0";
   entry.fields["seed"] = std::to_string(options.config.seed);
-  // Subsystem fields (and the distance) only appear when they differ
-  // from the plain SC17 campaign, so journals written with everything
-  // off stay byte-identical to previous releases (and a resume with a
-  // different configuration is rejected by config_matches).
+  // Subsystem fields (and the distance and the bias) only appear when
+  // they differ from the plain SC17 campaign, so journals written with
+  // everything off stay byte-identical to previous releases (and a
+  // resume with a different configuration is rejected by
+  // config_matches).
   const LerConfig& config = options.config;
   if (config.ninja_options.distance != 3) {
     entry.fields["distance"] = std::to_string(config.ninja_options.distance);
+  }
+  if (config.bias) {
+    entry.fields["bias"] = format_double(*config.bias);
   }
   if (config.classical_faults.any()) {
     entry.fields["cf_drop"] = format_double(config.classical_faults.drop);
@@ -585,7 +591,16 @@ std::size_t env_size_t(const char* name, std::size_t fallback) {
   if (value == nullptr || *value == '\0') {
     return fallback;
   }
-  return static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
+  try {
+    const std::uint64_t count = cli::parse_count(value);
+    if (count >= 1) {
+      return static_cast<std::size_t>(count);
+    }
+  } catch (const std::invalid_argument&) {
+  }
+  std::cerr << name << ": expected a count of at least 1, got '" << value
+            << "'\n";
+  std::exit(2);
 }
 
 BenchScale bench_scale_from_env() {

@@ -1,5 +1,16 @@
-// Shared driver for the §5.3 Logical Error Rate experiments, used by
-// bench_ler, bench_ler_analysis, bench_esm_order and the qpf_ler tool.
+// Shared engine of the §5.3 Logical Error Rate experiments: the one
+// trial loop (LerTrial) behind every surface-code LER number.  Users:
+//   - run_ler_point: bench_ler, bench_ler_analysis, bench_esm_order's
+//     ESM-pattern table, bench_biased_noise (LerConfig::bias) and the
+//     SC17 column of bench_code_comparison;
+//   - run_ler: bench_distance;
+//   - LerTrial itself: bench_esm_order's lifetime loop (it decodes each
+//     window through trial.stack()), bench_micro's BM_LerStep and the
+//     repository benchmark (qpfbench/ler.cpp);
+//   - run_ler_campaign: the qpf_ler and qpf_chaos tools;
+//   - the campaign, resume, golden-byte and allocation tests.
+// The other benches use only announce_seed, env_size_t and (through
+// BenchCli) resolve_jobs.
 //
 // One "run" (or trial) executes the Listing 5.7 loop on the Fig 5.8
 // stack: initialize, then repeat { window; diagnostics; logical-
@@ -19,6 +30,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +42,8 @@ namespace qpf::bench {
 
 struct LerConfig {
   double physical_error_rate = 1e-3;
+  /// Dephasing bias eta (LerStack::Config::bias); empty = symmetric.
+  std::optional<double> bias;
   bool with_pauli_frame = false;
   /// kZ: |0>_L watching for X_L flips; kX: |+>_L watching for Z_L flips.
   qec::CheckType basis = qec::CheckType::kZ;
@@ -223,7 +237,9 @@ struct BenchScale {
 
 [[nodiscard]] BenchScale bench_scale_from_env();
 
-/// Environment helper with default.
+/// A count of at least 1 from environment variable `name`, or
+/// `fallback` when it is unset or empty.  Any other value (a sign, text,
+/// 0) prints the variable's name and exits 2.
 [[nodiscard]] std::size_t env_size_t(const char* name, std::size_t fallback);
 
 }  // namespace qpf::bench

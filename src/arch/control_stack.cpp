@@ -13,7 +13,8 @@ LerStack::LerStack(const Config& config) : core_(config.seed) {
   counter_bottom_ = std::make_unique<CounterLayer>(&core_);
   error_ = std::make_unique<ErrorLayer>(counter_bottom_.get(),
                                         config.physical_error_rate,
-                                        config.seed ^ 0x9e3779b97f4a7c15ULL);
+                                        config.seed ^ 0x9e3779b97f4a7c15ULL,
+                                        config.bias);
   Core* below_counter = error_.get();
   if (config.classical_faults.any() || config.chaos.any()) {
     faults_ = std::make_unique<ClassicalFaultLayer>(

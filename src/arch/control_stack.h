@@ -18,7 +18,8 @@
 //       CounterLayer  (below)   (stream after filtering)
 //       [ClassicalFaultLayer]   (optional — drop/dup/reorder/readout
 //                                plus the scripted chaos schedule)
-//       ErrorLayer               (symmetric depolarizing noise)
+//       ErrorLayer               (depolarizing noise, symmetric or
+//                                with a dephasing bias)
 //       CounterLayer  (bottom)  (physical stream incl. injected faults)
 //       FrameCore                (stabilizer simulation backend: a
 //                                Pauli frame over a memoised noiseless
@@ -41,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "arch/classical_fault_layer.h"
 #include "arch/counter_layer.h"
@@ -58,6 +60,9 @@ class LerStack {
  public:
   struct Config {
     double physical_error_rate = 1e-3;
+    /// Dephasing bias eta of the noise (qec::DepolarizingModel); empty
+    /// means the symmetric channel.
+    std::optional<double> bias;
     bool with_pauli_frame = true;
     std::uint64_t seed = 1;
     std::size_t logical_qubits = 1;

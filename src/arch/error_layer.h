@@ -1,10 +1,13 @@
-// ErrorLayer: injects symmetric depolarizing noise into every circuit
-// passing through (thesis §4.2.3, §5.3.1).  Sits directly above the
-// core so that everything physical — including Pauli corrections that
-// were not absorbed by a Pauli frame, and idle slots — is noisy.
+// ErrorLayer: injects depolarizing noise into every circuit passing
+// through (thesis §4.2.3, §5.3.1): the symmetric channel, or with a
+// dephasing bias the biased one (qec::DepolarizingModel).  Sits directly
+// above the core so that everything physical — including Pauli
+// corrections that were not absorbed by a Pauli frame, and idle slots —
+// is noisy.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "arch/layer.h"
 #include "qec/depolarizing.h"
@@ -13,8 +16,9 @@ namespace qpf::arch {
 
 class ErrorLayer final : public Layer {
  public:
-  ErrorLayer(Core* lower, double physical_error_rate, std::uint64_t seed)
-      : Layer(lower), model_(physical_error_rate, seed) {}
+  ErrorLayer(Core* lower, double physical_error_rate, std::uint64_t seed,
+             std::optional<double> bias = std::nullopt)
+      : Layer(lower), model_(physical_error_rate, seed, bias) {}
 
   void add(const Circuit& circuit) override {
     if (bypass_) {
@@ -40,17 +44,21 @@ class ErrorLayer final : public Layer {
   }
 
   void save_state(journal::SnapshotWriter& out) const override {
-    out.tag("error-layer");
+    out.tag(section());
     model_.save(out);
     lower().save_state(out);
   }
   void load_state(journal::SnapshotReader& in) override {
-    in.expect_tag("error-layer");
+    in.expect_tag(section());
     model_.load(in);
     lower().load_state(in);
   }
 
  private:
+  [[nodiscard]] const char* section() const noexcept {
+    return model_.bias() ? "biased-error-layer" : "error-layer";
+  }
+
   qec::DepolarizingModel model_;
   Circuit noisy_;  ///< add()'s output buffer; not snapshot state
 };

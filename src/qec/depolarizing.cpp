@@ -1,5 +1,6 @@
 #include "qec/depolarizing.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "circuit/error.h"
@@ -47,18 +48,62 @@ FlipThreshold::FlipThreshold(double p) {
   below_ = lo;
 }
 
-DepolarizingModel::DepolarizingModel(double p, std::uint64_t seed)
-    : p_(p), threshold_(p), rng_(seed) {
+DepolarizingModel::DepolarizingModel(double p, std::uint64_t seed,
+                                     std::optional<double> bias)
+    : p_(p),
+      bias_(bias),
+      px_(bias ? p / (2.0 * (*bias + 1.0)) : p / 3.0),
+      pz_(bias ? p * *bias / (*bias + 1.0) : p / 3.0),
+      threshold_(p),
+      rng_(seed) {
   if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails too
     throw StackConfigError("DepolarizingModel", "p out of [0,1]");
+  }
+  if (bias && !(std::isfinite(*bias) && *bias > 0.0)) {
+    throw StackConfigError("DepolarizingModel",
+                           "bias must be finite and positive");
   }
 }
 
 GateType DepolarizingModel::random_pauli() {
-  static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
-                                         GateType::kZ};
-  std::uniform_int_distribution<int> dist(0, 2);
-  return kPaulis[dist(rng_)];
+  if (!bias_) {
+    static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
+                                           GateType::kZ};
+    std::uniform_int_distribution<int> dist(0, 2);
+    return kPaulis[dist(rng_)];
+  }
+  // Conditional weights given a fault: X : Y : Z = p_x : p_y : p_z.
+  const double u = FlipThreshold::uniform(rng_()) * (2.0 * px_ + pz_);
+  if (u < px_) {
+    return GateType::kX;
+  }
+  if (u < 2.0 * px_) {
+    return GateType::kY;
+  }
+  return GateType::kZ;
+}
+
+std::pair<GateType, GateType> DepolarizingModel::random_pair() {
+  if (!bias_) {
+    // One of the 15 non-identity pairs, uniformly: draw a combined
+    // index 1..15 and split into two one-qubit Paulis (I allowed on one
+    // side but not both).
+    static constexpr GateType kOneQubit[] = {GateType::kI, GateType::kX,
+                                             GateType::kY, GateType::kZ};
+    std::uniform_int_distribution<int> dist(1, 15);
+    const int combo = dist(rng_);
+    return {kOneQubit[combo / 4], kOneQubit[combo % 4]};
+  }
+  // Each operand faults independently with weight 1/2, redrawn while
+  // neither does.
+  static const FlipThreshold kHalf(0.5);
+  GateType first = GateType::kI;
+  GateType second = GateType::kI;
+  while (first == GateType::kI && second == GateType::kI) {
+    first = kHalf.flips(rng_()) ? random_pauli() : GateType::kI;
+    second = kHalf.flips(rng_()) ? random_pauli() : GateType::kI;
+  }
+  return {first, second};
 }
 
 void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
@@ -96,15 +141,7 @@ void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
               ++tally_.single_qubit;
             }
           } else if (flip()) {
-            // One of the 15 non-identity pairs, uniformly: draw a
-            // combined index 1..15 and split into two one-qubit Paulis
-            // (I allowed on one side but not both).
-            std::uniform_int_distribution<int> dist(1, 15);
-            const int combo = dist(rng_);
-            static constexpr GateType kOneQubit[] = {
-                GateType::kI, GateType::kX, GateType::kY, GateType::kZ};
-            const GateType first = kOneQubit[combo / 4];
-            const GateType second = kOneQubit[combo % 4];
+            const auto [first, second] = random_pair();
             if (first != GateType::kI) {
               post_.emplace_back(first, op.qubit(0));
             }
@@ -130,8 +167,11 @@ void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
 }
 
 void DepolarizingModel::save(journal::SnapshotWriter& out) const {
-  out.tag("depolarizing");
+  out.tag(bias_ ? "biased-noise" : "depolarizing");
   out.write_double(p_);
+  if (bias_) {
+    out.write_double(*bias_);
+  }
   out.write_rng(rng_);
   out.write_size(tally_.single_qubit);
   out.write_size(tally_.two_qubit);
@@ -140,12 +180,15 @@ void DepolarizingModel::save(journal::SnapshotWriter& out) const {
 }
 
 void DepolarizingModel::load(journal::SnapshotReader& in) {
-  in.expect_tag("depolarizing");
+  in.expect_tag(bias_ ? "biased-noise" : "depolarizing");
   const double p = in.read_double();
   if (p != p_) {
     throw CheckpointError(
         "depolarizing snapshot: physical error rate mismatch (checkpoint " +
         std::to_string(p) + ", configured " + std::to_string(p_) + ")");
+  }
+  if (bias_ && in.read_double() != *bias_) {
+    throw CheckpointError("biased noise snapshot: bias mismatch");
   }
   rng_ = in.read_rng();
   tally_.single_qubit = in.read_size();

@@ -1,16 +1,28 @@
-// Symmetric depolarizing error model (thesis §5.3.1, following [11,19]).
+// Depolarizing error model (thesis §5.3.1, following [11,19]), with an
+// optional dephasing bias (thesis future work, "more realistic error
+// models"; after Aliferis & Preskill [28]).
 //
-// With physical error rate p:
+// With physical error rate p, the symmetric channel:
 //  * every single-qubit operation (gates, preparation, and explicit
 //    idling — an idle time slot counts as an identity gate) suffers one
 //    of {X, Y, Z} afterwards with probability p/3 each;
 //  * a measurement suffers an X flip *before* readout with probability p;
 //  * a two-qubit gate suffers one of the 15 non-identity two-qubit Pauli
 //    combinations with probability p/15 each.
+//
+// With a bias eta = p_Z / (p_X + p_Y) the same locations fault with the
+// same probability p; only the Pauli a fault picks changes:
+//   p_Z = p * eta / (eta + 1),  p_X = p_Y = p / (2 * (eta + 1)).
+// A two-qubit fault gives each operand, independently, identity with
+// weight 1/2 or a Pauli of those weights, redrawn while both are
+// identity; measurements still flip with X.  eta = 0.5 has the
+// symmetric one-qubit marginals, from a different draw stream.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -58,10 +70,19 @@ class FlipThreshold {
 
 class DepolarizingModel {
  public:
-  /// Throws std::invalid_argument unless 0 <= p <= 1.
-  DepolarizingModel(double p, std::uint64_t seed);
+  /// Throws StackConfigError unless 0 <= p <= 1 and a given bias is
+  /// finite and positive.  Without a bias the channel is symmetric.
+  DepolarizingModel(double p, std::uint64_t seed,
+                    std::optional<double> bias = std::nullopt);
 
   [[nodiscard]] double physical_error_rate() const noexcept { return p_; }
+  /// The dephasing bias eta; empty for the symmetric channel.
+  [[nodiscard]] std::optional<double> bias() const noexcept { return bias_; }
+
+  /// Per-Pauli marginals of a one-qubit location.
+  [[nodiscard]] double p_x() const noexcept { return px_; }
+  [[nodiscard]] double p_y() const noexcept { return px_; }
+  [[nodiscard]] double p_z() const noexcept { return pz_; }
 
   /// Rewrite a circuit with sampled faults inserted into `out` (cleared
   /// first; it keeps its capacity and must not be `circuit`).
@@ -80,20 +101,28 @@ class DepolarizingModel {
 
   // --- Snapshot / restore (crash-safe experiment engine) -------------
   /// Serialize the RNG engine (exactly) and the fault tally; the rate
-  /// itself is configuration, echoed only for a consistency check.
+  /// and the bias are configuration, echoed only for a consistency
+  /// check.  The section is "depolarizing" (p) or, with a bias,
+  /// "biased-noise" (p, eta).
   void save(journal::SnapshotWriter& out) const;
 
   /// Restore into this model.  Throws qpf::CheckpointError on stream
-  /// corruption or a physical-error-rate mismatch.
+  /// corruption, a section of the other channel, or a rate / bias
+  /// mismatch.
   void load(journal::SnapshotReader& in);
 
  private:
-  /// Uniformly pick X, Y or Z.
+  /// The Pauli of a fired one-qubit draw: uniform, or biased.
   [[nodiscard]] GateType random_pauli();
+  /// The Pauli pair of a fired two-qubit draw, never both identity.
+  [[nodiscard]] std::pair<GateType, GateType> random_pair();
   /// One draw: true with probability p.
   [[nodiscard]] bool flip() { return threshold_.flips(rng_()); }
 
   double p_;
+  std::optional<double> bias_;
+  double px_;
+  double pz_;
   FlipThreshold threshold_;
   std::mt19937_64 rng_;
   ErrorTally tally_;

@@ -36,7 +36,6 @@
 #include "core/schedule.h"
 
 // Quantum error correction.
-#include "qec/biased_noise.h"
 #include "qec/depolarizing.h"
 #include "qec/lattice_surgery.h"
 #include "qec/lut_decoder.h"
@@ -45,7 +44,6 @@
 #include "qec/surface_code.h"
 
 // QPDO architecture.
-#include "arch/biased_error_layer.h"
 #include "arch/chp_core.h"
 #include "arch/control_stack.h"
 #include "arch/core_interface.h"

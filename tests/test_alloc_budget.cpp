@@ -96,6 +96,15 @@ TEST(AllocBudgetTest, NoFrameWindowStaysWithinBudget) {
   EXPECT_LE(per_step, kBudgetPerStep);
 }
 
+// The biased channel (eta = 10) on the ler_pf shape.
+TEST(AllocBudgetTest, BiasedWindowStaysWithinBudget) {
+  LerConfig config = endless(1e-3, true, qec::CheckType::kZ);
+  config.bias = 10.0;
+  const double per_step = allocations_per_step(config);
+  RecordProperty("allocations_per_step", std::to_string(per_step));
+  EXPECT_LE(per_step, kBudgetPerStep);
+}
+
 // The diagnostics on a warmed LerStack (the ler_pf shape), read from
 // the stack: no probe circuit reaches the frame, and nothing allocates.
 TEST(AllocBudgetTest, DiagnosticReadsDoNotAllocate) {

@@ -1,41 +1,52 @@
-// Tests for the biased Pauli noise model and its layer.
-#include "qec/biased_noise.h"
-
+// Tests for the dephasing-biased channel of the depolarizing model and
+// of ErrorLayer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
-#include "circuit/error.h"
-
-#include "arch/biased_error_layer.h"
 #include "arch/chp_core.h"
-#include "arch/ninja_star_layer.h"
+#include "arch/error_layer.h"
+#include "circuit/error.h"
+#include "ler_common.h"
+#include "qec/depolarizing.h"
 
 namespace qpf::qec {
 namespace {
 
 TEST(BiasedNoiseTest, MarginalsFollowTheBiasFormula) {
-  const BiasedNoiseModel model(0.01, 10.0, 1);
+  const DepolarizingModel model(0.01, 1, 10.0);
   EXPECT_NEAR(model.p_z(), 0.01 * 10.0 / 11.0, 1e-12);
   EXPECT_NEAR(model.p_x(), 0.01 / 22.0, 1e-12);
   EXPECT_NEAR(model.p_x() * 2 + model.p_z(), 0.01, 1e-12);
 }
 
 TEST(BiasedNoiseTest, HalfBiasIsSymmetric) {
-  const BiasedNoiseModel model(0.3, 0.5, 1);
+  const DepolarizingModel model(0.3, 1, 0.5);
   EXPECT_NEAR(model.p_x(), 0.1, 1e-12);
   EXPECT_NEAR(model.p_z(), 0.1, 1e-12);
 }
 
 TEST(BiasedNoiseTest, ValidationRejectsBadParameters) {
-  EXPECT_THROW(BiasedNoiseModel(-0.1, 1.0, 1), StackConfigError);
-  EXPECT_THROW(BiasedNoiseModel(std::nan(""), 1.0, 1), StackConfigError);
-  EXPECT_THROW(BiasedNoiseModel(0.1, 0.0, 1), StackConfigError);
-  EXPECT_THROW(BiasedNoiseModel(0.1, -2.0, 1), StackConfigError);
+  EXPECT_THROW(DepolarizingModel(-0.1, 1, 1.0), StackConfigError);
+  EXPECT_THROW(DepolarizingModel(std::nan(""), 1, 1.0), StackConfigError);
+  EXPECT_THROW(DepolarizingModel(0.1, 1, 0.0), StackConfigError);
+  EXPECT_THROW(DepolarizingModel(0.1, 1, -2.0), StackConfigError);
+  // A NaN bias made every fault Z, an infinite one made p_z NaN.
+  EXPECT_THROW(DepolarizingModel(0.1, 1, std::nan("")), StackConfigError);
+  EXPECT_THROW(
+      DepolarizingModel(0.1, 1, std::numeric_limits<double>::infinity()),
+      StackConfigError);
 }
 
 TEST(BiasedNoiseTest, ZeroRateInjectsNothing) {
-  BiasedNoiseModel model(0.0, 100.0, 1);
+  DepolarizingModel model(0.0, 1, 100.0);
   Circuit c;
   c.append(GateType::kH, 0);
   EXPECT_EQ(model.inject(c, 2).num_operations(), 1u);
@@ -43,7 +54,7 @@ TEST(BiasedNoiseTest, ZeroRateInjectsNothing) {
 }
 
 TEST(BiasedNoiseTest, HighBiasProducesMostlyZErrors) {
-  BiasedNoiseModel model(1.0, 100.0, 7);
+  DepolarizingModel model(1.0, 7, 100.0);
   Circuit c;
   c.append(GateType::kH, 0);
   std::size_t z_count = 0;
@@ -65,7 +76,7 @@ TEST(BiasedNoiseTest, HighBiasProducesMostlyZErrors) {
 }
 
 TEST(BiasedNoiseTest, MeasurementFlipsAreUnbiasedX) {
-  BiasedNoiseModel model(1.0, 100.0, 3);
+  DepolarizingModel model(1.0, 3, 100.0);
   Circuit c;
   c.append(GateType::kMeasureZ, 0);
   const Circuit out = model.inject(c, 1);
@@ -74,7 +85,7 @@ TEST(BiasedNoiseTest, MeasurementFlipsAreUnbiasedX) {
 }
 
 TEST(BiasedNoiseTest, TwoQubitErrorsNeverBothIdentity) {
-  BiasedNoiseModel model(1.0, 2.0, 11);
+  DepolarizingModel model(1.0, 11, 2.0);
   Circuit c;
   c.append(GateType::kCnot, 0, 1);
   for (int i = 0; i < 100; ++i) {
@@ -83,9 +94,98 @@ TEST(BiasedNoiseTest, TwoQubitErrorsNeverBothIdentity) {
   }
 }
 
+/// The fixture circuit of tests/golden/biased_noise.txt: a prep, one-
+/// and two-qubit gates and measurements on q0..q2, with q3 idle.
+Circuit fixture_circuit() {
+  Circuit c{"fixture"};
+  TimeSlot prep;
+  prep.add(Operation{GateType::kPrepZ, 0});
+  prep.add(Operation{GateType::kPrepZ, 1});
+  prep.add(Operation{GateType::kH, 2});
+  c.append_slot(prep);
+  TimeSlot entangle;
+  entangle.add(Operation{GateType::kCnot, 0, 1});
+  entangle.add(Operation{GateType::kS, 2});
+  c.append_slot(entangle);
+  TimeSlot mix;
+  mix.add(Operation{GateType::kH, 0});
+  mix.add(Operation{GateType::kCz, 2, 1});
+  c.append_slot(mix);
+  TimeSlot readout;
+  readout.add(Operation{GateType::kMeasureZ, 0});
+  readout.add(Operation{GateType::kMeasureZ, 1});
+  readout.add(Operation{GateType::kMeasureZ, 2});
+  c.append_slot(readout);
+  return c;
+}
+
+// The biased channel draws exactly what the separate biased model drew
+// before it joined DepolarizingModel: per grid point, the FNV-1a hash
+// of Circuit::str() over 200 successive injections and the tally.
+TEST(BiasedNoiseTest, InjectionsMatchTheRecordedBiasedModel) {
+  std::ifstream file(std::string(QPF_TEST_GOLDEN_DIR) + "/biased_noise.txt");
+  ASSERT_TRUE(file.good());
+  const Circuit circuit = fixture_circuit();
+  std::size_t points = 0;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (line.empty() || line.front() == '#') {
+      continue;
+    }
+    std::istringstream fields(line);
+    double p = 0.0;
+    double eta = 0.0;
+    std::uint64_t seed = 0;
+    std::string fnv;
+    ErrorTally expected;
+    fields >> p >> eta >> seed >> fnv >> expected.single_qubit >>
+        expected.two_qubit >> expected.measurement_flips >> expected.idle;
+    ASSERT_FALSE(fields.fail()) << line;
+    DepolarizingModel model(p, seed, eta);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 200; ++i) {
+      for (const unsigned char byte : model.inject(circuit, 4).str()) {
+        hash = (hash ^ byte) * 0x100000001b3ULL;
+      }
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hex, fnv) << line;
+    EXPECT_EQ(model.tally().single_qubit, expected.single_qubit) << line;
+    EXPECT_EQ(model.tally().two_qubit, expected.two_qubit) << line;
+    EXPECT_EQ(model.tally().measurement_flips, expected.measurement_flips)
+        << line;
+    EXPECT_EQ(model.tally().idle, expected.idle) << line;
+    ++points;
+  }
+  EXPECT_EQ(points, 12u);
+}
+
+TEST(BiasedNoiseTest, SnapshotRejectsTheOtherChannelAndAnotherBias) {
+  const DepolarizingModel biased(0.01, 1, 10.0);
+  journal::SnapshotWriter out;
+  biased.save(out);
+  DepolarizingModel same(0.01, 1, 10.0);
+  journal::SnapshotReader in(out.bytes());
+  same.load(in);
+  EXPECT_TRUE(in.exhausted());
+  for (const std::optional<double> bias : {std::optional<double>{},
+                                           std::optional<double>{30.0}}) {
+    DepolarizingModel other(0.01, 1, bias);
+    journal::SnapshotReader again(out.bytes());
+    EXPECT_THROW(other.load(again), CheckpointError);
+  }
+  journal::SnapshotWriter plain;
+  DepolarizingModel(0.01, 1).save(plain);
+  journal::SnapshotReader from_plain(plain.bytes());
+  DepolarizingModel other(0.01, 1, 10.0);
+  EXPECT_THROW(other.load(from_plain), CheckpointError);
+}
+
 TEST(BiasedErrorLayerTest, StacksAndBypasses) {
   arch::ChpCore core(5);
-  arch::BiasedErrorLayer noisy(&core, 1.0, 10.0, 7);
+  arch::ErrorLayer noisy(&core, 1.0, 7, 10.0);
   noisy.create_qubits(2);
   Circuit c;
   c.append(GateType::kH, 0);
@@ -101,33 +201,23 @@ TEST(BiasedErrorLayerTest, HighBiasSkewsLogicalFailures) {
   // Under strong dephasing bias, Z_L failures (seen in the X basis)
   // should dominate X_L failures over identical window budgets.
   const auto flips_for = [](CheckType basis) {
-    int flips = 0;
+    std::size_t flips = 0;
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      arch::ChpCore core(13 + seed);
-      arch::BiasedErrorLayer noisy(&core, 2e-3, 30.0, 17 + seed);
-      arch::NinjaStarLayer ninja(&noisy);
-      ninja.create_qubits(1);
-      noisy.set_bypass(true);
-      ninja.initialize(0, basis);
-      noisy.set_bypass(false);
-      int expected = +1;
-      for (int w = 0; w < 250; ++w) {
-        ninja.run_window(0);
-        noisy.set_bypass(true);
-        if (!ninja.has_observable_errors(0)) {
-          const int sign = ninja.measure_logical_stabilizer(0, basis);
-          flips += sign != expected ? 1 : 0;
-          expected = sign;
-        }
-        noisy.set_bypass(false);
-      }
+      bench::LerConfig config;
+      config.physical_error_rate = 2e-3;
+      config.bias = 30.0;
+      config.basis = basis;
+      config.target_logical_errors = std::numeric_limits<std::size_t>::max();
+      config.max_windows = 250;
+      config.seed = 17 + seed;
+      flips += bench::run_ler(config).logical_errors;
     }
     return flips;
   };
-  const int z_basis_flips = flips_for(CheckType::kZ);  // X_L errors
-  const int x_basis_flips = flips_for(CheckType::kX);  // Z_L errors
+  const std::size_t z_basis_flips = flips_for(CheckType::kZ);  // X_L errors
+  const std::size_t x_basis_flips = flips_for(CheckType::kX);  // Z_L errors
   EXPECT_GT(x_basis_flips, 2 * z_basis_flips);
-  EXPECT_GT(x_basis_flips, 0);
+  EXPECT_GT(x_basis_flips, 0u);
 }
 
 }  // namespace

@@ -335,6 +335,30 @@ TEST(CliToolTest, LerToolRejectsTrailingTextInTheDistance) {
   expect_ler_usage_error("--distance=5x");
 }
 
+/// bench_ler rejects QPF_LER_RUNS=`value` with exit 2, naming the
+/// variable.
+void expect_bench_env_error(const std::string& value) {
+  std::string err;
+  EXPECT_EQ(run_binary("QPF_LER_RUNS=" + value + " " + QPF_BENCH_LER, "", err),
+            2)
+      << value;
+  EXPECT_NE(err.find("QPF_LER_RUNS"), std::string::npos) << value;
+}
+
+TEST(CliToolTest, BenchRejectsANegativeRunCount) {
+  // strtoull wrapped "-1" to 2^64 - 1: std::length_error, exit 134.
+  expect_bench_env_error("-1");
+}
+
+TEST(CliToolTest, BenchRejectsATextRunCount) {
+  // strtoull read "abc" as 0: a table of zero LERs and exit 0.
+  expect_bench_env_error("abc");
+}
+
+TEST(CliToolTest, BenchRejectsAZeroRunCount) {
+  expect_bench_env_error("0");
+}
+
 TEST(CliParseTest, NanRatesAreRejected) {
   EXPECT_FALSE(parse({"--error-rate=nan", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--classical-fault-rate=nan", "a.qasm"}).has_value());

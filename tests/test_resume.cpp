@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/error.h"
@@ -301,6 +302,67 @@ TEST_F(ResumeTest, JournalWithSubsystemsThisConfigLacksIsRejected) {
     // The campaign that wrote the journal still resumes from it.
     EXPECT_EQ(run_ler_campaign(options).trials_from_journal, 1u);
   }
+}
+
+TEST_F(ResumeTest, BiasedAndPlainCampaignsRefuseEachOther) {
+  LerConfig biased = fast_config();
+  biased.bias = 10.0;
+  const LerConfig plain = fast_config();
+  for (const auto& [written, other] :
+       {std::pair{biased, plain}, std::pair{plain, biased}}) {
+    std::filesystem::remove_all(dir_);
+    CampaignOptions options;
+    options.config = written;
+    options.runs = 1;
+    options.state_dir = dir_;
+    ASSERT_EQ(run_ler_campaign(options).trials_completed, 1u);
+    CampaignOptions resumed = options;
+    resumed.config = other;
+    EXPECT_THROW((void)run_ler_campaign(resumed), CheckpointError);
+
+    // A mid-trial checkpoint of one channel does not load into the other.
+    LerTrial trial(written);
+    trial.step();
+    journal::SnapshotWriter out;
+    trial.save(out);
+    LerTrial foreign(other);
+    journal::SnapshotReader in(out.bytes());
+    EXPECT_THROW(foreign.load(in), CheckpointError);
+  }
+}
+
+TEST_F(ResumeTest, InterruptedBiasedTrialResumesToTheUninterruptedJournal) {
+  CampaignOptions options;
+  options.config = fast_config();
+  options.config.bias = 10.0;
+  options.runs = 2;
+  const std::string reference_dir = dir_ + "_reference";
+  std::filesystem::remove_all(reference_dir);
+  CampaignOptions reference = options;
+  reference.state_dir = reference_dir;
+  ASSERT_EQ(run_ler_campaign(reference).trials_completed, 2u);
+
+  options.state_dir = dir_;
+  options.checkpoint_every_windows = 1;
+  options.interrupt_after_windows = 2;
+  const CampaignResult killed = run_ler_campaign(options);
+  EXPECT_TRUE(killed.interrupted);
+  EXPECT_EQ(killed.trials_completed, 0u);
+  options.interrupt_after_windows = 0;
+  const CampaignResult resumed = run_ler_campaign(options);
+  EXPECT_EQ(resumed.windows_resumed, 2u);
+  EXPECT_FALSE(resumed.checkpoint_recovered);
+
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+  };
+  const std::string journal = read(dir_ + "/journal.jsonl");
+  EXPECT_NE(journal.find("\"bias\""), std::string::npos);
+  EXPECT_EQ(journal, read(reference_dir + "/journal.jsonl"));
+  std::filesystem::remove_all(reference_dir);
 }
 
 TEST_F(ResumeTest, TimedOutTrialIsRecordedAndCampaignContinues) {

@@ -11,7 +11,9 @@
 #   2. qpf_chaos: a supervised crash-storm scenario at --jobs ∈ {2, 7}
 #      whose stdout must equal its jobs=1 run (recovery included);
 #   3. qpf_fuzz: --jobs ∈ {2, 8} JSON triage reports byte-equal to the
-#      sequential report for the same seed.
+#      sequential report for the same seed;
+#   4. bench_biased_noise: its dephasing-biased LER table at --jobs 3
+#      equal to the --jobs 1 table.
 #
 # Usage: tools/check_exec.sh [build-dir]        (default: ./build)
 set -euo pipefail
@@ -21,8 +23,9 @@ build_dir=${1:-"$repo_root/build"}
 ler="$build_dir/tools/qpf_ler"
 chaos="$build_dir/tools/qpf_chaos"
 fuzz="$build_dir/tools/qpf_fuzz"
+biased="$build_dir/bench/bench_biased_noise"
 
-for bin in "$ler" "$chaos" "$fuzz"; do
+for bin in "$ler" "$chaos" "$fuzz" "$biased"; do
     if [ ! -x "$bin" ]; then
         echo "check_exec.sh: $bin not built" >&2
         exit 1
@@ -93,5 +96,17 @@ for jobs in 2 8; do
         exit 1
     }
 done
+
+# 4. bench_biased_noise: the biased stack through the shared engine.
+echo "check_exec.sh: bench_biased_noise jobs sweep"
+QPF_LER_RUNS=3 QPF_LER_ERRORS=1 $biased --jobs 1 \
+    > "$workdir/biased-ref.out" 2> /dev/null
+QPF_LER_RUNS=3 QPF_LER_ERRORS=1 $biased --jobs 3 \
+    > "$workdir/biased-j3.out" 2> /dev/null
+cmp -s "$workdir/biased-ref.out" "$workdir/biased-j3.out" || {
+    echo "check_exec.sh: bench_biased_noise stdout diverges at --jobs 3" >&2
+    diff "$workdir/biased-ref.out" "$workdir/biased-j3.out" >&2 || true
+    exit 1
+}
 
 echo "check_exec.sh: PASS"
