@@ -1,7 +1,7 @@
 // Microbenchmarks for the performance-critical primitives: tableau
 // updates, state-vector gates, Pauli-frame stream processing, LUT
-// decoding, full QEC windows and LER steps (a window plus the
-// diagnostics).
+// decoding, noise rounds, full QEC windows and LER steps (a window plus
+// the diagnostics).
 //
 // Two modes:
 //  * default: the google-benchmark suite (BM_* below); extra arguments
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,9 @@
 #include "ler_common.h"
 #include "circuit/random.h"
 #include "core/pauli_frame.h"
+#include "qec/depolarizing.h"
 #include "qec/lut_decoder.h"
+#include "qec/surface_code.h"
 #include "stabilizer/tableau.h"
 #include "statevector/simulator.h"
 
@@ -147,6 +150,55 @@ void BM_LerStep(benchmark::State& state) {
                                          : "without-pauli-frame");
 }
 BENCHMARK(BM_LerStep)->ArgNames({"d", "frame"})->ArgsProduct({{3, 5, 7}, {0, 1}});
+
+// One ESM round through DepolarizingModel::inject, the noise layer's
+// whole work per round, at d and PER = range(1) * 1e-4; clean_share is
+// the share of rounds no draw touched, which come back unchanged.
+void BM_NoiseRound(benchmark::State& state) {
+  const qec::SurfaceCodeLayout layout(static_cast<int>(state.range(0)));
+  const Circuit round = layout.esm_circuit(0);
+  const std::size_t n = layout.num_qubits();
+  qec::DepolarizingModel model(static_cast<double>(state.range(1)) * 1e-4, 1);
+  Circuit out;
+  std::int64_t clean = 0;
+  for (auto _ : state) {
+    const Circuit& ran = model.inject(round, n, out);
+    clean += &ran == &round ? 1 : 0;
+    benchmark::DoNotOptimize(&ran);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["clean_share"] =
+      static_cast<double>(clean) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_NoiseRound)
+    ->ArgNames({"d", "per_e4"})
+    ->ArgsProduct({{3, 5, 7}, {3, 10}});
+
+// The bare draw-and-compare loop over the same round's locations (one
+// per operation and idle qubit per slot): BM_NoiseRound's floor.
+void BM_NoiseRoundDraws(benchmark::State& state) {
+  const qec::SurfaceCodeLayout layout(static_cast<int>(state.range(0)));
+  const Circuit round = layout.esm_circuit(0);
+  std::size_t locations = round.num_slots() * layout.num_qubits();
+  for (const Operation& op : round.operations()) {
+    locations -= op.arity() == 2 ? 1 : 0;
+  }
+  const qec::FlipThreshold threshold(static_cast<double>(state.range(1)) *
+                                     1e-4);
+  std::mt19937_64 rng(1);
+  for (auto _ : state) {
+    std::size_t fired = 0;
+    for (std::size_t i = 0; i < locations; ++i) {
+      fired += threshold.flips(rng()) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["locations"] = static_cast<double>(locations);
+}
+BENCHMARK(BM_NoiseRoundDraws)
+    ->ArgNames({"d", "per_e4"})
+    ->ArgsProduct({{3, 5, 7}, {3, 10}});
 
 // --- --json kernel sweep ---------------------------------------------
 

@@ -562,6 +562,10 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
     point.window_samples.push_back(static_cast<double>(sample.windows));
     saved_gates += sample.saved_gates;
     saved_slots += sample.saved_slots;
+    if (sample.windows >= options.config.max_windows &&
+        sample.logical_errors < options.config.target_logical_errors) {
+      ++point.capped_trials;
+    }
   }
   if (!samples.empty()) {
     const stats::Summary ler = stats::summarize(point.ler_samples);

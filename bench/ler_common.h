@@ -140,6 +140,9 @@ struct LerPoint {
   double window_cv = 0.0;  ///< coefficient of variation of R (Eq 5.4)
   double saved_gates = 0.0;
   double saved_slots = 0.0;
+  /// Trials that stopped at max_windows short of their error target:
+  /// their LER is an estimate from fewer errors than asked for.
+  std::size_t capped_trials = 0;
 };
 
 /// Run `runs` independent repetitions at one physical error rate.

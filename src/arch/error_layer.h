@@ -24,10 +24,10 @@ class ErrorLayer final : public Layer {
     if (bypass_) {
       lower().add(circuit);
     } else {
-      // The noisy copy lives in a reused buffer, valid until the next
-      // add() (see PauliFrameLayer).
-      model_.inject(circuit, num_qubits(), noisy_);
-      lower().add(noisy_);
+      // A circuit no draw touched passes down as it is; a noisy copy
+      // lives in a reused buffer, valid until the next add() (see
+      // PauliFrameLayer).
+      lower().add(model_.inject(circuit, num_qubits(), noisy_));
     }
   }
 

@@ -99,6 +99,9 @@ const char* describe(int n) noexcept {
     case 17:
       return "frame-core-hit-ignores-x: a FrameCore memo hit reports the "
              "reference's measurement bit without the X record's flip";
+    case 18:
+      return "noise-fired-redraw: once a noise draw fires, the rewrite "
+             "draws the fired location again instead of taking the fault";
     default:
       return "?";
   }

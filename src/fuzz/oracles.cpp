@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -29,6 +30,7 @@
 #include "io/fault_fs.h"
 #include "io/fault_net.h"
 #include "journal/snapshot.h"
+#include "qec/depolarizing.h"
 #include "qec/ninja_star.h"
 #include "qec/surface_code.h"
 #include "serve/protocol.h"
@@ -1782,6 +1784,177 @@ OracleOutcome check_frame_core(std::uint64_t seed) {
   return OracleOutcome::pass();
 }
 
+// --- noise-draws -------------------------------------------------------
+
+namespace {
+
+/// DepolarizingModel's channel as the per-location loop that rewrote
+/// every circuit, on its own engine and the library's distributions.
+class ReferenceNoise {
+ public:
+  ReferenceNoise(double p, std::uint64_t seed, std::optional<double> bias)
+      : p_(p),
+        bias_(bias),
+        px_(bias ? p / (2.0 * (*bias + 1.0)) : p / 3.0),
+        pz_(bias ? p * *bias / (*bias + 1.0) : p / 3.0),
+        rng_(seed) {}
+
+  /// Every location draws once, in slot order: each operation, then
+  /// each idle qubit ascending.  Measurement flips go in a slot before
+  /// the operations, gate and idle faults in a slot after them.
+  Circuit inject(const Circuit& circuit, std::size_t n) {
+    Circuit out;
+    out.set_name(circuit.name());
+    for (const SlotView slot : circuit) {
+      std::vector<Operation> before;
+      std::vector<Operation> after;
+      std::vector<bool> busy(n, false);
+      for (const Operation& op : slot) {
+        for (int i = 0; i < op.arity(); ++i) {
+          busy[op.qubit(i)] = true;
+        }
+        if (category(op.gate()) == GateCategory::kMeasurement) {
+          if (flip()) {
+            before.emplace_back(GateType::kX, op.qubit(0));
+            ++tally.measurement_flips;
+          }
+        } else if (op.arity() == 1) {
+          if (flip()) {
+            after.emplace_back(pauli(), op.qubit(0));
+            ++tally.single_qubit;
+          }
+        } else if (flip()) {
+          const auto [first, second] = pair();
+          if (first != GateType::kI) {
+            after.emplace_back(first, op.qubit(0));
+          }
+          if (second != GateType::kI) {
+            after.emplace_back(second, op.qubit(1));
+          }
+          ++tally.two_qubit;
+        }
+      }
+      for (std::size_t q = 0; q < n; ++q) {
+        if (!busy[q] && flip()) {
+          after.emplace_back(pauli(), static_cast<Qubit>(q));
+          ++tally.idle;
+        }
+      }
+      out.append_slot(SlotView(before.data(), before.data() + before.size()));
+      out.append_slot(slot);
+      out.append_slot(SlotView(after.data(), after.data() + after.size()));
+    }
+    return out;
+  }
+
+  /// The bytes DepolarizingModel::save writes for this state.
+  [[nodiscard]] std::vector<std::uint8_t> save_bytes() const {
+    journal::SnapshotWriter out;
+    out.tag(bias_ ? "biased-noise" : "depolarizing");
+    out.write_double(p_);
+    if (bias_) {
+      out.write_double(*bias_);
+    }
+    out.write_rng(rng_);
+    out.write_size(tally.single_qubit);
+    out.write_size(tally.two_qubit);
+    out.write_size(tally.measurement_flips);
+    out.write_size(tally.idle);
+    return out.bytes();
+  }
+
+  qec::ErrorTally tally;
+
+ private:
+  double uniform() {
+    return std::uniform_real_distribution<double>{0.0, 1.0}(rng_);
+  }
+  bool flip() { return uniform() < p_; }
+
+  GateType pauli() {
+    if (!bias_) {
+      static constexpr GateType kPaulis[] = {GateType::kX, GateType::kY,
+                                             GateType::kZ};
+      return kPaulis[std::uniform_int_distribution<int>(0, 2)(rng_)];
+    }
+    const double u = uniform() * (2.0 * px_ + pz_);
+    return u < px_ ? GateType::kX : u < 2.0 * px_ ? GateType::kY : GateType::kZ;
+  }
+
+  std::pair<GateType, GateType> pair() {
+    static constexpr GateType kOneQubit[] = {GateType::kI, GateType::kX,
+                                             GateType::kY, GateType::kZ};
+    if (!bias_) {
+      const int combo = std::uniform_int_distribution<int>(1, 15)(rng_);
+      return {kOneQubit[combo / 4], kOneQubit[combo % 4]};
+    }
+    GateType first = GateType::kI;
+    GateType second = GateType::kI;
+    while (first == GateType::kI && second == GateType::kI) {
+      first = uniform() < 0.5 ? pauli() : GateType::kI;
+      second = uniform() < 0.5 ? pauli() : GateType::kI;
+    }
+    return {first, second};
+  }
+
+  double p_;
+  std::optional<double> bias_;
+  double px_;
+  double pz_;
+  std::mt19937_64 rng_;
+};
+
+bool same_tally(const qec::ErrorTally& a, const qec::ErrorTally& b) {
+  return a.single_qubit == b.single_qubit && a.two_qubit == b.two_qubit &&
+         a.measurement_flips == b.measurement_flips && a.idle == b.idle;
+}
+
+}  // namespace
+
+OracleOutcome check_noise_draws(const Circuit& stream, std::uint64_t seed,
+                                const OracleTuning&) {
+  static constexpr double kRates[] = {0.0, 1e-3, 0.05, 0.5, 1.0};
+  static constexpr double kBiases[] = {0.5, 3.0, 30.0};
+  constexpr int kInjections = 8;
+  SplitMix rng(derive_seed(seed, label_hash("noise-draws")));
+  // Wider than the circuit, so every slot has idle qubits to charge.
+  const std::size_t n = register_size(stream) + 1 + rng.below(3);
+  for (const double p : kRates) {
+    for (const bool biased : {false, true}) {
+      const std::optional<double> bias =
+          biased ? std::optional<double>{kBiases[rng.below(3)]}
+                 : std::nullopt;
+      const std::uint64_t model_seed = rng.next();
+      qec::DepolarizingModel model(p, model_seed, bias);
+      ReferenceNoise reference(p, model_seed, bias);
+      Circuit buffer;
+      for (int i = 0; i < kInjections; ++i) {
+        const Circuit& got = model.inject(stream, n, buffer);
+        const Circuit want = reference.inject(stream, n);
+        std::ostringstream why;
+        why << "p=" << p << " eta=" << (bias ? std::to_string(*bias) : "-")
+            << " n=" << n << " injection " << i << ": ";
+        if (got != want || got.name() != want.name()) {
+          why << "circuit\n" << got.str() << "vs reference\n" << want.str();
+          return OracleOutcome::fail(why.str());
+        }
+        if (!same_tally(model.tally(), reference.tally)) {
+          why << "tally " << model.tally().total() << " vs reference "
+              << reference.tally.total();
+          return OracleOutcome::fail(why.str());
+        }
+        journal::SnapshotWriter saved;
+        model.save(saved);
+        if (saved.bytes() != reference.save_bytes()) {
+          why << "save() bytes differ from the reference's";
+          return OracleOutcome::fail(why.str());
+        }
+      }
+    }
+  }
+  return OracleOutcome::pass();
+}
+
 // --- registry ---------------------------------------------------------
 
 namespace {
@@ -1836,6 +2009,7 @@ const std::vector<OracleSpec>& all_oracles() {
        executor_determinism_adapter, false},
       {"peek-vs-probe", CircuitKind::kNone, peek_vs_probe_adapter, false},
       {"frame-core", CircuitKind::kNone, frame_core_adapter, false},
+      {"noise-draws", CircuitKind::kStream, check_noise_draws, false},
   };
   return kOracles;
 }

@@ -84,6 +84,13 @@
 //                 agree after every batch, and at a random cut the run
 //                 resumes from those bytes (planted bug 17 drops the X
 //                 record from a memo hit).
+//   noise-draws — DepolarizingModel::inject against a reference kept
+//                 here, the per-location loop on its own mt19937_64:
+//                 on a stream circuit in a wider register (so every
+//                 slot has idle qubits), at p in {0, 1e-3, 0.05, 0.5, 1},
+//                 symmetric and biased, the returned circuit, the tally
+//                 and the save() bytes must match after every injection
+//                 (planted bug 18 redraws the location that fired).
 #pragma once
 
 #include <cstdint>
@@ -173,6 +180,9 @@ enum class CircuitKind : std::uint8_t {
 [[nodiscard]] OracleOutcome check_executor_determinism(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_peek_vs_probe(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_frame_core(std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_noise_draws(const Circuit& stream,
+                                              std::uint64_t seed,
+                                              const OracleTuning& tuning);
 
 // --- Registry ---------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "circuit/bug_plant.h"
 #include "circuit/error.h"
 
 namespace qpf::qec {
@@ -106,11 +107,46 @@ std::pair<GateType, GateType> DepolarizingModel::random_pair() {
   return {first, second};
 }
 
-void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
-                               Circuit& out) {
+const Circuit& DepolarizingModel::inject(const Circuit& circuit,
+                                         std::size_t num_qubits,
+                                         Circuit& out) {
   if (circuit.min_register_size() > num_qubits) {
     throw StackConfigError("DepolarizingModel", "register too small");
   }
+  // One draw per location, in rewrite()'s order: a slot's operations,
+  // then its idle qubits.  A slot has num_qubits - (two-qubit
+  // operations) locations because it never names a qubit twice
+  // (TimeSlot::add, Circuit::append and the parsers check it; push_op
+  // and raw append_slot callers guarantee it).
+  std::size_t locations = circuit.num_slots() * num_qubits;
+  for (const Operation& op : circuit.operations()) {
+    locations -= op.control() != op.target() ? 1 : 0;
+  }
+  std::size_t fired = 0;
+  while (fired < locations && !flip()) {
+    ++fired;
+  }
+  if (fired == locations) {
+    return circuit;
+  }
+  rewrite(circuit, num_qubits, fired, out);
+  return out;
+}
+
+void DepolarizingModel::rewrite(const Circuit& circuit, std::size_t num_qubits,
+                                std::size_t fired, Circuit& out) {
+  // Locations 0..fired were drawn by inject(): replay those outcomes,
+  // then draw afresh.
+  std::size_t drawn = fired + 1;
+  const auto faults = [&] {
+    if (drawn == 0) {
+      return flip();
+    }
+    if (--drawn > 0) {
+      return false;
+    }
+    return plant::bug(18) ? flip() : true;  // mutation hook: redraw it
+  };
   out.clear();
   out.set_name(circuit.name());
   for (const SlotView slot : circuit) {
@@ -123,24 +159,24 @@ void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
       busy_[op.target()] = 1;  // == control() for one-qubit gates
       switch (category(op.gate())) {
         case GateCategory::kMeasurement:
-          if (flip()) {
+          if (faults()) {
             out.push_op(Operation{GateType::kX, op.qubit(0)});
             ++tally_.measurement_flips;
           }
           break;
         case GateCategory::kInitialization:
-          if (flip()) {
+          if (faults()) {
             post_.emplace_back(random_pauli(), op.qubit(0));
             ++tally_.single_qubit;
           }
           break;
         default:
           if (op.arity() == 1) {
-            if (flip()) {
+            if (faults()) {
               post_.emplace_back(random_pauli(), op.qubit(0));
               ++tally_.single_qubit;
             }
-          } else if (flip()) {
+          } else if (faults()) {
             const auto [first, second] = random_pair();
             if (first != GateType::kI) {
               post_.emplace_back(first, op.qubit(0));
@@ -155,7 +191,7 @@ void DepolarizingModel::inject(const Circuit& circuit, std::size_t num_qubits,
     }
     // Idle errors: every untouched qubit executes an identity gate.
     for (Qubit q = 0; q < num_qubits; ++q) {
-      if (busy_[q] == 0 && flip()) {
+      if (busy_[q] == 0 && faults()) {
         post_.emplace_back(random_pauli(), q);
         ++tally_.idle;
       }

@@ -84,16 +84,18 @@ class DepolarizingModel {
   [[nodiscard]] double p_y() const noexcept { return px_; }
   [[nodiscard]] double p_z() const noexcept { return pz_; }
 
-  /// Rewrite a circuit with sampled faults inserted into `out` (cleared
-  /// first; it keeps its capacity and must not be `circuit`).
-  /// `num_qubits` is the register size, needed to charge idle errors to
-  /// untouched qubits in every slot.
-  void inject(const Circuit& circuit, std::size_t num_qubits, Circuit& out);
+  /// Sample faults for every location of a circuit and return the
+  /// circuit to run: `circuit` itself when no draw fired (`out` and the
+  /// tally untouched), else `out` (cleared first; it keeps its capacity
+  /// and must not be `circuit`) with the faults inserted.  `num_qubits`
+  /// is the register size, needed to charge idle errors to untouched
+  /// qubits in every slot.
+  [[nodiscard]] const Circuit& inject(const Circuit& circuit,
+                                      std::size_t num_qubits, Circuit& out);
   [[nodiscard]] Circuit inject(const Circuit& circuit,
                                std::size_t num_qubits) {
     Circuit out;
-    inject(circuit, num_qubits, out);
-    return out;
+    return inject(circuit, num_qubits, out);
   }
 
   [[nodiscard]] const ErrorTally& tally() const noexcept { return tally_; }
@@ -118,6 +120,10 @@ class DepolarizingModel {
   [[nodiscard]] std::pair<GateType, GateType> random_pair();
   /// One draw: true with probability p.
   [[nodiscard]] bool flip() { return threshold_.flips(rng_()); }
+  /// inject()'s rewrite of `circuit` into `out` once location `fired`
+  /// (in draw order) has fired and every location before it has not.
+  void rewrite(const Circuit& circuit, std::size_t num_qubits,
+               std::size_t fired, Circuit& out);
 
   double p_;
   std::optional<double> bias_;

@@ -765,8 +765,15 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
     forget_evicted(id);
     forget_closed(id);
     ExecState& st = exec_[id];
-    st.requests_admitted = opened.session->requests_served();
-    st.bytes_admitted = opened.session->bytes_received();
+    // A warm session re-attached with work still queued or running keeps
+    // its admission counters: they already count that work, and an
+    // executor may be charging the session right now, outside mutex_,
+    // so its own counters cannot be read here.  Otherwise no executor
+    // holds the session, and its accounting restarts the counters.
+    if (!opened.restored || (!st.running && st.pending.empty())) {
+      st.requests_admitted = opened.session->requests_served();
+      st.bytes_admitted = opened.session->bytes_received();
+    }
     if (opened.restored) {
       ++stats_.sessions_restored;
     }

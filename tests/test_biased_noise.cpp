@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -15,6 +14,7 @@
 #include "arch/error_layer.h"
 #include "circuit/error.h"
 #include "ler_common.h"
+#include "noise_fixture.h"
 #include "qec/depolarizing.h"
 
 namespace qpf::qec {
@@ -94,38 +94,13 @@ TEST(BiasedNoiseTest, TwoQubitErrorsNeverBothIdentity) {
   }
 }
 
-/// The fixture circuit of tests/golden/biased_noise.txt: a prep, one-
-/// and two-qubit gates and measurements on q0..q2, with q3 idle.
-Circuit fixture_circuit() {
-  Circuit c{"fixture"};
-  TimeSlot prep;
-  prep.add(Operation{GateType::kPrepZ, 0});
-  prep.add(Operation{GateType::kPrepZ, 1});
-  prep.add(Operation{GateType::kH, 2});
-  c.append_slot(prep);
-  TimeSlot entangle;
-  entangle.add(Operation{GateType::kCnot, 0, 1});
-  entangle.add(Operation{GateType::kS, 2});
-  c.append_slot(entangle);
-  TimeSlot mix;
-  mix.add(Operation{GateType::kH, 0});
-  mix.add(Operation{GateType::kCz, 2, 1});
-  c.append_slot(mix);
-  TimeSlot readout;
-  readout.add(Operation{GateType::kMeasureZ, 0});
-  readout.add(Operation{GateType::kMeasureZ, 1});
-  readout.add(Operation{GateType::kMeasureZ, 2});
-  c.append_slot(readout);
-  return c;
-}
-
 // The biased channel draws exactly what the separate biased model drew
 // before it joined DepolarizingModel: per grid point, the FNV-1a hash
 // of Circuit::str() over 200 successive injections and the tally.
 TEST(BiasedNoiseTest, InjectionsMatchTheRecordedBiasedModel) {
   std::ifstream file(std::string(QPF_TEST_GOLDEN_DIR) + "/biased_noise.txt");
   ASSERT_TRUE(file.good());
-  const Circuit circuit = fixture_circuit();
+  const Circuit circuit = test::noise_fixture_circuit();
   std::size_t points = 0;
   std::string line;
   while (std::getline(file, line)) {
@@ -141,22 +116,14 @@ TEST(BiasedNoiseTest, InjectionsMatchTheRecordedBiasedModel) {
     fields >> p >> eta >> seed >> fnv >> expected.single_qubit >>
         expected.two_qubit >> expected.measurement_flips >> expected.idle;
     ASSERT_FALSE(fields.fail()) << line;
-    DepolarizingModel model(p, seed, eta);
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (int i = 0; i < 200; ++i) {
-      for (const unsigned char byte : model.inject(circuit, 4).str()) {
-        hash = (hash ^ byte) * 0x100000001b3ULL;
-      }
-    }
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(hash));
-    EXPECT_EQ(hex, fnv) << line;
-    EXPECT_EQ(model.tally().single_qubit, expected.single_qubit) << line;
-    EXPECT_EQ(model.tally().two_qubit, expected.two_qubit) << line;
-    EXPECT_EQ(model.tally().measurement_flips, expected.measurement_flips)
+    const test::InjectionRecord got =
+        test::record_injections(circuit, 4, p, seed, eta);
+    EXPECT_EQ(got.circuits, fnv) << line;
+    EXPECT_EQ(got.tally.single_qubit, expected.single_qubit) << line;
+    EXPECT_EQ(got.tally.two_qubit, expected.two_qubit) << line;
+    EXPECT_EQ(got.tally.measurement_flips, expected.measurement_flips)
         << line;
-    EXPECT_EQ(model.tally().idle, expected.idle) << line;
+    EXPECT_EQ(got.tally.idle, expected.idle) << line;
     ++points;
   }
   EXPECT_EQ(points, 12u);

@@ -72,6 +72,8 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"peek-vs-probe", "frame-core"};
     case 17:  // a FrameCore memo hit ignores the X record
       return {"frame-core"};
+    case 18:  // the noise rewrite redraws the location that fired
+      return {"noise-draws"};
     default:
       return {};
   }

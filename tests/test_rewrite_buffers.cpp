@@ -2,7 +2,7 @@
 //  * the integer noise draw (FlipThreshold) decides every draw exactly
 //    like uniform_real_distribution<double>{0, 1} compared with p;
 //  * PauliFrame::process and DepolarizingModel::inject give the same
-//    circuit in a dirty, reused buffer as in a fresh one;
+//    circuit with a dirty, reused buffer as with a fresh one;
 //  * circuit and LER checkpoint bytes equal golden values recorded
 //    before circuits became flat, so the buffers and caches added to the
 //    stack are not snapshot state.
@@ -121,10 +121,11 @@ TEST(RewriteBufferTest, InjectIntoDirtyBufferMatchesFresh) {
   qec::DepolarizingModel fresh(0.05, seed);
   Circuit buffer = dirty_buffer();
   for (const Circuit& c : workload(kQubits, seed)) {
-    reused.inject(c, kQubits, buffer);
+    // A circuit no draw touched comes back as it is and leaves the
+    // buffer stale, so compare the circuits inject() returns.
+    const Circuit& got = reused.inject(c, kQubits, buffer);
     Circuit out;
-    fresh.inject(c, kQubits, out);
-    expect_same(buffer, out);
+    expect_same(got, fresh.inject(c, kQubits, out));
   }
   EXPECT_EQ(reused.tally().total(), fresh.tally().total());
   EXPECT_GT(reused.tally().measurement_flips, 0u);

@@ -431,6 +431,68 @@ TEST(ServeServerTest, WarmReattachRequiresMatchingConfig) {
   EXPECT_EQ(decode_measure_reply(measured.reply.payload), bits_before);
 }
 
+TEST(ServeServerTest, ReattachWithWorkInFlightKeepsTheQuota) {
+  // A connection drops with submits still queued or running, and
+  // another connection re-attaches the warm session.  The executor may
+  // be charging that session while the re-attach runs, so the open must
+  // not read the session's own counters; the admission counters already
+  // count the in-flight work.  Either way the session runs exactly its
+  // quota of requests.
+  constexpr std::uint64_t kQuota = 12;
+  ServeOptions options;
+  options.quota.max_requests = kQuota;
+  options.executor_threads = 1;
+  ServerFixture fixture{options};
+  const std::uint64_t id = session_id_for("t");
+  std::string program = "qubits 3\n";
+  for (int i = 0; i < 1000; ++i) {
+    program += "h q0\ncnot q0,q1\ncnot q1,q2\n";
+  }
+  program += "measure q0\n";
+  {
+    Client first;
+    handshake(first, fixture.port());
+    ASSERT_FALSE(first.open_session(basic_config("t")).error.has_value());
+    for (int i = 0; i < 8; ++i) {
+      Frame request;
+      request.version = 1;
+      request.type = MsgType::kSubmitQasm;
+      request.session = id;
+      request.request = static_cast<std::uint32_t>(100 + i);
+      request.payload = encode_submit_qasm(program);
+      first.send(request);
+    }
+    first.disconnect();
+  }
+
+  Client second;
+  handshake(second, fixture.port());
+  Client::Result reopened = second.open_session(basic_config("t"));
+  for (int i = 0; i < 400 && reopened.error.has_value() &&
+                  reopened.error->code == "session-busy";
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    reopened = second.open_session(basic_config("t"));
+  }
+  ASSERT_FALSE(reopened.error.has_value()) << reopened.error->message;
+  EXPECT_TRUE(decode_session_opened(reopened.reply.payload).restored);
+  std::uint64_t accepted = 0;
+  for (std::uint64_t i = 0; i <= kQuota; ++i) {
+    const Client::Result run = second.submit_qasm(id, kProgram);
+    if (run.error.has_value()) {
+      EXPECT_EQ(run.error->code, "quota");
+      break;
+    }
+    ++accepted;
+  }
+  EXPECT_GE(accepted, kQuota - 8);
+  second.disconnect();
+  fixture.drain();
+  // The dropped connection's submits that were admitted and the
+  // re-attached connection's fill the quota exactly.
+  EXPECT_EQ(fixture.server().stats().requests_executed, kQuota);
+}
+
 class ServeServerDrainTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -29,7 +29,7 @@ if [ "$mode" = "thread" ]; then
   filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|ParentJournal'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint|FrameCore|ParentJournal|BiasedNoise|BiasedErrorLayer'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint|FrameCore|ParentJournal|BiasedNoise|BiasedErrorLayer|Depolarizing'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"
