@@ -5,14 +5,20 @@
 //   2. The LUT decoder — enabled vs. disabled (syndromes measured but
 //      never corrected).  Measured as the mean logical lifetime: windows
 //      until even a final perfect decode cannot recover the state.
+//      Lifetimes spread widely, so each cell prints its standard error
+//      over the runs and the gain the range those errors allow.
 //
 // Scale via QPF_LER_RUNS / QPF_LER_ERRORS.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_json.h"
 #include "ler_common.h"
+#include "stats/summary.h"
 
 namespace {
 
@@ -45,12 +51,13 @@ LerPoint measure(double per, CnotPattern pattern, std::size_t errors,
 // disabled (where errors accumulate until the LUT decodes them to the
 // wrong chain side).  Each run is a LerTrial on the seed chain from
 // 0xab1e, stepped window by window through its stack.
-double mean_logical_lifetime(double per, bool decoding, std::size_t runs) {
+qpf::stats::Summary logical_lifetime(double per, bool decoding,
+                                     std::size_t runs) {
   LerConfig config;
   config.physical_error_rate = per;
   config.with_pauli_frame = false;
   config.ninja_options.decoding_enabled = decoding;
-  double total = 0.0;
+  std::vector<double> lifetimes;
   std::uint64_t seed = 0xab1e;
   for (std::size_t r = 0; r < runs; ++r) {
     seed = qpf::bench::next_trial_seed(seed);
@@ -86,9 +93,21 @@ double mean_logical_lifetime(double per, bool decoding, std::size_t runs) {
         break;
       }
     }
-    total += static_cast<double>(windows);
+    lifetimes.push_back(static_cast<double>(windows));
   }
-  return total / static_cast<double>(runs);
+  return qpf::stats::summarize(lifetimes);
+}
+
+/// Standard error of a mean; 0 for a single run.
+double standard_error(const qpf::stats::Summary& s) {
+  return s.stddev / std::sqrt(static_cast<double>(s.n));
+}
+
+/// "812.3 +- 95.1"
+std::string with_error(double mean, double error) {
+  char text[48];
+  std::snprintf(text, sizeof text, "%.1f +- %.1f", mean, error);
+  return text;
 }
 
 }  // namespace
@@ -129,22 +148,40 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Decoder ablation: mean logical lifetime in windows "
               "===\n");
-  std::printf("%-10s %-16s %-16s %-8s\n", "PER", "with decoder",
-              "without decoder", "gain");
+  std::printf("%-10s %-20s %-20s %s\n", "PER", "with decoder",
+              "without decoder", "gain [range]");
   for (double per : {1e-3, 2e-3, 5e-3}) {
-    const double with = mean_logical_lifetime(per, true, runs);
-    const double without = mean_logical_lifetime(per, false, runs);
-    std::printf("%-10.1e %-16.1f %-16.1f %-8.1fx\n", per, with, without,
-                without > 0.0 ? with / without : 0.0);
+    const qpf::stats::Summary with = logical_lifetime(per, true, runs);
+    const qpf::stats::Summary without = logical_lifetime(per, false, runs);
+    const double with_se = standard_error(with);
+    const double without_se = standard_error(without);
+    // The gain's range: each mean moved by one standard error against
+    // the other; unbounded once the lower lifetime's error reaches it.
+    const double gain = without.mean > 0.0 ? with.mean / without.mean : 0.0;
+    const double gain_low = (with.mean - with_se) / (without.mean + without_se);
+    const double gain_high =
+        without.mean > without_se
+            ? (with.mean + with_se) / (without.mean - without_se)
+            : std::numeric_limits<double>::infinity();
+    std::printf("%-10.1e %-20s %-20s %.1fx [%.1f-%.1f]\n", per,
+                with_error(with.mean, with_se).c_str(),
+                with_error(without.mean, without_se).c_str(), gain, gain_low,
+                gain_high);
     cli.report.stats.emplace_back();
     cli.report.stats.back()
         .text("series", "decoder_ablation")
         .num("per", per)
-        .num("lifetime_with_decoder", with)
-        .num("lifetime_without_decoder", without);
+        .num("lifetime_with_decoder", with.mean)
+        .num("lifetime_without_decoder", without.mean)
+        .num("lifetime_with_decoder_se", with_se)
+        .num("lifetime_without_decoder_se", without_se)
+        .num("gain_low", gain_low)
+        .num("gain_high", gain_high);
   }
   std::printf("(decoding must extend the memory lifetime by a wide "
-              "margin)\n");
+              "margin; +- is one standard error over %zu runs, and the "
+              "gain's range moves each mean by one)\n",
+              runs);
   cli.report.wall_ms = timer.ms();
   return cli.finish();
 }

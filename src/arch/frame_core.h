@@ -11,6 +11,11 @@
 //     state is memoised: (state, skeleton) -> its measurement bits and
 //     the state it leads to.  On a hit a deterministic outcome is the
 //     memoised bit XOR the record's X component, and no tableau runs.
+//   - A batch that is its skeleton exactly -- no Pauli in it, as in
+//     every clean ESM round -- is confirmed with one byte compare and
+//     answered from the entry's compiled map: the skeleton's linear
+//     action on the frame bits and outcome flips, built at the entry's
+//     first such hit.  A batch with Paulis replays the entry op by op.
 //   - Reference states are nodes: a hash of the tableau's words
 //     confirmed by an exact compare, so the ESM rounds of a QEC window
 //     cycle through a handful of them.
@@ -38,7 +43,8 @@ class FrameCore final : public Core {
   struct MemoStats {
     std::size_t batches = 0;  ///< execute() calls with queued circuits
     std::size_t hits = 0;
-    std::size_t nodes = 0;  ///< reference states the memo holds now
+    std::size_t mapped = 0;  ///< hits answered from a compiled map
+    std::size_t nodes = 0;   ///< reference states the memo holds now
   };
 
   explicit FrameCore(std::uint64_t seed = 1) : seed_(seed) {}
@@ -70,7 +76,7 @@ class FrameCore final : public Core {
   void load_state(journal::SnapshotReader& in) override;
 
   [[nodiscard]] MemoStats memo_stats() const noexcept {
-    return {stats_.batches, stats_.hits, nodes_.size()};
+    return {stats_.batches, stats_.hits, stats_.mapped, nodes_.size()};
   }
 
  private:
@@ -82,6 +88,11 @@ class FrameCore final : public Core {
     std::uint32_t skeleton;  ///< first op in skeletons_
     std::uint32_t size;      ///< skeleton length
     std::uint32_t bits;      ///< first outcome in bits_
+    std::uint32_t outcomes;  ///< measurements in the skeleton
+    /// The compiled map: first word in columns_ and first qubit in
+    /// templates_; kNone until the first hit by a Pauli-free batch.
+    std::uint32_t columns;
+    std::uint32_t layout;
   };
   /// A reference state; its image is the node's slice of images_.
   struct Node {
@@ -99,8 +110,18 @@ class FrameCore final : public Core {
   /// Run the queued skeleton on the working tableau, recording it as an
   /// entry when it draws nothing.
   void run_reference(std::size_t pending);
-  /// Replay entry `e` over the queue; false (nothing changed) when the
+  /// Run entry `e` over the queue; false (nothing changed) when the
   /// queued skeleton differs from it.
+  [[nodiscard]] bool hit(Entry& e, std::size_t pending);
+  /// True when the queued operations are e's skeleton, byte for byte:
+  /// then the batch holds no Pauli either.
+  [[nodiscard]] bool matches(const Entry& e, std::size_t pending) const;
+  /// Build e's compiled map from its skeleton.
+  void compile(Entry& e);
+  /// Apply e's compiled map to the frame and the binary state.
+  void apply_map(const Entry& e);
+  /// Replay entry `e` over the queue op by op, Paulis included; false
+  /// (nothing changed) when the queued skeleton differs from it.
   [[nodiscard]] bool replay(const Entry& e, std::size_t pending);
   /// Make the working tableau hold node_'s state.
   void materialize() const;
@@ -132,9 +153,20 @@ class FrameCore final : public Core {
   std::vector<Entry> entries_;
   std::vector<Operation> skeletons_;
   std::vector<std::uint8_t> bits_;
+  // Compiled maps.  An entry with n qubits and m outcomes has 2n
+  // columns of map_words(n, m) words, one per frame bit (X of qubit q at
+  // bit 2q, Z at 2q + 1): the bit's image in the frame after the
+  // skeleton, then from bit 2n on its flip of each outcome.  Its
+  // template says per qubit what the skeleton leaves in binary_.
+  std::vector<std::uint64_t> columns_;
+  std::vector<std::uint32_t> templates_;
+  // apply_map() scratch: the packed frame, and its image.
+  std::vector<std::uint64_t> frame_bits_;
+  std::vector<std::uint64_t> image_;
   mutable std::vector<Read> reads_;
   MemoStats stats_;
-  // replay() restores these when the queued skeleton differs.
+  // replay() restores these when the queued skeleton differs;
+  // compile() runs frame bits through a skeleton in them.
   std::vector<pf::PauliRecord> saved_frame_;
   BinaryState saved_binary_;
 };

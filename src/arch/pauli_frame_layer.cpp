@@ -15,8 +15,7 @@ void PauliFrameLayer::add(const Circuit& circuit) {
     throw StackConfigError("PauliFrameLayer", "circuit exceeds register");
   }
   const std::size_t uncorrectable_before = frame_->health().uncorrectable;
-  frame_->process(circuit, rewritten_);
-  lower().add(rewritten_);
+  lower().add(frame_->process(circuit, rewritten_));
   if (frame_->health().uncorrectable > uncorrectable_before) {
     // Graceful degradation: a record was lost while rewriting this
     // circuit.  Flush the remaining records so the frame re-enters a

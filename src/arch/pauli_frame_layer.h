@@ -16,10 +16,11 @@
 // returns to a known-clean state instead of silently corrupting the
 // downstream Clifford stream.
 //
-// The rewritten circuit handed to the layer below lives in a buffer the
-// layer owns and reuses: it stays valid until this layer's next add(),
-// so an element below that keeps a circuit past its own add() copies it
-// (DESIGN.md, "Circuit storage and rewrite buffers").
+// A circuit with no Pauli and no non-Clifford gate passes down as it is.
+// Any other circuit is rewritten into a buffer the layer owns and
+// reuses: it stays valid until this layer's next add(), so an element
+// below that keeps a circuit past its own add() copies it (DESIGN.md,
+// "Circuit storage and rewrite buffers").
 #pragma once
 
 #include "arch/layer.h"

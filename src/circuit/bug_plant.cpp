@@ -102,6 +102,9 @@ const char* describe(int n) noexcept {
     case 18:
       return "noise-fired-redraw: once a noise draw fires, the rewrite "
              "draws the fired location again instead of taking the fault";
+    case 19:
+      return "frame-map-reset-keeps-x: a FrameCore compiled map keeps a "
+             "reset qubit's X record instead of clearing it";
     default:
       return "?";
   }

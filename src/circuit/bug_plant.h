@@ -17,7 +17,7 @@
 namespace qpf::plant {
 
 /// Number of catalogued bugs; valid plant ids are 1..kCount.
-inline constexpr int kCount = 18;
+inline constexpr int kCount = 19;
 
 namespace detail {
 /// The active bug once known; negative until the first active() call.

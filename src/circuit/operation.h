@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "circuit/gate.h"
 
@@ -69,8 +70,14 @@ class Operation {
 
  private:
   GateType gate_;
+  // Explicit and zeroed, so that equal operations have equal bytes: a
+  // one-qubit operation's q1_ is its qubit, and no byte is padding.
+  std::uint8_t padding_[3] = {};
   Qubit q0_;
   Qubit q1_;
 };
+
+// FrameCore confirms a memoised skeleton with memcmp over operations.
+static_assert(std::has_unique_object_representations_v<Operation>);
 
 }  // namespace qpf

@@ -13,6 +13,118 @@ namespace {
   return static_cast<std::uint8_t>(has_x(r) != has_z(r) ? 1 : 0);
 }
 
+/// The mutation hooks in the record rules, read once per circuit.
+struct RuleHooks {
+  bool h_row_dropped = plant::bug(1);       // Table 3.4 H row dropped
+  bool s_row_wrong = plant::bug(2);         // Table 3.4 S row wrong
+  bool cnot_reversed = plant::bug(3);       // Table 3.5 operands reversed
+  bool reset_keeps_record = plant::bug(5);  // reset keeps the record
+};
+
+/// The primary bank, unguarded: Protection::kNone once the caller has
+/// checked the circuit's width against the register.
+struct RawBank {
+  PauliRecord* records;
+  [[nodiscard]] PauliRecord load(Qubit q) const { return records[q]; }
+  void store(Qubit q, PauliRecord r) const { records[q] = r; }
+};
+
+/// Guarded reads and writes: one verification per operand read, which
+/// FrameHealth counts.
+struct GuardedBank {
+  PauliFrame& frame;
+  [[nodiscard]] PauliRecord load(Qubit q) const { return frame.record(q); }
+  void store(Qubit q, PauliRecord r) const { frame.set_record(q, r); }
+};
+
+[[noreturn]] [[gnu::cold]] void unsupported(const Operation& op) {
+  throw StackConfigError("PauliFrame", "unsupported Clifford: " + op.str());
+}
+
+/// The record rules of Table 3.1 for a reset, a measurement and a
+/// Clifford (Tables 3.4 / 3.5): a reset clears the record, a
+/// measurement leaves it, a Clifford conjugates it.  Both paths of
+/// process() and apply_clifford() run them.  Throws for any other gate.
+template <typename Bank>
+void apply_rule(const Operation& op, const RuleHooks& hooks,
+                const Bank& bank) {
+  const Qubit a = op.control();
+  const Qubit b = op.target();
+  switch (op.gate()) {
+    case GateType::kPrepZ:
+      if (!hooks.reset_keeps_record) {
+        bank.store(a, PauliRecord::kI);
+      }
+      return;
+    case GateType::kMeasureZ:
+      return;
+    case GateType::kH: {
+      const PauliRecord r = bank.load(a);
+      bank.store(a, hooks.h_row_dropped ? r : map_h(r));
+      return;
+    }
+    case GateType::kS:
+    case GateType::kSdag: {
+      const PauliRecord r = bank.load(a);
+      bank.store(a, hooks.s_row_wrong ? r : map_s(r));
+      return;
+    }
+    case GateType::kCnot: {
+      if (hooks.cnot_reversed) {
+        const PauliRecord rt = bank.load(b);
+        const auto [t, c] = map_cnot(rt, bank.load(a));
+        bank.store(a, c);
+        bank.store(b, t);
+        return;
+      }
+      const PauliRecord rc = bank.load(a);
+      const auto [c, t] = map_cnot(rc, bank.load(b));
+      bank.store(a, c);
+      bank.store(b, t);
+      return;
+    }
+    case GateType::kCz: {
+      const PauliRecord rc = bank.load(a);
+      const auto [c, t] = map_cz(rc, bank.load(b));
+      bank.store(a, c);
+      bank.store(b, t);
+      return;
+    }
+    case GateType::kSwap: {
+      const PauliRecord ra = bank.load(a);
+      const auto [x, y] = map_swap(ra, bank.load(b));
+      bank.store(a, x);
+      bank.store(b, y);
+      return;
+    }
+    default:
+      unsupported(op);
+  }
+}
+
+/// True when no operation has a Pauli to absorb or a non-Clifford gate
+/// to flush before: the rewrite of such a circuit is a copy of it.
+[[nodiscard]] bool pauli_free(const Circuit& circuit) noexcept {
+  // One bit per gate type in the Pauli or non-Clifford category.
+  constexpr std::uint32_t kAbsorbedOrFlushed = [] {
+    std::uint32_t mask = 0;
+    for (unsigned g = 0; g <= static_cast<unsigned>(GateType::kMeasureZ);
+         ++g) {
+      const GateCategory c = category(static_cast<GateType>(g));
+      if (c == GateCategory::kPauli || c == GateCategory::kNonClifford) {
+        mask |= std::uint32_t{1} << g;
+      }
+    }
+    return mask;
+  }();
+  for (const Operation& op : circuit.operations()) {
+    if (((kAbsorbedOrFlushed >> static_cast<unsigned>(op.gate())) & 1) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 PauliFrame::PauliFrame(std::size_t num_qubits, Protection protection)
@@ -115,49 +227,10 @@ void PauliFrame::track(GateType pauli, Qubit q) {
 }
 
 void PauliFrame::apply_clifford(const Operation& op) {
-  switch (op.gate()) {
-    case GateType::kH:
-      if (plant::bug(1)) {  // mutation hook: drop the Table 3.4 H row
-        store(op.qubit(0), load(op.qubit(0)));
-        return;
-      }
-      store(op.qubit(0), map_h(load(op.qubit(0))));
-      return;
-    case GateType::kS:
-    case GateType::kSdag:
-      if (plant::bug(2)) {  // mutation hook: wrong Table 3.4 S row
-        store(op.qubit(0), load(op.qubit(0)));
-        return;
-      }
-      store(op.qubit(0), map_s(load(op.qubit(0))));
-      return;
-    case GateType::kCnot: {
-      if (plant::bug(3)) {  // mutation hook: Table 3.5 operands reversed
-        const auto [rt, rc] = map_cnot(load(op.target()), load(op.control()));
-        store(op.control(), rc);
-        store(op.target(), rt);
-        return;
-      }
-      const auto [rc, rt] = map_cnot(load(op.control()), load(op.target()));
-      store(op.control(), rc);
-      store(op.target(), rt);
-      return;
-    }
-    case GateType::kCz: {
-      const auto [rc, rt] = map_cz(load(op.control()), load(op.target()));
-      store(op.control(), rc);
-      store(op.target(), rt);
-      return;
-    }
-    case GateType::kSwap: {
-      const auto [ra, rb] = map_swap(load(op.control()), load(op.target()));
-      store(op.control(), ra);
-      store(op.target(), rb);
-      return;
-    }
-    default:
-      throw StackConfigError("PauliFrame", "unsupported Clifford: " + op.str());
+  if (category(op.gate()) != GateCategory::kClifford) {
+    unsupported(op);
   }
+  apply_rule(op, RuleHooks{}, GuardedBank{*this});
 }
 
 std::size_t PauliFrame::flush_into(Qubit q, Circuit& out) {
@@ -220,11 +293,31 @@ bool PauliFrame::clean() const noexcept {
   return true;
 }
 
-void PauliFrame::process(const Circuit& circuit, Circuit& out) {
-  out.clear();
-  out.set_name(circuit.name());
+const Circuit& PauliFrame::process(const Circuit& circuit, Circuit& out) {
+  const RuleHooks hooks;
+  const GuardedBank guarded{*this};
   stats_.input_slots += circuit.num_slots();
   stats_.input_gates += circuit.num_operations();
+  // A circuit of resets, measurements and Cliffords only moves records
+  // and runs as it is.  One wider than the register takes the rewrite,
+  // whose guarded reads throw at the first record it lacks.
+  if (pauli_free(circuit) && circuit.min_register_size() <= records_.size()) {
+    if (protection_ == Protection::kNone) {
+      const RawBank raw{records_.data()};
+      for (const Operation& op : circuit.operations()) {
+        apply_rule(op, hooks, raw);
+      }
+    } else {
+      for (const Operation& op : circuit.operations()) {
+        apply_rule(op, hooks, guarded);
+      }
+    }
+    stats_.output_slots += circuit.num_slots();
+    stats_.output_gates += circuit.num_operations();
+    return circuit;
+  }
+  out.clear();
+  out.set_name(circuit.name());
   for (const SlotView slot : circuit) {
     // Flush operations for non-Clifford targets in this slot must land
     // on the qubits *before* the slot executes.  The ops of one slot
@@ -242,24 +335,17 @@ void PauliFrame::process(const Circuit& circuit, Circuit& out) {
     out.append_circuit(flush_ops_);
     for (const Operation& op : slot) {
       switch (category(op.gate())) {
-        case GateCategory::kInitialization:
-          if (!plant::bug(5)) {  // mutation hook: reset keeps the record
-            store(op.qubit(0), PauliRecord::kI);
-          }
-          out.push_op(op);
-          break;
         case GateCategory::kPauli:
           if (op.gate() != GateType::kI) {
             track(op.gate(), op.qubit(0));
           }
           ++stats_.paulis_absorbed;
           break;
-        case GateCategory::kClifford:
-          apply_clifford(op);
+        case GateCategory::kNonClifford:
           out.push_op(op);
           break;
-        case GateCategory::kMeasurement:
-        case GateCategory::kNonClifford:
+        default:
+          apply_rule(op, hooks, guarded);
           out.push_op(op);
           break;
       }
@@ -268,6 +354,7 @@ void PauliFrame::process(const Circuit& circuit, Circuit& out) {
   }
   stats_.output_slots += out.num_slots();
   stats_.output_gates += out.num_operations();
+  return out;
 }
 
 namespace {

@@ -6,7 +6,9 @@
 // records, Clifford gates map the records and pass through, preparation
 // resets the record, measurement passes through (results are corrected
 // afterwards via correct_measurement()), and non-Clifford gates force a
-// flush of the pending records onto the qubits first.
+// flush of the pending records onto the qubits first.  A circuit with no
+// Pauli and no non-Clifford gate -- every clean ESM round -- passes
+// through unchanged, so process() returns it instead of a copy.
 //
 // Classical-fault hardening: the record store can optionally be guarded
 // against corruption of the frame memory itself (a *classical* fault,
@@ -125,15 +127,21 @@ class PauliFrame {
   /// the caller still executes the gate on the qubits.
   void apply_clifford(const Operation& op);
 
-  /// Rewrite a circuit per Table 3.1 into `out`, updating records.  Slot
-  /// structure is preserved where possible; slots that become empty are
-  /// dropped (those are the "saved time slots").  `out` is cleared first
-  /// and keeps its capacity, so a caller that reuses one buffer stops
-  /// allocating; it must not be `circuit` itself.
-  void process(const Circuit& circuit, Circuit& out);
+  /// Rewrite a circuit per Table 3.1, updating records, and return the
+  /// circuit to run.  A Pauli-free circuit -- no I/X/Y/Z and no T/T† --
+  /// has nothing to absorb or flush: its records move and `circuit`
+  /// itself comes back, `out` untouched.  Any other circuit is rewritten
+  /// into `out`, which comes back: slot structure is preserved where
+  /// possible, and slots that become empty are dropped (those are the
+  /// "saved time slots").  `out` is cleared first and keeps its
+  /// capacity, so a caller that reuses one buffer stops allocating; it
+  /// must not be `circuit` itself.  FrameStats move alike on both paths.
+  [[nodiscard]] const Circuit& process(const Circuit& circuit, Circuit& out);
   [[nodiscard]] Circuit process(const Circuit& circuit) {
     Circuit out;
-    process(circuit, out);
+    if (&process(circuit, out) == &circuit) {
+      return circuit;
+    }
     return out;
   }
 

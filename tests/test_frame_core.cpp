@@ -2,8 +2,8 @@
 // states, peek values and checkpoint bytes from the same seed, on
 // random batches (the frame-core oracle), on the pivot-absorbing random
 // measurement, on gates that throw, across checkpoints written by
-// either core, and past a full memo; and QEC windows served from its
-// memo.
+// either core, past a full memo and on ESM rounds answered from
+// compiled maps; and QEC windows served from its memo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "fuzz/oracles.h"
 #include "journal/snapshot.h"
 #include "ler_common.h"
+#include "qec/surface_code.h"
 #include "seed_support.h"
 
 namespace qpf {
@@ -185,6 +186,110 @@ TEST(FrameCoreTest, FullMemoIsDroppedAndRebuilt) {
   }
   EXPECT_TRUE(dropped);
   EXPECT_LE(most_nodes, 65u);
+}
+
+/// Run `circuit` on both cores and require the same binary state, the
+/// same reads of `observables` and the same checkpoint bytes.
+void run_both(ChpCore& chp, FrameCore& frame, const Circuit& circuit,
+              const std::vector<stab::SparsePauli>& observables) {
+  arch::run(chp, circuit);
+  arch::run(frame, circuit);
+  ASSERT_EQ(frame.get_state(), chp.get_state());
+  std::vector<int> chp_values(observables.size());
+  std::vector<int> frame_values(observables.size());
+  chp.peek(observables, chp_values);
+  frame.peek(observables, frame_values);
+  ASSERT_EQ(frame_values, chp_values);
+  ASSERT_EQ(bytes_of(frame), bytes_of(chp));
+}
+
+/// `round` with one operation replaced.
+Circuit with_operation(const Circuit& round, std::size_t index,
+                       const Operation& op) {
+  Circuit out{round.name()};
+  for (const SlotView slot : round) {
+    for (const Operation& o : slot) {
+      const auto k = static_cast<std::size_t>(&o - round.operations().begin());
+      out.push_op(k == index ? op : o);
+    }
+    out.close_slot();
+  }
+  return out;
+}
+
+TEST(FrameCoreTest, CompiledHitsMatchChpCore) {
+  // ESM rounds repeated from frames with X, Z and XZ records on every
+  // qubit: after the first rounds each is a Pauli-free hit, answered
+  // from the entry's compiled map.  A round one operand or one gate
+  // away from the memoised one falls back and still matches.
+  const std::uint64_t seed = test::test_seed(31);
+  QPF_ANNOUNCE_SEED(seed);
+  fuzz::SplitMix rng(seed);
+  for (const int distance : {3, 5, 7}) {
+    SCOPED_TRACE(distance);
+    const qec::SurfaceCodeLayout layout(distance);
+    const Circuit round = layout.esm_circuit(0);
+    const std::size_t n = layout.num_qubits();
+    std::vector<stab::SparsePauli> observables(4);
+    for (stab::SparsePauli& observable : observables) {
+      observable.negative = rng.chance(0.5);
+      for (Qubit q = 0; q < n; ++q) {
+        if (rng.chance(0.2)) {
+          observable.terms.push_back(
+              {q, static_cast<stab::Pauli>(1 + rng.below(3))});
+        }
+      }
+    }
+    ChpCore chp(seed);
+    FrameCore frame(seed);
+    chp.create_qubits(n);
+    frame.create_qubits(n);
+    for (const GateType pauli : {GateType::kX, GateType::kZ, GateType::kY}) {
+      Circuit records{"records"};
+      for (Qubit q = 0; q < n; ++q) {
+        records.append(pauli, q);
+      }
+      run_both(chp, frame, records, observables);
+      for (int r = 0; r < 4; ++r) {
+        run_both(chp, frame, round, observables);
+      }
+    }
+    const std::size_t mapped = frame.memo_stats().mapped;
+    EXPECT_GE(mapped, 6u);
+    // One operand away: the first CNOT's target moves to another
+    // qubit; one gate away: that CNOT becomes a CZ.
+    const SlotView ops = round.operations();
+    const auto cnot = static_cast<std::size_t>(
+        std::find_if(ops.begin(), ops.end(),
+                     [](const Operation& op) {
+                       return op.gate() == GateType::kCnot;
+                     }) -
+        ops.begin());
+    const Operation& first = ops[cnot];
+    Qubit other = 0;
+    while (other == first.control() || other == first.target()) {
+      ++other;
+    }
+    for (const Circuit& variant :
+         {with_operation(round, cnot,
+                         Operation{GateType::kCnot, first.control(), other}),
+          with_operation(round, cnot,
+                         Operation{GateType::kCz, first.control(),
+                                   first.target()})}) {
+      Circuit records{"records"};
+      records.append(GateType::kY, first.control());
+      records.append(GateType::kX, first.target());
+      run_both(chp, frame, records, observables);
+      const std::size_t before = frame.memo_stats().mapped;
+      run_both(chp, frame, variant, observables);
+      EXPECT_EQ(frame.memo_stats().mapped, before);
+      // The next rounds re-project the checks, then hit again.
+      for (int r = 0; r < 5; ++r) {
+        run_both(chp, frame, round, observables);
+      }
+    }
+    EXPECT_GE(frame.memo_stats().mapped, mapped + 4);
+  }
 }
 
 TEST(FrameCoreTest, LoadRejectsARegisterWithoutATableau) {

@@ -62,7 +62,7 @@ bool slot_conflict_free(const Circuit& circuit) {
   for (const SlotView slot : circuit) {
     std::set<Qubit> used;
     for (const Operation& op : slot) {
-      for (std::size_t i = 0; i < op.arity(); ++i) {
+      for (int i = 0; i < op.arity(); ++i) {
         if (!used.insert(op.qubit(i)).second) {
           return false;
         }

@@ -74,6 +74,8 @@ std::vector<std::string> expected_oracles(int bug) {
       return {"frame-core"};
     case 18:  // the noise rewrite redraws the location that fired
       return {"noise-draws"};
+    case 19:  // a FrameCore compiled map keeps a reset's X record
+      return {"frame-core"};
     default:
       return {};
   }

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "circuit/error.h"
+#include <random>
 
+#include "circuit/error.h"
 #include "circuit/random.h"
+#include "seed_support.h"
 #include "statevector/simulator.h"
 
 namespace qpf::pf {
@@ -116,6 +118,125 @@ TEST(PauliFrameTest, SavedSlotStatistics) {
   EXPECT_EQ(frame.stats().output_slots, 1u);
   EXPECT_DOUBLE_EQ(frame.stats().slots_saved_fraction(), 0.5);
   EXPECT_DOUBLE_EQ(frame.stats().gates_saved_fraction(), 2.0 / 3.0);
+}
+
+/// The record rules op by op through the public guarded accessors: one
+/// read and one write per operand, as the frame's own rules make.
+void reference_step(PauliFrame& frame, const Operation& op) {
+  const Qubit a = op.control();
+  const Qubit b = op.target();
+  switch (op.gate()) {
+    case GateType::kPrepZ:
+      frame.set_record(a, PauliRecord::kI);
+      return;
+    case GateType::kMeasureZ:
+      return;
+    case GateType::kH:
+      frame.set_record(a, map_h(frame.record(a)));
+      return;
+    case GateType::kS:
+    case GateType::kSdag:
+      frame.set_record(a, map_s(frame.record(a)));
+      return;
+    default: {
+      const PauliRecord ra = frame.record(a);
+      const PauliRecord rb = frame.record(b);
+      const auto [na, nb] = op.gate() == GateType::kCnot ? map_cnot(ra, rb)
+                            : op.gate() == GateType::kCz ? map_cz(ra, rb)
+                                                         : map_swap(ra, rb);
+      frame.set_record(a, na);
+      frame.set_record(b, nb);
+      return;
+    }
+  }
+}
+
+TEST(PauliFrameTest, PauliFreeCircuitIsReturnedUntouched) {
+  static constexpr GateType kOne[] = {GateType::kH, GateType::kS,
+                                      GateType::kSdag, GateType::kPrepZ,
+                                      GateType::kMeasureZ};
+  static constexpr GateType kTwo[] = {GateType::kCnot, GateType::kCz,
+                                      GateType::kSwap};
+  constexpr std::size_t kQubits = 6;
+  const std::uint64_t seed = test::test_seed(41);
+  QPF_ANNOUNCE_SEED(seed);
+  std::mt19937_64 rng(seed);
+  for (const Protection protection :
+       {Protection::kNone, Protection::kParity, Protection::kVote}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Circuit circuit{"pauli-free"};
+      for (int k = 0; k < 30; ++k) {
+        const auto q = static_cast<Qubit>(rng() % kQubits);
+        if (rng() % 3 == 0) {
+          const auto r = static_cast<Qubit>((q + 1 + rng() % (kQubits - 1)) %
+                                            kQubits);
+          circuit.append(kTwo[rng() % 3], q, r);
+        } else {
+          circuit.append(kOne[rng() % 5], q);
+        }
+      }
+      PauliFrame frame(kQubits, protection);
+      PauliFrame reference(kQubits, protection);
+      for (Qubit q = 0; q < kQubits; ++q) {
+        const auto r = static_cast<PauliRecord>(rng() & 3);
+        frame.set_record(q, r);
+        reference.set_record(q, r);
+      }
+      if (protection != Protection::kNone && trial % 2 == 0) {
+        // A corrupted primary bank: detected, and under vote repaired.
+        const auto q = static_cast<Qubit>(rng() % kQubits);
+        const auto r = static_cast<PauliRecord>(
+            static_cast<std::uint8_t>(frame.record(q)) ^ 1);
+        frame.corrupt_record(q, r);
+        reference.corrupt_record(q, r);
+      }
+      frame.reset_health();
+      reference.reset_health();
+      Circuit out{"untouched"};
+      out.append(GateType::kX, 0);
+      const Circuit before = out;
+      const Circuit& ran = frame.process(circuit, out);
+      EXPECT_EQ(&ran, &circuit);
+      EXPECT_EQ(out, before);
+      EXPECT_EQ(out.name(), "untouched");
+      for (const Operation& op : circuit.operations()) {
+        reference_step(reference, op);
+      }
+      const FrameHealth& h = frame.health();
+      const FrameHealth& rh = reference.health();
+      EXPECT_EQ(h.checks, rh.checks);
+      EXPECT_EQ(h.detected, rh.detected);
+      EXPECT_EQ(h.corrected, rh.corrected);
+      EXPECT_EQ(h.uncorrectable, rh.uncorrectable);
+      EXPECT_EQ(h.recovery_resets, rh.recovery_resets);
+      if (protection != Protection::kNone) {
+        EXPECT_GT(h.checks, 0u);
+      }
+      for (Qubit q = 0; q < kQubits; ++q) {
+        EXPECT_EQ(frame.record(q), reference.record(q))
+            << name(protection) << " trial " << trial << " qubit " << q;
+      }
+      const FrameStats& stats = frame.stats();
+      EXPECT_EQ(stats.input_gates, circuit.num_operations());
+      EXPECT_EQ(stats.output_gates, circuit.num_operations());
+      EXPECT_EQ(stats.input_slots, circuit.num_slots());
+      EXPECT_EQ(stats.output_slots, circuit.num_slots());
+      EXPECT_EQ(stats.paulis_absorbed, 0u);
+      EXPECT_EQ(stats.flush_gates_emitted, 0u);
+    }
+  }
+}
+
+TEST(PauliFrameTest, CircuitWithAPauliIsRewritten) {
+  PauliFrame frame(2);
+  Circuit c;
+  c.append(GateType::kH, 0);
+  c.append(GateType::kX, 1);
+  Circuit out;
+  const Circuit& ran = frame.process(c, out);
+  EXPECT_EQ(&ran, &out);
+  EXPECT_EQ(out.num_operations(), 1u);
+  EXPECT_EQ(frame.record(1), PauliRecord::kX);
 }
 
 TEST(PauliFrameTest, TrackRejectsNonPauli) {

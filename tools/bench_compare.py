@@ -23,16 +23,18 @@ Usage:
                              FRESH.json against FILE instead of the
                              committed BENCH_*.json (the two must be
                              reports of the same kind)
-      [--bless]              when every metric is within threshold,
-                             overwrite the committed baseline with the
-                             fresh report — the regeneration gate used
-                             to re-pin BENCH_ler.json / BENCH_serve.json
-                             after an engine change that must be proven
-                             perf-neutral before the new numbers are
-                             blessed
+      [--bless]              re-pin the committed baseline with the
+                             fresh report.  Requires --against
+                             PARENT.json: a report of the parent tree
+                             run in the same session, so that both sides
+                             saw the same host load.  The gate compares
+                             FRESH.json against PARENT.json, prints the
+                             change/parent ratio of every metric, and
+                             overwrites the committed BENCH_*.json only
+                             when every metric is within threshold
 
 Exit codes: 0 all metrics within threshold, 1 regression found,
-2 usage / malformed report.
+2 usage / malformed report (including --bless without --against).
 """
 
 import argparse
@@ -143,10 +145,17 @@ def main(argv):
                         help="explicit baseline report instead of the "
                              "committed BENCH_*.json")
     parser.add_argument("--bless", action="store_true",
-                        help="on success, overwrite the committed baseline "
-                             "with the fresh report (regeneration gate)")
+                        help="with --against PARENT.json: on success, "
+                             "overwrite the committed baseline with the "
+                             "fresh report (regeneration gate)")
     args = parser.parse_args(argv)
     threshold = args.threshold / 100.0
+    if args.bless and not args.against:
+        # A committed report comes from another session and another host
+        # state; gating against it pins host load, not the change.
+        print("bench_compare: --bless needs --against PARENT.json, a report "
+              "of the parent tree from the same session", file=sys.stderr)
+        return 2
 
     regressions = 0
     compared = 0
@@ -187,6 +196,9 @@ def main(argv):
             marker = "REGRESSION" if regressed else "ok"
             print("  %-34s %14.6g -> %14.6g  %+7.1f%%  %s"
                   % (label, base_value, fresh_value, change * 100.0, marker))
+            if args.bless and base_value != 0:
+                print("  %-34s change/parent %.3f"
+                      % ("", fresh_value / base_value))
             if regressed:
                 regressions += 1
 

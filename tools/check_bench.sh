@@ -196,4 +196,49 @@ for key in ("wall_ms", "requests_per_sec", "sessions_per_sec"):
     assert isinstance(report[key], (int, float)) and report[key] >= 0, key
 EOF
 
-echo "check_bench.sh: PASS ($count bench reports + fuzz triage + serve report validated)"
+# bench_compare.py --bless gates a fresh report against a parent report
+# from the same session, never against the committed one.  Without
+# --against it exits 2 and leaves the baseline alone; with it, a change
+# faster than its parent re-pins even below the committed figure, and a
+# change slower than its parent beyond the threshold does not.
+compare="$repo_root/tools/bench_compare.py"
+echo "check_bench.sh: bench_compare.py --bless --against"
+mkdir "$workdir/pins"
+ler_report() {
+    printf '{"name": "bench_ler", "config": {}, "wall_ms": 1, "trials_per_sec": %s, "gate_ops_per_sec": null, "stats": []}\n' "$1"
+}
+ler_report 12 > "$workdir/pins/BENCH_ler.json"
+ler_report 8 > "$workdir/parent.json"
+ler_report 10 > "$workdir/change.json"
+ler_report 4 > "$workdir/slower.json"
+cp "$workdir/pins/BENCH_ler.json" "$workdir/committed.json"
+status=0
+python3 "$compare" --baseline-dir "$workdir/pins" --bless \
+    "$workdir/change.json" > "$workdir/bless.log" 2>&1 || status=$?
+if [ "$status" -ne 2 ] || ! grep -q -- '--against' "$workdir/bless.log" ||
+    ! cmp -s "$workdir/committed.json" "$workdir/pins/BENCH_ler.json"; then
+    echo "check_bench.sh: --bless without --against did not refuse" >&2
+    cat "$workdir/bless.log" >&2
+    exit 1
+fi
+python3 "$compare" --baseline-dir "$workdir/pins" --bless \
+    --against "$workdir/parent.json" "$workdir/change.json" \
+    > "$workdir/bless.log" 2>&1
+if ! grep -q 'change/parent 1.250' "$workdir/bless.log" ||
+    ! cmp -s "$workdir/change.json" "$workdir/pins/BENCH_ler.json"; then
+    echo "check_bench.sh: --bless --against did not re-pin a faster change" >&2
+    cat "$workdir/bless.log" >&2
+    exit 1
+fi
+status=0
+python3 "$compare" --baseline-dir "$workdir/pins" --bless \
+    --against "$workdir/parent.json" "$workdir/slower.json" \
+    > "$workdir/bless.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] ||
+    ! cmp -s "$workdir/change.json" "$workdir/pins/BENCH_ler.json"; then
+    echo "check_bench.sh: --bless re-pinned a change slower than its parent" >&2
+    cat "$workdir/bless.log" >&2
+    exit 1
+fi
+
+echo "check_bench.sh: PASS ($count bench reports + fuzz triage + serve report + bless gate validated)"

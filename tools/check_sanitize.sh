@@ -11,7 +11,8 @@
 # Pass QPF_SANITIZE_FILTER to override the test selection; by default
 # only the fault/robustness, fuzz, surface-code (layout, decoders,
 # lattice surgery, QCU, the QEC layers), tableau (kernels, hint,
-# expectation reads, cross-validation, ChpCore, FrameCore), frame,
+# expectation reads, cross-validation, ChpCore, FrameCore), frame (the
+# unit, its records and conjugation tables, its layers), operation,
 # observable-read, golden-bytes, parent-journal, biased-noise and
 # circuit suites run (ASan) or the threaded-campaign, parent-journal and
 # fuzz suites (TSan), which keeps the sanitized run fast while still
@@ -29,7 +30,7 @@ if [ "$mode" = "thread" ]; then
   filter=${QPF_SANITIZE_FILTER:-'Executor|ParallelCampaign|LerStack|Resume|Supervisor|Chaos|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|ParentJournal'}
 else
   build_dir=${1:-"$repo_root/build-sanitize"}
-  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint|FrameCore|ParentJournal|BiasedNoise|BiasedErrorLayer|Depolarizing'}
+  filter=${QPF_SANITIZE_FILTER:-'Executor|Robustness|ClassicalFault|FrameProtection|ValidatingLayer|LerStack|CliTool|CliCheckpoint|Snapshot|Journal|Resume|CheckpointFile|Supervisor|Chaos|Corruption|TimingLayer|Fuzz|MutationSmoke|CorpusReplay|Serve|IoFault|FaultNet|Sc17|NinjaStar|SurfaceCode|RectangularLayout|MatchingDecoder|LutDecoder|DecoderAgreement|LatticeSurgery|Qcu|Tableau|CrossValidation|TableauStateVectorEquivalence|ChpCore|Circuit|SteaneLayer|PauliFrameLayer|PauliFrame|PauliRecord|Operation|Conjugation|Concatenation|GoldenBytes|RewriteBuffer|ObservableRead|ParentCheckpoint|FrameCore|ParentJournal|BiasedNoise|BiasedErrorLayer|Depolarizing'}
 fi
 
 cmake -B "$build_dir" -S "$repo_root" -DQPF_SANITIZE="$mode"
