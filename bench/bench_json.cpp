@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "cli/numeric_args.h"
-#include "ler_common.h"
+#include "exec/executor.h"
 
 namespace qpf::bench {
 
@@ -141,7 +141,7 @@ void write_bench_report(const std::string& path, const BenchReport& report) {
 BenchCli::BenchCli(std::string name, int argc, char** argv,
                    std::size_t default_jobs) {
   report.name = std::move(name);
-  jobs_ = resolve_jobs(default_jobs);
+  jobs_ = exec::resolve_jobs(default_jobs);
   for (int i = 1; i < argc; ++i) {
     const std::string argument = argv[i];
     const auto value_of = [&](const std::string& flag,
@@ -162,7 +162,7 @@ BenchCli::BenchCli(std::string name, int argc, char** argv,
       json_path_ = value;
     } else if (value_of("--jobs", value)) {
       try {
-        jobs_ = resolve_jobs(static_cast<std::size_t>(cli::parse_count(value)));
+        jobs_ = exec::resolve_jobs(static_cast<std::size_t>(cli::parse_count(value)));
       } catch (const std::invalid_argument&) {
         std::cerr << report.name << ": bad --jobs value '" << value << "'\n";
         std::exit(2);

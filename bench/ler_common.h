@@ -7,10 +7,10 @@
 //   - LerTrial itself: bench_esm_order's lifetime loop (it decodes each
 //     window through trial.stack()), bench_micro's BM_LerStep and the
 //     repository benchmark (qpfbench/ler.cpp);
-//   - run_ler_campaign: the qpf_ler and qpf_chaos tools;
+//   - run_ler_campaign and the campaign front end (parse_campaign_flag,
+//     start_campaign, report_campaign): the qpf_ler and qpf_chaos tools;
 //   - the campaign, resume, golden-byte and allocation tests.
-// The other benches use only announce_seed, env_size_t and (through
-// BenchCli) resolve_jobs.
+// The other benches use only announce_seed and env_size_t.
 //
 // One "run" (or trial) executes the Listing 5.7 loop on the Fig 5.8
 // stack: initialize, then repeat { window; diagnostics; logical-
@@ -29,8 +29,8 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,31 +40,23 @@
 
 namespace qpf::bench {
 
-struct LerConfig {
-  double physical_error_rate = 1e-3;
-  /// Dephasing bias eta (LerStack::Config::bias); empty = symmetric.
-  std::optional<double> bias;
-  bool with_pauli_frame = false;
+/// One trial: the stack it runs on (every LerStack::Config field, set
+/// by name: physical_error_rate, bias, with_pauli_frame, seed,
+/// ninja_options, the classical-fault and supervision subsystems...)
+/// plus the four fields of the trial loop.
+struct LerConfig : arch::LerStack::Config {
+  /// The campaign's default runs without the Pauli frame (a bare
+  /// LerStack::Config has it on).
+  LerConfig() { with_pauli_frame = false; }
+
   /// kZ: |0>_L watching for X_L flips; kX: |+>_L watching for Z_L flips.
   qec::CheckType basis = qec::CheckType::kZ;
   std::size_t target_logical_errors = 10;
   std::size_t max_windows = 2'000'000;
-  std::uint64_t seed = 1;
-  arch::NinjaStarLayer::Options ninja_options{};
   /// Watchdog: wall-clock budget per trial in milliseconds; 0 disables.
   /// A trial that exceeds it stops at the next window boundary and is
   /// recorded with timed_out set — the campaign continues.
   std::size_t timeout_per_trial_ms = 0;
-
-  /// Classical-fault and supervision subsystems (PR 1 / PR 4); all off
-  /// by default, and off means the stack — and every journal byte — is
-  /// identical to a config without them.
-  arch::ClassicalFaultRates classical_faults{};
-  arch::ChaosConfig chaos{};
-  bool supervise = false;
-  arch::SupervisorOptions supervisor{};
-  arch::GateTimings timings{};
-  arch::DeadlineBudget deadline{};
 };
 
 struct LerRun {
@@ -100,6 +92,17 @@ class LerTrial {
   void step();
   [[nodiscard]] bool done() const noexcept;
 
+  /// Why run() returned.
+  enum class Stop { kDone, kTimedOut, kStopped };
+
+  /// The trial loop: step until done(), until timeout_per_trial_ms of
+  /// wall clock has passed since the call (kTimedOut; result() then
+  /// reports timed_out), or until `stop` returns true before a window
+  /// (kStopped; the trial can be saved and resumed).  `after_window`
+  /// runs after every window.
+  Stop run(const std::function<bool()>& stop = {},
+           const std::function<void()>& after_window = {});
+
   [[nodiscard]] std::size_t windows() const noexcept { return windows_; }
   [[nodiscard]] std::size_t logical_errors() const noexcept {
     return logical_errors_;
@@ -125,9 +128,10 @@ class LerTrial {
   std::size_t windows_ = 0;
   std::size_t logical_errors_ = 0;
   int expected_sign_ = +1;
+  bool timed_out_ = false;
 };
 
-/// Execute one LER run (honors config.timeout_per_trial_ms).
+/// Execute one LER run (LerTrial::run to the end).
 [[nodiscard]] LerRun run_ler(const LerConfig& config);
 
 /// Aggregate of several runs at one physical error rate.
@@ -152,10 +156,6 @@ struct LerPoint {
 /// (timed-out trials excepted: the watchdog is wall-clock).
 [[nodiscard]] LerPoint run_ler_point(LerConfig config, std::size_t runs,
                                      std::size_t jobs = 1);
-
-/// Resolve a --jobs value: 0 means "auto" (hardware_concurrency, at
-/// least 1); anything else passes through.
-[[nodiscard]] std::size_t resolve_jobs(std::size_t jobs) noexcept;
 
 /// The deterministic per-trial seed chain used by run_ler_point and the
 /// campaign engine: trial i runs with the i+1'th iterate of this LCG
@@ -219,6 +219,33 @@ struct CampaignResult {
 /// qpf::CheckpointError when state_dir holds a journal written by a
 /// different campaign configuration.
 [[nodiscard]] CampaignResult run_ler_campaign(const CampaignOptions& options);
+
+// --- Campaign front end of qpf_ler and qpf_chaos ---------------------
+// Each tool keeps its usage text, its defaults, its own flags and its
+// error handling; `tool` prefixes every line these print.
+
+/// Parse one of the eight campaign flags the two tools share into
+/// `options`: --per=P, --runs=N, --errors=N, --max-windows=N, --seed=S,
+/// --state-dir=DIR, --checkpoint-every=N and --jobs=N.  Returns false
+/// when `argument` is none of them; throws std::invalid_argument on a
+/// bad value.
+[[nodiscard]] bool parse_campaign_flag(const std::string& argument,
+                                       CampaignOptions& options);
+
+/// Ready a parsed campaign to run.  Returns false after a diagnostic
+/// when --runs is 0; otherwise routes SIGINT and SIGTERM to
+/// options.stop and announces the seed chain's base.
+[[nodiscard]] bool start_campaign(std::string_view tool,
+                                  CampaignOptions& options);
+
+/// Report a campaign run: the checkpoint-recovery and resume lines and
+/// a notice of capped trials on stderr, the %.17g statistics line on
+/// stdout (part of the bit-identical resume contract), and the
+/// interrupted message.  Returns the exit code: 0, 1 when stdout could
+/// not be written, 130 when the campaign was interrupted.
+[[nodiscard]] int report_campaign(std::string_view tool,
+                                  const CampaignOptions& options,
+                                  const CampaignResult& result);
 
 /// Announce an RNG seed on `out` ("[seed] <what>: seed=<seed>"), so
 /// every bench / randomized tool run can be replayed exactly.  Returns

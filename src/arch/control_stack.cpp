@@ -46,7 +46,7 @@ LerStack::LerStack(const Config& config) : core_(config.seed) {
     top = supervisor_.get();
   }
   if (config.deadline.any()) {
-    timing_ = std::make_unique<TimingLayer>(top, config.timings);
+    timing_ = std::make_unique<TimingLayer>(top);
     timing_->set_deadline(config.deadline);
     timing_->set_stall_source(faults_.get());
     if (supervisor_ != nullptr) {

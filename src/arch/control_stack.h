@@ -78,8 +78,8 @@ class LerStack {
     ChaosConfig chaos{};             ///< scripted fault storms
     bool supervise = false;          ///< build a SupervisorLayer
     SupervisorOptions supervisor{};  ///< recovery policy when supervising
-    GateTimings timings{};           ///< clock for the deadline watchdog
-    DeadlineBudget deadline{};       ///< any() -> build a TimingLayer
+    DeadlineBudget deadline{};       ///< any() -> build a TimingLayer on
+                                     ///< the default GateTimings clock
   };
 
   /// Throws StackConfigError on an invalid configuration (bad rates,

@@ -23,6 +23,7 @@
 #include "arch/validating_layer.h"
 #include "circuit/error.h"
 #include "circuit/qasm.h"
+#include "cli/numeric_args.h"
 #include "journal/run_journal.h"
 #include "journal/snapshot.h"
 #include "qcu/compiler.h"
@@ -32,15 +33,6 @@
 namespace qpf::cli {
 
 namespace {
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
 
 std::optional<Format> format_from_extension(const std::string& path) {
   const std::size_t dot = path.rfind('.');
@@ -786,7 +778,11 @@ std::string usage() {
          "  --chaos-burst=N     crashes per burst event\n";
 }
 
-std::optional<RunnerOptions> parse_arguments(
+namespace {
+
+/// parse_arguments without the catch: the numeric parsers of
+/// cli/numeric_args.h throw std::invalid_argument on a malformed value.
+std::optional<RunnerOptions> parse_flags(
     const std::vector<std::string>& arguments, std::string& error) {
   RunnerOptions options;
   bool format_given = false;
@@ -821,38 +817,19 @@ std::optional<RunnerOptions> parse_arguments(
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--error-rate=", value)) {
-      try {
-        options.error_rate = std::stod(value);
-      } catch (const std::exception&) {
-        error = "bad error rate '" + value + "'";
-        return std::nullopt;
-      }
-      if (!(options.error_rate >= 0.0 && options.error_rate <= 1.0)) {
-        error = "error rate out of [0,1]";
-        return std::nullopt;
-      }
+      options.error_rate = parse_rate(value);
     } else if (consume_prefix(argument, "--shots=", value)) {
-      options.shots = std::strtoull(value.c_str(), nullptr, 10);
+      options.shots = parse_count(value);
       if (options.shots == 0) {
         error = "shots must be positive";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--seed=", value)) {
-      options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      options.seed = parse_count(value);
     } else if (consume_prefix(argument, "--slots=", value)) {
-      options.patch_slots = std::strtoull(value.c_str(), nullptr, 10);
+      options.patch_slots = parse_count(value);
     } else if (consume_prefix(argument, "--classical-fault-rate=", value)) {
-      try {
-        options.classical_fault_rate = std::stod(value);
-      } catch (const std::exception&) {
-        error = "bad classical fault rate '" + value + "'";
-        return std::nullopt;
-      }
-      if (!(options.classical_fault_rate >= 0.0 &&
-            options.classical_fault_rate <= 1.0)) {
-        error = "classical fault rate out of [0,1]";
-        return std::nullopt;
-      }
+      options.classical_fault_rate = parse_rate(value);
     } else if (argument == "--protect-frame") {
       options.frame_protection = pf::Protection::kParity;
     } else if (consume_prefix(argument, "--protect-frame=", value)) {
@@ -873,7 +850,7 @@ std::optional<RunnerOptions> parse_arguments(
       }
       options.checkpoint_dir = value;
     } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-      options.checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
+      options.checkpoint_every = parse_count(value);
     } else if (consume_prefix(argument, "--resume=", value)) {
       if (value.empty()) {
         error = "--resume needs a directory";
@@ -886,14 +863,13 @@ std::optional<RunnerOptions> parse_arguments(
       options.checkpoint_dir = value;
       options.resume = true;
     } else if (consume_prefix(argument, "--timeout-per-trial=", value)) {
-      options.timeout_per_trial_ms =
-          std::strtoull(value.c_str(), nullptr, 10);
+      options.timeout_per_trial_ms = parse_count(value);
       if (options.timeout_per_trial_ms == 0) {
         error = "--timeout-per-trial must be positive";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--debug-timeout-every=", value)) {
-      options.debug_timeout_every = std::strtoull(value.c_str(), nullptr, 10);
+      options.debug_timeout_every = parse_count(value);
       if (options.debug_timeout_every == 0) {
         error = "--debug-timeout-every must be positive";
         return std::nullopt;
@@ -901,18 +877,13 @@ std::optional<RunnerOptions> parse_arguments(
     } else if (argument == "--supervise") {
       options.supervise = true;
     } else if (consume_prefix(argument, "--deadline-ns=", value)) {
-      try {
-        options.deadline_slot_ns = std::stod(value);
-      } catch (const std::exception&) {
-        error = "bad deadline '" + value + "'";
-        return std::nullopt;
-      }
+      options.deadline_slot_ns = parse_real(value);
       if (options.deadline_slot_ns <= 0.0) {
         error = "--deadline-ns must be positive";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--chaos-seed=", value)) {
-      options.chaos.seed = std::strtoull(value.c_str(), nullptr, 10);
+      options.chaos.seed = parse_count(value);
       chaos_tuning_given = true;
     } else if (consume_prefix(argument, "--chaos-gap=", value)) {
       const std::size_t colon = value.find(':');
@@ -920,10 +891,8 @@ std::optional<RunnerOptions> parse_arguments(
         error = "--chaos-gap needs MIN:MAX";
         return std::nullopt;
       }
-      options.chaos.min_gap =
-          std::strtoull(value.substr(0, colon).c_str(), nullptr, 10);
-      options.chaos.max_gap =
-          std::strtoull(value.substr(colon + 1).c_str(), nullptr, 10);
+      options.chaos.min_gap = parse_count(value.substr(0, colon));
+      options.chaos.max_gap = parse_count(value.substr(colon + 1));
       if (options.chaos.min_gap == 0 ||
           options.chaos.min_gap > options.chaos.max_gap) {
         error = "--chaos-gap needs 0 < MIN <= MAX (got '" + value + "')";
@@ -957,19 +926,14 @@ std::optional<RunnerOptions> parse_arguments(
       }
     } else if (consume_prefix(argument, "--chaos-stall-ns=", value)) {
       chaos_tuning_given = true;
-      try {
-        options.chaos.stall_ns = std::stod(value);
-      } catch (const std::exception&) {
-        error = "bad stall duration '" + value + "'";
-        return std::nullopt;
-      }
+      options.chaos.stall_ns = parse_real(value);
       if (options.chaos.stall_ns < 0.0) {
         error = "--chaos-stall-ns must be non-negative";
         return std::nullopt;
       }
     } else if (consume_prefix(argument, "--chaos-burst=", value)) {
       chaos_tuning_given = true;
-      options.chaos.burst_length = std::strtoull(value.c_str(), nullptr, 10);
+      options.chaos.burst_length = parse_count(value);
       if (options.chaos.burst_length == 0) {
         error = "--chaos-burst must be positive";
         return std::nullopt;
@@ -1032,6 +996,18 @@ std::optional<RunnerOptions> parse_arguments(
     }
   }
   return options;
+}
+
+}  // namespace
+
+std::optional<RunnerOptions> parse_arguments(
+    const std::vector<std::string>& arguments, std::string& error) {
+  try {
+    return parse_flags(arguments, error);
+  } catch (const std::invalid_argument& bad) {
+    error = std::string("bad value: ") + bad.what();
+    return std::nullopt;
+  }
 }
 
 std::string run_program(const RunnerOptions& options,

@@ -1,5 +1,5 @@
 // Tests for the qpf_run command-line library (cli/runner.h), and for
-// the numeric arguments of the qpf_ler and qpf_chaos binaries.
+// the numeric arguments of the other tool binaries.
 #include "cli/runner.h"
 
 #include "journal/run_journal.h"
@@ -68,6 +68,12 @@ TEST(CliParseTest, Rejections) {
   EXPECT_FALSE(parse({"--bogus", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"a.qasm", "b.qasm"}).has_value());     // two inputs
   EXPECT_FALSE(parse({"--print-state", "a.qasm"}).has_value());  // needs qx
+  // strtoull read "abc" as 0, wrapped "-1" and "-5" to 2^64 - 1 and
+  // 2^64 - 5, and stopped "4x" at 4.
+  EXPECT_FALSE(parse({"--seed=abc", "a.qasm"}).has_value());
+  EXPECT_FALSE(parse({"--seed=-1", "a.qasm"}).has_value());
+  EXPECT_FALSE(parse({"--shots=4x", "a.qasm"}).has_value());
+  EXPECT_FALSE(parse({"--checkpoint-every=-5", "a.qasm"}).has_value());
 }
 
 TEST(CliRunTest, QasmDeterministicCircuit) {
@@ -335,6 +341,38 @@ TEST(CliToolTest, LerToolRejectsTrailingTextInTheDistance) {
   expect_ler_usage_error("--distance=5x");
 }
 
+TEST(CliToolTest, LerToolReportsCappedTrials) {
+  // Every trial stops at 50 windows with none of its 10 errors: the
+  // statistics line stays as it was, and stderr says the LER is capped.
+  std::string err;
+  EXPECT_EQ(run_binary(QPF_LER_TOOL,
+                       "--per=3e-4 --runs=3 --errors=10 --max-windows=50",
+                       err),
+            0)
+      << err;
+  EXPECT_NE(err.find("qpf_ler: 3 of 3 trial(s) stopped at the window cap"),
+            std::string::npos)
+      << err;
+}
+
+TEST(CliToolTest, FuzzToolRejectsAHexSeed) {
+  // std::stoull read "0x10" as seed 0 and the run exited 0.
+  std::string err;
+  EXPECT_EQ(run_binary(QPF_FUZZ_TOOL, "--seed=0x10 --cases=0", err), 2);
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+TEST(CliToolTest, ServeToolsRejectAPortAbove16Bits) {
+  // The port was cast to 16 bits: 70000 listened on 4464.  `timeout`
+  // bounds a server that accepted it.
+  for (const std::string tool : {QPF_SERVE_TOOL, QPF_SERVE_LOAD_TOOL}) {
+    std::string err;
+    EXPECT_EQ(run_binary("timeout 20 " + tool, "--port=70000", err), 2)
+        << tool;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << tool << err;
+  }
+}
+
 /// bench_ler rejects QPF_LER_RUNS=`value` with exit 2, naming the
 /// variable.
 void expect_bench_env_error(const std::string& value) {
@@ -362,6 +400,10 @@ TEST(CliToolTest, BenchRejectsAZeroRunCount) {
 TEST(CliParseTest, NanRatesAreRejected) {
   EXPECT_FALSE(parse({"--error-rate=nan", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--classical-fault-rate=nan", "a.qasm"}).has_value());
+  // std::stod stopped at the junk and ran at 1e-3.
+  EXPECT_FALSE(parse({"--error-rate=1e-3junk", "a.qasm"}).has_value());
+  // A NaN budget passed the `<= 0` test.
+  EXPECT_FALSE(parse({"--deadline-ns=nan", "a.qasm"}).has_value());
 }
 
 TEST(CliParseTest, CheckpointFlags) {

@@ -62,12 +62,6 @@ class ParallelCampaignTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST(ParallelCampaignJobs, ResolveJobsAutoAndPassThrough) {
-  EXPECT_GE(resolve_jobs(0), 1u);
-  EXPECT_EQ(resolve_jobs(1), 1u);
-  EXPECT_EQ(resolve_jobs(7), 7u);
-}
-
 TEST_F(ParallelCampaignTest, JobsFourStatsMatchSequentialBitForBit) {
   CampaignOptions options;
   options.config = fast_config();

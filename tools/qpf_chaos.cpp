@@ -16,11 +16,8 @@
 //
 // Exit codes: 0 success, 1 runtime error or typed escalation, 2 bad
 // arguments, 130 interrupted (state saved; re-run to resume).
-#include <csignal>
-#include <cstdio>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "circuit/error.h"
 #include "cli/numeric_args.h"
@@ -29,19 +26,6 @@
 #include "ler_common.h"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_stop(int) { g_stop = 1; }
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
 
 int usage(std::ostream& out) {
   out << "usage: qpf_chaos --scenario=NAME [options]\n"
@@ -150,6 +134,7 @@ bool apply_scenario(const std::string& name, qpf::bench::LerConfig& config) {
 int main(int argc, char** argv) {
   using qpf::bench::CampaignOptions;
   using qpf::bench::CampaignResult;
+  using qpf::cli::consume_prefix;
 
   qpf::cli::ignore_sigpipe();
   qpf::io::install_faultfs_from_environment();
@@ -166,26 +151,13 @@ int main(int argc, char** argv) {
     const std::string argument = argv[i];
     std::string value;
     try {
+      if (qpf::bench::parse_campaign_flag(argument, options)) {
+        continue;
+      }
       if (consume_prefix(argument, "--scenario=", value)) {
         scenario = value;
-      } else if (consume_prefix(argument, "--per=", value)) {
-        options.config.physical_error_rate = qpf::cli::parse_rate(value);
-      } else if (consume_prefix(argument, "--runs=", value)) {
-        options.runs = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--errors=", value)) {
-        options.config.target_logical_errors = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--max-windows=", value)) {
-        options.config.max_windows = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--seed=", value)) {
-        options.config.seed = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--chaos-seed=", value)) {
         options.config.chaos.seed = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--state-dir=", value)) {
-        options.state_dir = value;
-      } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-        options.checkpoint_every_windows = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--jobs=", value)) {
-        options.jobs = qpf::bench::resolve_jobs(qpf::cli::parse_count(value));
       } else if (argument == "--help") {
         usage(std::cout);
         return 0;
@@ -206,17 +178,10 @@ int main(int argc, char** argv) {
     std::cerr << "qpf_chaos: unknown scenario '" << scenario << "'\n";
     return usage(std::cerr);
   }
-  if (options.runs == 0) {
-    std::cerr << "qpf_chaos: --runs must be positive\n";
+  if (!qpf::bench::start_campaign("qpf_chaos", options)) {
     return usage(std::cerr);
   }
-
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  options.stop = &g_stop;
-
   // Both seeds announced so any failure is replayable from the log.
-  qpf::bench::announce_seed("qpf_chaos campaign", options.config.seed);
   if (options.config.chaos.any()) {
     qpf::bench::announce_seed("qpf_chaos schedule",
                               options.config.chaos.seed);
@@ -244,43 +209,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (result.checkpoint_recovered) {
-    std::cerr << "qpf_chaos: discarded unusable checkpoint ("
-              << result.checkpoint_warning << "); resumed from the journal\n";
-  }
-  if (result.trials_from_journal != 0 || result.windows_resumed != 0) {
-    std::cerr << "qpf_chaos: resumed " << result.trials_from_journal
-              << " trial(s) from the journal, " << result.windows_resumed
-              << " window(s) from the checkpoint\n";
-  }
   std::cerr << "[chaos] recovered=" << result.faults_recovered
             << " episodes=" << result.fault_episodes
             << " overruns=" << result.deadline_overruns
             << " skipped_decodes=" << result.decodes_skipped << "\n";
-
-  // Exactly the qpf_ler statistics line: the harness diffs scenario
-  // stdout against the baseline byte-for-byte.
-  std::printf("per=%.17g trials=%zu mean_ler=%.17g stddev_ler=%.17g "
-              "window_cv=%.17g saved_gates=%.17g saved_slots=%.17g "
-              "timed_out=%zu\n",
-              result.point.physical_error_rate, result.trials_completed,
-              result.point.mean_ler, result.point.stddev_ler,
-              result.point.window_cv, result.point.saved_gates,
-              result.point.saved_slots, result.trials_timed_out);
-  try {
-    qpf::cli::require_stdout_ok();
-  } catch (const qpf::Error& error) {
-    // Journal and checkpoint are already durable; only the report line
-    // was lost to the closed pipe.
-    std::cerr << "qpf_chaos: " << error.what() << "\n";
-    return 1;
-  }
-
-  if (result.interrupted) {
-    std::cerr << "qpf_chaos: interrupted after " << result.trials_completed
-              << " of " << options.runs
-              << " trial(s); state saved, re-run to resume\n";
-    return 130;
-  }
-  return 0;
+  // stdout is exactly the qpf_ler statistics line: the harness diffs
+  // scenario stdout against the baseline byte-for-byte.
+  return qpf::bench::report_campaign("qpf_chaos", options, result);
 }

@@ -9,11 +9,9 @@
 //
 // Exit codes: 0 success, 1 runtime error, 2 bad arguments,
 // 130 interrupted (state saved; re-run to resume).
-#include <csignal>
-#include <cstdio>
+#include <cstdint>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "circuit/error.h"
 #include "cli/numeric_args.h"
@@ -22,19 +20,6 @@
 #include "ler_common.h"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_stop(int) { g_stop = 1; }
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
 
 int usage(std::ostream& out) {
   out << "usage: qpf_ler [options]\n"
@@ -70,6 +55,7 @@ int usage(std::ostream& out) {
 int main(int argc, char** argv) {
   using qpf::bench::CampaignOptions;
   using qpf::bench::CampaignResult;
+  using qpf::cli::consume_prefix;
 
   qpf::cli::ignore_sigpipe();
   qpf::io::install_faultfs_from_environment();
@@ -79,17 +65,10 @@ int main(int argc, char** argv) {
     const std::string argument = argv[i];
     std::string value;
     try {
-      if (consume_prefix(argument, "--per=", value)) {
-        options.config.physical_error_rate = qpf::cli::parse_rate(value);
-      } else if (consume_prefix(argument, "--runs=", value)) {
-        options.runs = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--errors=", value)) {
-        options.config.target_logical_errors = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--max-windows=", value)) {
-        options.config.max_windows = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--seed=", value)) {
-        options.config.seed = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--basis=", value)) {
+      if (qpf::bench::parse_campaign_flag(argument, options)) {
+        continue;
+      }
+      if (consume_prefix(argument, "--basis=", value)) {
         if (value == "z") {
           options.config.basis = qpf::qec::CheckType::kZ;
         } else if (value == "x") {
@@ -109,14 +88,8 @@ int main(int argc, char** argv) {
         options.config.ninja_options.distance = static_cast<int>(distance);
       } else if (argument == "--pauli-frame") {
         options.config.with_pauli_frame = true;
-      } else if (consume_prefix(argument, "--state-dir=", value)) {
-        options.state_dir = value;
-      } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-        options.checkpoint_every_windows = qpf::cli::parse_count(value);
       } else if (consume_prefix(argument, "--timeout-per-trial=", value)) {
         options.config.timeout_per_trial_ms = qpf::cli::parse_count(value);
-      } else if (consume_prefix(argument, "--jobs=", value)) {
-        options.jobs = qpf::bench::resolve_jobs(qpf::cli::parse_count(value));
       } else if (argument == "--help") {
         usage(std::cout);
         return 0;
@@ -129,16 +102,9 @@ int main(int argc, char** argv) {
       return usage(std::cerr);
     }
   }
-  if (options.runs == 0) {
-    std::cerr << "qpf_ler: --runs must be positive\n";
+  if (!qpf::bench::start_campaign("qpf_ler", options)) {
     return usage(std::cerr);
   }
-
-  std::signal(SIGINT, handle_stop);
-  std::signal(SIGTERM, handle_stop);
-  options.stop = &g_stop;
-
-  qpf::bench::announce_seed("qpf_ler campaign", options.config.seed);
 
   CampaignResult result;
   try {
@@ -147,40 +113,5 @@ int main(int argc, char** argv) {
     std::cerr << "qpf_ler: " << error.what() << "\n";
     return 1;
   }
-
-  if (result.checkpoint_recovered) {
-    std::cerr << "qpf_ler: discarded unusable checkpoint ("
-              << result.checkpoint_warning << "); resumed from the journal\n";
-  }
-  if (result.trials_from_journal != 0 || result.windows_resumed != 0) {
-    std::cerr << "qpf_ler: resumed " << result.trials_from_journal
-              << " trial(s) from the journal, " << result.windows_resumed
-              << " window(s) from the checkpoint\n";
-  }
-
-  // %.17g everywhere: the printed aggregates are part of the
-  // bit-identical resume guarantee (tools/check_resume.sh diffs them).
-  std::printf("per=%.17g trials=%zu mean_ler=%.17g stddev_ler=%.17g "
-              "window_cv=%.17g saved_gates=%.17g saved_slots=%.17g "
-              "timed_out=%zu\n",
-              result.point.physical_error_rate, result.trials_completed,
-              result.point.mean_ler, result.point.stddev_ler,
-              result.point.window_cv, result.point.saved_gates,
-              result.point.saved_slots, result.trials_timed_out);
-  try {
-    qpf::cli::require_stdout_ok();
-  } catch (const qpf::Error& error) {
-    // Journal and checkpoint are already durable; only the report line
-    // was lost to the closed pipe.
-    std::cerr << "qpf_ler: " << error.what() << "\n";
-    return 1;
-  }
-
-  if (result.interrupted) {
-    std::cerr << "qpf_ler: interrupted after " << result.trials_completed
-              << " of " << options.runs
-              << " trial(s); state saved, re-run to resume\n";
-    return 130;
-  }
-  return 0;
+  return qpf::bench::report_campaign("qpf_ler", options, result);
 }

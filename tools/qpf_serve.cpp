@@ -22,6 +22,7 @@
 #include <string>
 
 #include "circuit/error.h"
+#include "cli/numeric_args.h"
 #include "io/file_ops.h"
 #include "serve/server.h"
 
@@ -36,15 +37,6 @@ void on_signal(int) {
     const char byte = 'S';
     [[maybe_unused]] auto n = write(g_shutdown_fd, &byte, 1);
   }
-}
-
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
 }
 
 int usage(std::ostream& out) {
@@ -75,6 +67,8 @@ int main(int argc, char** argv) {
   qpf::io::install_faultfs_from_environment();
   qpf::io::install_faultnet_from_environment();
 
+  using qpf::cli::consume_prefix;
+  using qpf::cli::parse_count;
   qpf::serve::ServeOptions options;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -83,25 +77,25 @@ int main(int argc, char** argv) {
       if (arg == "--help" || arg == "-h") {
         return usage(std::cout);
       } else if (consume_prefix(arg, "--port=", value)) {
-        options.port = static_cast<std::uint16_t>(std::stoul(value));
+        options.port = static_cast<std::uint16_t>(parse_count(value, 65535));
       } else if (consume_prefix(arg, "--state-dir=", value)) {
         options.state_dir = value;
       } else if (consume_prefix(arg, "--max-sessions=", value)) {
-        options.max_sessions = std::stoull(value);
+        options.max_sessions = parse_count(value);
       } else if (consume_prefix(arg, "--queue-depth=", value)) {
-        options.queue_depth = std::stoull(value);
+        options.queue_depth = parse_count(value);
       } else if (consume_prefix(arg, "--quota-requests=", value)) {
-        options.quota.max_requests = std::stoull(value);
+        options.quota.max_requests = parse_count(value);
       } else if (consume_prefix(arg, "--quota-bytes=", value)) {
-        options.quota.max_bytes = std::stoull(value);
+        options.quota.max_bytes = parse_count(value);
       } else if (consume_prefix(arg, "--threads=", value)) {
-        options.executor_threads = std::stoull(value);
+        options.executor_threads = parse_count(value);
       } else if (consume_prefix(arg, "--idle-evict-ms=", value)) {
-        options.idle_evict_ms = std::stoull(value);
+        options.idle_evict_ms = parse_count(value);
       } else if (consume_prefix(arg, "--write-timeout-ms=", value)) {
-        options.write_timeout_ms = std::stoull(value);
+        options.write_timeout_ms = parse_count(value);
       } else if (consume_prefix(arg, "--lease-ms=", value)) {
-        options.lease_ms = std::stoull(value);
+        options.lease_ms = parse_count(value);
       } else {
         std::cerr << "qpf_serve: unknown argument '" << arg << "'\n";
         return usage(std::cerr);
@@ -109,7 +103,7 @@ int main(int argc, char** argv) {
     }
   } catch (const std::exception& e) {
     std::cerr << "qpf_serve: bad argument: " << e.what() << "\n";
-    return 2;
+    return usage(std::cerr);
   }
 
   try {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "circuit/error.h"
+#include "cli/numeric_args.h"
 #include "io/file_ops.h"
 #include "serve/client.h"
 #include "serve/retry_client.h"
@@ -256,15 +257,6 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
-bool consume_prefix(const std::string& argument, const std::string& prefix,
-                    std::string& value) {
-  if (argument.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = argument.substr(prefix.size());
-  return true;
-}
-
 int usage(std::ostream& out) {
   out << "usage: qpf_serve_load --port=N [options]\n"
          "  --sessions=N        concurrent sessions (default 8)\n"
@@ -291,6 +283,8 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   qpf::io::install_faultfs_from_environment();
   qpf::io::install_faultnet_from_environment();
+  using qpf::cli::consume_prefix;
+  using qpf::cli::parse_count;
   LoadOptions options;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -307,19 +301,19 @@ int main(int argc, char** argv) {
       } else if (arg == "--retry") {
         options.retry = true;
       } else if (consume_prefix(arg, "--heartbeat-ms=", value)) {
-        options.heartbeat_ms = std::stoull(value);
+        options.heartbeat_ms = parse_count(value);
       } else if (consume_prefix(arg, "--port=", value)) {
-        options.port = static_cast<std::uint16_t>(std::stoul(value));
+        options.port = static_cast<std::uint16_t>(parse_count(value, 65535));
       } else if (consume_prefix(arg, "--sessions=", value)) {
-        options.sessions = std::stoull(value);
+        options.sessions = parse_count(value);
       } else if (consume_prefix(arg, "--requests=", value)) {
-        options.requests = std::stoull(value);
+        options.requests = parse_count(value);
       } else if (consume_prefix(arg, "--poison=", value)) {
-        options.poison = std::stoull(value);
+        options.poison = parse_count(value);
       } else if (consume_prefix(arg, "--qubits=", value)) {
-        options.qubits = std::stoull(value);
+        options.qubits = parse_count(value);
       } else if (consume_prefix(arg, "--hold-ms=", value)) {
-        options.hold_ms = std::stoull(value);
+        options.hold_ms = parse_count(value);
       } else if (consume_prefix(arg, "--prefix=", value)) {
         options.prefix = value;
       } else if (consume_prefix(arg, "--transcript-dir=", value)) {
@@ -339,7 +333,7 @@ int main(int argc, char** argv) {
     }
   } catch (const std::exception& e) {
     std::cerr << "qpf_serve_load: bad argument: " << e.what() << "\n";
-    return 2;
+    return usage(std::cerr);
   }
 
   std::vector<SessionOutcome> outcomes(options.sessions);
