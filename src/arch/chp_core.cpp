@@ -88,53 +88,67 @@ std::optional<sv::StateVector> ChpCore::get_quantum_state() const {
   return std::nullopt;  // stabilizer backends expose no amplitudes
 }
 
-void ChpCore::save_state(journal::SnapshotWriter& out) const {
+void write_chp_core_section(journal::SnapshotWriter& out, std::uint64_t seed,
+                            const stab::Tableau* tableau,
+                            const BinaryState& binary,
+                            std::span<const Circuit> queue) {
   out.tag("chp-core");
-  out.write_u64(seed_);
-  out.write_bool(tableau_ != nullptr);
-  if (tableau_ != nullptr) {
-    tableau_->save(out);
+  out.write_u64(seed);
+  out.write_bool(tableau != nullptr);
+  if (tableau != nullptr) {
+    tableau->save(out);
   }
-  out.write_size(binary_.size());
-  for (const BinaryValue v : binary_) {
+  out.write_size(binary.size());
+  for (const BinaryValue v : binary) {
     out.write_u8(static_cast<std::uint8_t>(v));
   }
-  out.write_size(queued_);
-  for (std::size_t c = 0; c < queued_; ++c) {
-    out.write_circuit(queue_[c]);
+  out.write_size(queue.size());
+  for (const Circuit& circuit : queue) {
+    out.write_circuit(circuit);
   }
 }
 
-void ChpCore::load_state(journal::SnapshotReader& in) {
+ChpCoreSection read_chp_core_section(journal::SnapshotReader& in) {
   in.expect_tag("chp-core");
-  seed_ = in.read_u64();
+  ChpCoreSection section;
+  section.seed = in.read_u64();
   if (in.read_bool()) {
-    tableau_ = std::make_unique<stab::Tableau>(stab::Tableau::load(in));
-  } else {
-    tableau_.reset();
+    section.tableau = std::make_unique<stab::Tableau>(stab::Tableau::load(in));
   }
   const std::size_t register_size = in.read_size();
-  if (tableau_ == nullptr && register_size != 0) {
+  if (section.tableau == nullptr && register_size != 0) {
     throw CheckpointError("chp core snapshot: register without a tableau");
   }
-  binary_.clear();
   for (std::size_t i = 0; i < register_size; ++i) {
     const std::uint8_t v = in.read_u8();
     if (v > static_cast<std::uint8_t>(BinaryValue::kUnknown)) {
       throw CheckpointError("chp core snapshot: invalid binary value");
     }
-    binary_.push_back(static_cast<BinaryValue>(v));
+    section.binary.push_back(static_cast<BinaryValue>(v));
   }
   const std::size_t queued = in.read_size();
-  queue_.clear();
-  queued_ = 0;
   for (std::size_t i = 0; i < queued; ++i) {
-    queue_.push_back(in.read_circuit());
-    ++queued_;
+    section.queue.push_back(in.read_circuit());
   }
-  if (tableau_ != nullptr && tableau_->num_qubits() != binary_.size()) {
+  if (section.tableau != nullptr &&
+      section.tableau->num_qubits() != section.binary.size()) {
     throw CheckpointError("chp core snapshot: register size mismatch");
   }
+  return section;
+}
+
+void ChpCore::save_state(journal::SnapshotWriter& out) const {
+  write_chp_core_section(out, seed_, tableau_.get(), binary_,
+                         {queue_.data(), queued_});
+}
+
+void ChpCore::load_state(journal::SnapshotReader& in) {
+  ChpCoreSection section = read_chp_core_section(in);
+  seed_ = section.seed;
+  tableau_ = std::move(section.tableau);
+  binary_ = std::move(section.binary);
+  queue_ = std::move(section.queue);
+  queued_ = queue_.size();
 }
 
 }  // namespace qpf::arch

@@ -4,12 +4,34 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/core_interface.h"
 #include "stabilizer/tableau.h"
 
 namespace qpf::arch {
+
+/// The "chp-core" snapshot section: ChpCore's state, which FrameCore
+/// writes too (its tableau with the frame applied), so a checkpoint
+/// moves between the two cores.
+struct ChpCoreSection {
+  std::uint64_t seed = 0;
+  std::unique_ptr<stab::Tableau> tableau;  ///< null before create_qubits
+  BinaryState binary;
+  std::vector<Circuit> queue;              ///< added, not yet executed
+};
+
+void write_chp_core_section(journal::SnapshotWriter& out, std::uint64_t seed,
+                            const stab::Tableau* tableau,
+                            const BinaryState& binary,
+                            std::span<const Circuit> queue);
+
+/// Reads and checks a whole section before returning it, so a caller
+/// that commits only the result is never left half loaded.  Throws
+/// qpf::CheckpointError on a malformed section.
+[[nodiscard]] ChpCoreSection read_chp_core_section(
+    journal::SnapshotReader& in);
 
 class ChpCore final : public Core {
  public:

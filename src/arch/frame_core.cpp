@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "arch/chp_core.h"
 #include "circuit/bug_plant.h"
 #include "circuit/error.h"
 #include "core/pauli_frame.h"
@@ -558,68 +559,36 @@ void FrameCore::peek(std::span<const stab::SparsePauli> observables,
 }
 
 void FrameCore::save_state(journal::SnapshotWriter& out) const {
-  out.tag("chp-core");
-  out.write_u64(seed_);
-  out.write_bool(tableau_ != nullptr);
-  if (tableau_ != nullptr) {
-    // ChpCore's tableau: the reference with the frame applied.
-    materialize();
-    stab::Tableau tableau = *tableau_;
-    for (std::size_t q = 0; q < frame_.size(); ++q) {
-      if (pf::has_x(frame_[q])) {
-        tableau.apply_x(static_cast<Qubit>(q));
-      }
-      if (pf::has_z(frame_[q])) {
-        tableau.apply_z(static_cast<Qubit>(q));
-      }
+  if (tableau_ == nullptr) {
+    write_chp_core_section(out, seed_, nullptr, binary_,
+                           {queue_.data(), queued_});
+    return;
+  }
+  // ChpCore's tableau: the reference with the frame applied.
+  materialize();
+  stab::Tableau tableau = *tableau_;
+  for (std::size_t q = 0; q < frame_.size(); ++q) {
+    if (pf::has_x(frame_[q])) {
+      tableau.apply_x(static_cast<Qubit>(q));
     }
-    tableau.save(out);
+    if (pf::has_z(frame_[q])) {
+      tableau.apply_z(static_cast<Qubit>(q));
+    }
   }
-  out.write_size(binary_.size());
-  for (const BinaryValue v : binary_) {
-    out.write_u8(static_cast<std::uint8_t>(v));
-  }
-  out.write_size(queued_);
-  for (std::size_t c = 0; c < queued_; ++c) {
-    out.write_circuit(queue_[c]);
-  }
+  write_chp_core_section(out, seed_, &tableau, binary_,
+                         {queue_.data(), queued_});
 }
 
 void FrameCore::load_state(journal::SnapshotReader& in) {
-  in.expect_tag("chp-core");
-  const std::uint64_t seed = in.read_u64();
-  std::unique_ptr<stab::Tableau> tableau;
-  if (in.read_bool()) {
-    tableau = std::make_unique<stab::Tableau>(stab::Tableau::load(in));
-  }
-  const std::size_t register_size = in.read_size();
-  if (tableau == nullptr && register_size != 0) {
-    throw CheckpointError("chp core snapshot: register without a tableau");
-  }
-  BinaryState binary;
-  for (std::size_t i = 0; i < register_size; ++i) {
-    const std::uint8_t v = in.read_u8();
-    if (v > static_cast<std::uint8_t>(BinaryValue::kUnknown)) {
-      throw CheckpointError("chp core snapshot: invalid binary value");
-    }
-    binary.push_back(static_cast<BinaryValue>(v));
-  }
-  const std::size_t queued = in.read_size();
-  std::vector<Circuit> queue;
-  for (std::size_t i = 0; i < queued; ++i) {
-    queue.push_back(in.read_circuit());
-  }
-  if (tableau != nullptr && tableau->num_qubits() != binary.size()) {
-    throw CheckpointError("chp core snapshot: register size mismatch");
-  }
+  ChpCoreSection section = read_chp_core_section(in);
   // The memo describes reference states of this register size, so it
   // stays valid unless the size changes.
-  const bool same_register = binary.size() == binary_.size();
-  seed_ = seed;
-  tableau_ = std::move(tableau);
-  binary_ = std::move(binary);
-  queue_ = std::move(queue);
-  queued_ = queued;
+  const bool same_register = section.binary.size() == binary_.size();
+  seed_ = section.seed;
+  tableau_ = std::move(section.tableau);
+  binary_ = std::move(section.binary);
+  queue_ = std::move(section.queue);
+  queued_ = queue_.size();
   frame_.assign(binary_.size(), PauliRecord::kI);
   if (!same_register || tableau_ == nullptr) {
     clear_memo();

@@ -5,6 +5,7 @@
 
 #include "arch/chp_core.h"
 #include "arch/qx_core.h"
+#include "journal/snapshot.h"
 
 namespace qpf::arch {
 namespace {
@@ -126,6 +127,37 @@ TEST(ChpCoreTest, NonCliffordRejectedAtExecute) {
   Circuit ok;
   ok.append(GateType::kMeasureZ, 0);
   EXPECT_NO_THROW(run(core, ok));
+}
+
+TEST(ChpCoreTest, RejectedSnapshotLeavesTheCoreAsItWas) {
+  // A chp-core section whose seed and tableau are valid but whose
+  // binary values are not: the load must fail before it commits
+  // anything, so the core still saves the bytes it saved before.
+  ChpCore core(7);
+  core.create_qubits(2);
+  Circuit flip;
+  flip.append(GateType::kX, 0);
+  flip.append(GateType::kMeasureZ, 1);
+  run(core, flip);
+  journal::SnapshotWriter before;
+  core.save_state(before);
+
+  const stab::Tableau other(2, 99);
+  journal::SnapshotWriter bad;
+  bad.tag("chp-core");
+  bad.write_u64(99);
+  bad.write_bool(true);
+  other.save(bad);
+  bad.write_size(2);
+  bad.write_u8(0);
+  bad.write_u8(7);  // not a BinaryValue
+  bad.write_size(0);
+  journal::SnapshotReader in(bad.bytes());
+  EXPECT_THROW(core.load_state(in), CheckpointError);
+
+  journal::SnapshotWriter after;
+  core.save_state(after);
+  EXPECT_EQ(after.bytes(), before.bytes());
 }
 
 TEST(QxCoreTest, QuantumStateExposed) {
