@@ -142,6 +142,12 @@ BenchCli::BenchCli(std::string name, int argc, char** argv,
                    std::size_t default_jobs) {
   report.name = std::move(name);
   jobs_ = exec::resolve_jobs(default_jobs);
+  const std::string usage = report.name +
+                            " [--json PATH] [--jobs N]\n"
+                            "  --json PATH  write the machine-readable report "
+                            "(schema: see bench/bench_json.h)\n"
+                            "  --jobs N     worker threads for trial fan-out "
+                            "(0 = hardware_concurrency)\n";
   for (int i = 1; i < argc; ++i) {
     const std::string argument = argv[i];
     const auto value_of = [&](const std::string& flag,
@@ -162,18 +168,16 @@ BenchCli::BenchCli(std::string name, int argc, char** argv,
       json_path_ = value;
     } else if (value_of("--jobs", value)) {
       try {
-        jobs_ = exec::resolve_jobs(static_cast<std::size_t>(cli::parse_count(value)));
-      } catch (const std::invalid_argument&) {
-        std::cerr << report.name << ": bad --jobs value '" << value << "'\n";
+        jobs_ = exec::resolve_jobs(static_cast<std::size_t>(
+            cli::parse_count(value, cli::kMaxThreads)));
+      } catch (const std::invalid_argument& bad) {
+        std::cerr << report.name << ": bad --jobs value: " << bad.what()
+                  << "\n"
+                  << usage;
         std::exit(2);
       }
     } else if (argument == "--help") {
-      std::cout << report.name
-                << " [--json PATH] [--jobs N]\n"
-                   "  --json PATH  write the machine-readable report "
-                   "(schema: see bench/bench_json.h)\n"
-                   "  --jobs N     worker threads for trial fan-out "
-                   "(0 = hardware_concurrency)\n";
+      std::cout << usage;
       std::exit(0);
     } else {
       extra_args_.push_back(argument);

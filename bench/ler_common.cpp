@@ -1,12 +1,8 @@
 #include "ler_common.h"
 
-#include <sys/stat.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -155,15 +151,6 @@ LerPoint run_ler_point(LerConfig config, std::size_t runs, std::size_t jobs) {
 
 namespace {
 
-void make_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
-    return;
-  }
-  throw CheckpointError(std::string("cannot create state directory: ") +
-                            std::strerror(errno),
-                        path);
-}
-
 [[nodiscard]] journal::JournalEntry config_entry(
     const CampaignOptions& options) {
   const LerConfig& config = options.config;
@@ -179,8 +166,9 @@ void make_directory(const std::string& path) {
   // Every other field appears only when it differs from its default,
   // so journals of the plain SC17 campaign stay byte-identical to
   // previous releases, and a resume with a different configuration is
-  // rejected by config_matches.  timeout_per_trial_ms is left out: it is
-  // a wall-clock watchdog, and a timed-out trial is journaled as such.
+  // rejected by journal::config_difference.  timeout_per_trial_ms is
+  // left out: it is a wall-clock watchdog, and a timed-out trial is
+  // journaled as such.
   if (config.ninja_options.distance != 3) {
     entry.fields["distance"] = std::to_string(config.ninja_options.distance);
   }
@@ -243,15 +231,6 @@ void make_directory(const std::string& path) {
   return entry;
 }
 
-[[nodiscard]] bool config_matches(journal::JournalEntry found,
-                                  const CampaignOptions& options) {
-  // The whole key set, both ways: a journal written with a subsystem
-  // this configuration lacks must not resume either.  "crc" is the
-  // line's own checksum, not configuration.
-  found.fields.erase("crc");
-  return found.fields == config_entry(options).fields;
-}
-
 void write_trial_checkpoint(const std::string& path, std::size_t trial,
                             const LerTrial& active) {
   journal::SnapshotWriter out;
@@ -278,14 +257,13 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
 
   std::vector<LerRun> runs;
   if (durable) {
-    make_directory(options.state_dir);
+    journal::create_state_directory(options.state_dir);
     const std::string journal_path = options.state_dir + "/journal.jsonl";
     checkpoint_path = options.state_dir + "/stack.ckpt";
     const std::vector<journal::JournalEntry> entries =
         journal::read_journal(journal_path);
     if (!entries.empty()) {
-      if (entries.front().get("kind") != "config" ||
-          !config_matches(entries.front(), options)) {
+      if (journal::config_difference(entries.front(), config_entry(options))) {
         throw CheckpointError(
             "journal was written by a different campaign configuration",
             journal_path);
@@ -557,7 +535,8 @@ bool parse_campaign_flag(const std::string& argument,
   } else if (cli::consume_prefix(argument, "--checkpoint-every=", value)) {
     options.checkpoint_every_windows = cli::parse_count(value);
   } else if (cli::consume_prefix(argument, "--jobs=", value)) {
-    options.jobs = exec::resolve_jobs(cli::parse_count(value));
+    options.jobs =
+        exec::resolve_jobs(cli::parse_count(value, cli::kMaxThreads));
   } else {
     return false;
   }

@@ -28,8 +28,14 @@ inline bool consume_prefix(std::string_view argument, std::string_view prefix,
   return true;
 }
 
+/// The largest thread count a flag may ask for: every --jobs, qpf_serve
+/// --threads and qpf_serve_load --sessions (one thread per session).
+/// It equals qpf_serve's default --max-sessions.  Parsing rejects a
+/// larger count before any pool, server or connection exists.
+inline constexpr std::uint64_t kMaxThreads = 1024;
+
 /// Decimal digits only: no sign, no spaces, no trailing text, at most
-/// `max` (a port passes 65535).
+/// `max` (a port passes 65535, a thread count kMaxThreads).
 [[nodiscard]] inline std::uint64_t parse_count(
     std::string_view text,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {

@@ -1,11 +1,7 @@
 #include "cli/runner.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -68,14 +64,6 @@ struct FaultSummary {
   std::size_t chaos_crashes = 0;
   std::size_t chaos_stalls = 0;
   std::size_t chaos_bursts = 0;
-
-  [[nodiscard]] bool anything() const noexcept {
-    return injected.total() != 0 || health.checks != 0 ||
-           recovery_flushes != 0 || validator_reports != 0 ||
-           faults_recovered != 0 || fault_episodes != 0 ||
-           deadline_overruns != 0 || chaos_crashes != 0 ||
-           chaos_stalls != 0 || chaos_bursts != 0;
-  }
 
   void merge(const FaultSummary& delta) {
     injected.dropped += delta.injected.dropped;
@@ -220,15 +208,6 @@ std::string run_circuit_shot(const RunnerOptions& options,
   return bits;
 }
 
-void make_state_directory(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) {
-    return;
-  }
-  throw CheckpointError(std::string("cannot create state directory: ") +
-                            std::strerror(errno),
-                        path);
-}
-
 // Structural fingerprint of the program, so a resume against a
 // different circuit is rejected instead of silently mixing histograms.
 std::uint32_t circuit_fingerprint(const Circuit& circuit) {
@@ -276,54 +255,27 @@ journal::JournalEntry run_config_entry(const RunnerOptions& options,
   return entry;
 }
 
-// Has any supervision subsystem been requested?  Gates the extended
-// journal / checkpoint fields.
-bool supervision_on(const RunnerOptions& options) {
-  return options.supervise || options.deadline_slot_ns > 0.0 ||
-         options.chaos.any();
-}
-
-// Aggregate run state that the journal replay / checkpoint restores.
+// Aggregate run state.  A live shot and a shot a resume replays from
+// the journal both join it through add_shot.
 struct RunAggregate {
   std::map<std::string, std::size_t> histogram;
   FaultSummary summary;
   std::size_t timed_out_shots = 0;
   std::size_t shots_done = 0;
-};
 
-void apply_shot_entry(RunAggregate& aggregate,
-                      const journal::JournalEntry& entry) {
-  const bool timed_out = entry.get_u64("timed_out") != 0;
-  // A timed-out shot was cut, not completed: it never joins the
-  // histogram (its bits are the partial result of an over-budget shot).
-  if (!timed_out) {
-    ++aggregate.histogram[entry.get("bits")];
+  void add_shot(const std::string& bits, bool timed_out,
+                const FaultSummary& delta) {
+    // A cut shot never joins the histogram: its bits are the state of
+    // an over-budget shot, not a completed sample.
+    if (timed_out) {
+      ++timed_out_shots;
+    } else {
+      ++histogram[bits];
+    }
+    summary.merge(delta);
+    ++shots_done;
   }
-  FaultSummary delta;
-  delta.injected.dropped = entry.get_u64("dropped");
-  delta.injected.duplicated = entry.get_u64("duplicated");
-  delta.injected.reordered = entry.get_u64("reordered");
-  delta.injected.readout_flips = entry.get_u64("readout_flips");
-  delta.health.checks = entry.get_u64("checks");
-  delta.health.detected = entry.get_u64("detected");
-  delta.health.corrected = entry.get_u64("corrected");
-  delta.health.uncorrectable = entry.get_u64("uncorrectable");
-  delta.health.recovery_resets = entry.get_u64("recovery_resets");
-  delta.health.scrubs = entry.get_u64("scrubs");
-  delta.recovery_flushes = entry.get_u64("recovery_flushes");
-  delta.validator_reports = entry.get_u64("validator_reports");
-  delta.faults_recovered = entry.get_u64("recovered");
-  delta.fault_episodes = entry.get_u64("episodes");
-  delta.deadline_overruns = entry.get_u64("overruns");
-  delta.chaos_crashes = entry.get_u64("chaos_crashes");
-  delta.chaos_stalls = entry.get_u64("chaos_stalls");
-  delta.chaos_bursts = entry.get_u64("chaos_bursts");
-  aggregate.summary.merge(delta);
-  if (timed_out) {
-    ++aggregate.timed_out_shots;
-  }
-  ++aggregate.shots_done;
-}
+};
 
 journal::JournalEntry shot_entry(const RunnerOptions& options,
                                  std::size_t shot, const std::string& bits,
@@ -368,87 +320,29 @@ journal::JournalEntry shot_entry(const RunnerOptions& options,
   return entry;
 }
 
-// `extended` (supervision on) appends the supervision aggregates; off,
-// the checkpoint keeps the exact historical byte layout.
-void write_run_checkpoint(const std::string& path, std::uint32_t program_crc,
-                          std::uint64_t seed, const RunAggregate& aggregate,
-                          bool extended) {
-  journal::SnapshotWriter out;
-  out.tag("qpf-run");
-  out.write_u32(program_crc);
-  out.write_u64(seed);
-  out.write_size(aggregate.shots_done);
-  out.write_size(aggregate.timed_out_shots);
-  out.write_size(aggregate.histogram.size());
-  for (const auto& [bits, count] : aggregate.histogram) {
-    out.write_string(bits);
-    out.write_size(count);
-  }
-  out.write_size(aggregate.summary.injected.dropped);
-  out.write_size(aggregate.summary.injected.duplicated);
-  out.write_size(aggregate.summary.injected.reordered);
-  out.write_size(aggregate.summary.injected.readout_flips);
-  out.write_size(aggregate.summary.health.checks);
-  out.write_size(aggregate.summary.health.detected);
-  out.write_size(aggregate.summary.health.corrected);
-  out.write_size(aggregate.summary.health.uncorrectable);
-  out.write_size(aggregate.summary.health.recovery_resets);
-  out.write_size(aggregate.summary.health.scrubs);
-  out.write_size(aggregate.summary.recovery_flushes);
-  out.write_size(aggregate.summary.validator_reports);
-  if (extended) {
-    out.write_size(aggregate.summary.faults_recovered);
-    out.write_size(aggregate.summary.fault_episodes);
-    out.write_size(aggregate.summary.deadline_overruns);
-    out.write_size(aggregate.summary.chaos_crashes);
-    out.write_size(aggregate.summary.chaos_stalls);
-    out.write_size(aggregate.summary.chaos_bursts);
-  }
-  journal::write_checkpoint_file(path, out.bytes());
-}
-
-// Throws CheckpointError on any mismatch or corruption.
-RunAggregate read_run_checkpoint(const std::string& path,
-                                 std::uint32_t program_crc,
-                                 std::uint64_t seed, bool extended) {
-  journal::SnapshotReader in(journal::read_checkpoint_file(path));
-  in.expect_tag("qpf-run");
-  if (in.read_u32() != program_crc) {
-    throw CheckpointError("run checkpoint: program fingerprint mismatch",
-                          path);
-  }
-  if (in.read_u64() != seed) {
-    throw CheckpointError("run checkpoint: seed mismatch", path);
-  }
-  RunAggregate aggregate;
-  aggregate.shots_done = in.read_size();
-  aggregate.timed_out_shots = in.read_size();
-  const std::size_t entries = in.read_size();
-  for (std::size_t i = 0; i < entries; ++i) {
-    const std::string bits = in.read_string();
-    aggregate.histogram[bits] = in.read_size();
-  }
-  aggregate.summary.injected.dropped = in.read_size();
-  aggregate.summary.injected.duplicated = in.read_size();
-  aggregate.summary.injected.reordered = in.read_size();
-  aggregate.summary.injected.readout_flips = in.read_size();
-  aggregate.summary.health.checks = in.read_size();
-  aggregate.summary.health.detected = in.read_size();
-  aggregate.summary.health.corrected = in.read_size();
-  aggregate.summary.health.uncorrectable = in.read_size();
-  aggregate.summary.health.recovery_resets = in.read_size();
-  aggregate.summary.health.scrubs = in.read_size();
-  aggregate.summary.recovery_flushes = in.read_size();
-  aggregate.summary.validator_reports = in.read_size();
-  if (extended) {
-    aggregate.summary.faults_recovered = in.read_size();
-    aggregate.summary.fault_episodes = in.read_size();
-    aggregate.summary.deadline_overruns = in.read_size();
-    aggregate.summary.chaos_crashes = in.read_size();
-    aggregate.summary.chaos_stalls = in.read_size();
-    aggregate.summary.chaos_bursts = in.read_size();
-  }
-  return aggregate;
+// The robustness counters of a journaled shot; a field shot_entry left
+// out (its subsystem off) reads as 0.
+FaultSummary shot_summary(const journal::JournalEntry& entry) {
+  FaultSummary delta;
+  delta.injected.dropped = entry.get_u64("dropped");
+  delta.injected.duplicated = entry.get_u64("duplicated");
+  delta.injected.reordered = entry.get_u64("reordered");
+  delta.injected.readout_flips = entry.get_u64("readout_flips");
+  delta.health.checks = entry.get_u64("checks");
+  delta.health.detected = entry.get_u64("detected");
+  delta.health.corrected = entry.get_u64("corrected");
+  delta.health.uncorrectable = entry.get_u64("uncorrectable");
+  delta.health.recovery_resets = entry.get_u64("recovery_resets");
+  delta.health.scrubs = entry.get_u64("scrubs");
+  delta.recovery_flushes = entry.get_u64("recovery_flushes");
+  delta.validator_reports = entry.get_u64("validator_reports");
+  delta.faults_recovered = entry.get_u64("recovered");
+  delta.fault_episodes = entry.get_u64("episodes");
+  delta.deadline_overruns = entry.get_u64("overruns");
+  delta.chaos_crashes = entry.get_u64("chaos_crashes");
+  delta.chaos_stalls = entry.get_u64("chaos_stalls");
+  delta.chaos_bursts = entry.get_u64("chaos_bursts");
+  return delta;
 }
 
 std::string run_circuit(const RunnerOptions& options, const Circuit& circuit,
@@ -462,13 +356,11 @@ std::string run_circuit(const RunnerOptions& options, const Circuit& circuit,
 
   const bool durable = !options.checkpoint_dir.empty();
   std::unique_ptr<journal::RunJournal> log;
-  std::string checkpoint_path;
-  std::uint32_t program_crc = 0;
   if (durable) {
-    make_state_directory(options.checkpoint_dir);
-    program_crc = circuit_fingerprint(circuit);
+    journal::create_state_directory(options.checkpoint_dir);
     const std::string journal_path = options.checkpoint_dir + "/shots.jsonl";
-    checkpoint_path = options.checkpoint_dir + "/run.ckpt";
+    const journal::JournalEntry config =
+        run_config_entry(options, circuit_fingerprint(circuit));
     const std::vector<journal::JournalEntry> entries =
         journal::read_journal(journal_path);
     if (!entries.empty()) {
@@ -478,58 +370,31 @@ std::string run_circuit(const RunnerOptions& options, const Circuit& circuit,
             "to continue it",
             journal_path);
       }
-      const journal::JournalEntry expected =
-          run_config_entry(options, program_crc);
-      for (const auto& [key, value] : expected.fields) {
-        if (entries.front().get(key) != value) {
-          throw CheckpointError(
-              "journal was written by a different run (field '" + key +
-                  "' is '" + entries.front().get(key) + "', expected '" +
-                  value + "')",
-              journal_path);
-        }
+      if (const auto field =
+              journal::config_difference(entries.front(), config)) {
+        throw CheckpointError(
+            "journal was written by a different run (field '" + *field +
+                "' is '" + entries.front().get(*field) + "', expected '" +
+                config.get(*field) + "')",
+            journal_path);
       }
     }
-    // Sequential shot records; anything else (duplicates from a
-    // re-run, out-of-order garbage) is ignored.
-    std::vector<const journal::JournalEntry*> shots;
+    // Replay the sequential shot records; anything else (duplicates
+    // from a re-run, out-of-order garbage) is ignored.
     for (std::size_t i = 1; i < entries.size(); ++i) {
-      if (entries[i].get("kind") == "shot" &&
-          entries[i].get_u64("shot") == shots.size()) {
-        shots.push_back(&entries[i]);
+      const journal::JournalEntry& entry = entries[i];
+      if (entry.get("kind") == "shot" &&
+          entry.get_u64("shot") == aggregate.shots_done) {
+        aggregate.add_shot(entry.get("bits"), entry.get_u64("timed_out") != 0,
+                           shot_summary(entry));
       }
-    }
-    // Fast path: an aggregate checkpoint summarizing a prefix of the
-    // journal.  A corrupt or mismatched checkpoint is discarded — the
-    // journal alone rebuilds the same state.
-    if (options.resume && journal::file_exists(checkpoint_path)) {
-      try {
-        RunAggregate restored =
-            read_run_checkpoint(checkpoint_path, program_crc, options.seed,
-                                supervision_on(options));
-        if (restored.shots_done > shots.size()) {
-          throw CheckpointError(
-              "run checkpoint claims more shots than the journal holds",
-              checkpoint_path);
-        }
-        aggregate = std::move(restored);
-      } catch (const CheckpointError& error) {
-        std::cerr << "qpf_run: discarded unusable checkpoint ("
-                  << error.what() << "); replaying the journal\n";
-        aggregate = RunAggregate{};
-      }
-    }
-    for (std::size_t shot = aggregate.shots_done; shot < shots.size();
-         ++shot) {
-      apply_shot_entry(aggregate, *shots[shot]);
     }
     log = std::make_unique<journal::RunJournal>(journal_path);
     if (entries.empty()) {
-      log->append(run_config_entry(options, program_crc));
+      log->append(config);
     }
   }
 
-  std::size_t since_checkpoint = 0;
   for (std::size_t shot = aggregate.shots_done; shot < options.shots;
        ++shot) {
     if (options.stop != nullptr && *options.stop != 0) {
@@ -555,29 +420,10 @@ std::string run_circuit(const RunnerOptions& options, const Circuit& circuit,
              options.timeout_per_trial_ms ||
          (options.debug_timeout_every != 0 &&
           (shot + 1) % options.debug_timeout_every == 0));
-    // A cut shot never joins the histogram: its bits are the state of
-    // an over-budget shot, not a completed sample.
-    if (!timed_out) {
-      ++aggregate.histogram[bits];
-    } else {
-      ++aggregate.timed_out_shots;
-    }
-    aggregate.summary.merge(delta);
-    ++aggregate.shots_done;
+    aggregate.add_shot(bits, timed_out, delta);
     if (durable) {
       log->append(shot_entry(options, shot, bits, timed_out, delta));
-      ++since_checkpoint;
-      if (options.checkpoint_every != 0 &&
-          since_checkpoint >= options.checkpoint_every) {
-        write_run_checkpoint(checkpoint_path, program_crc, options.seed,
-                             aggregate, supervision_on(options));
-        since_checkpoint = 0;
-      }
     }
-  }
-  if (durable && since_checkpoint != 0) {
-    write_run_checkpoint(checkpoint_path, program_crc, options.seed,
-                         aggregate, supervision_on(options));
   }
 
   const std::map<std::string, std::size_t>& histogram = aggregate.histogram;
@@ -752,10 +598,8 @@ std::string usage() {
          "  --validate          cross-check the Pauli frame against a\n"
          "                      shadow copy (requires --pauli-frame)\n"
          "  --checkpoint-dir=DIR  journal every shot durably (fsync'd\n"
-         "                      JSONL + CRC-guarded checkpoint); qasm/chp\n"
-         "                      programs only\n"
-         "  --checkpoint-every=N  rotate the aggregate checkpoint every\n"
-         "                      N shots (default 64)\n"
+         "                      JSONL, CRC per line); qasm/chp programs\n"
+         "                      only\n"
          "  --resume=DIR        continue an interrupted journaled run;\n"
          "                      finished shots are replayed, not re-run\n"
          "  --timeout-per-trial=MS  per-shot watchdog; over-budget shots\n"
@@ -849,8 +693,6 @@ std::optional<RunnerOptions> parse_flags(
         return std::nullopt;
       }
       options.checkpoint_dir = value;
-    } else if (consume_prefix(argument, "--checkpoint-every=", value)) {
-      options.checkpoint_every = parse_count(value);
     } else if (consume_prefix(argument, "--resume=", value)) {
       if (value.empty()) {
         error = "--resume needs a directory";
@@ -978,15 +820,27 @@ std::optional<RunnerOptions> parse_flags(
     error = "--debug-timeout-every requires --timeout-per-trial";
     return std::nullopt;
   }
-  if ((options.supervise || options.deadline_slot_ns > 0.0 ||
-       options.chaos.any()) &&
-      (options.format == Format::kQisa || options.format == Format::kLogical)) {
+  // The QCU runs QISA and logical programs on its own ChpCore stack,
+  // which none of these flags reach.
+  const bool qcu_program =
+      options.format == Format::kQisa || options.format == Format::kLogical;
+  if (qcu_program && (options.supervise || options.deadline_slot_ns > 0.0 ||
+                      options.chaos.any())) {
     error = "--supervise / --deadline-ns / --chaos-* support qasm/chp "
             "programs only";
     return std::nullopt;
   }
+  if (qcu_program && options.timeout_per_trial_ms != 0) {
+    error = "--timeout-per-trial / --debug-timeout-every support qasm/chp "
+            "programs only";
+    return std::nullopt;
+  }
+  if (qcu_program && options.backend == Backend::kQx) {
+    error = "--backend=qx supports qasm/chp programs only";
+    return std::nullopt;
+  }
   if (!options.checkpoint_dir.empty()) {
-    if (options.format == Format::kQisa || options.format == Format::kLogical) {
+    if (qcu_program) {
       error = "checkpointing supports qasm/chp programs only";
       return std::nullopt;
     }

@@ -40,11 +40,9 @@ struct RunnerOptions {
   /// Insert a ValidatingLayer above the Pauli frame layer.
   bool validate = false;
 
-  /// Durable shot journal + aggregate checkpoint directory (qasm/chp
+  /// Directory of the durable shot journal, shots.jsonl (qasm/chp
   /// programs).  Empty disables durability.
   std::string checkpoint_dir;
-  /// Rotate the aggregate checkpoint every N completed shots.
-  std::size_t checkpoint_every = 64;
   /// Continue a journaled run from checkpoint_dir; completed shots are
   /// replayed from the journal, never re-executed.
   bool resume = false;
@@ -59,9 +57,9 @@ struct RunnerOptions {
   /// journal status deterministically.
   std::size_t debug_timeout_every = 0;
 
-  /// Supervision subsystem (PR 4; all off by default, and off means
-  /// the per-shot stack — and every journal/checkpoint byte — is
-  /// identical to a build without it).
+  /// Supervision subsystem (all off by default, and off means the
+  /// per-shot stack — and every journal byte — is identical to a build
+  /// without it).
   bool supervise = false;            ///< SupervisorLayer above the frame
   double deadline_slot_ns = 0.0;     ///< per-slot budget (TimingLayer)
   arch::ChaosConfig chaos{};         ///< scripted fault storms
@@ -77,7 +75,7 @@ struct RunnerOptions {
 ///   --error-rate=P    --shots=N   --seed=S    --print-state
 ///   --slots=N         --classical-fault-rate=P
 ///   --protect-frame[=parity|vote]  --validate
-///   --checkpoint-dir=DIR  --checkpoint-every=N  --resume=DIR
+///   --checkpoint-dir=DIR  --resume=DIR
 ///   --timeout-per-trial=MS  --debug-timeout-every=N
 ///   --supervise  --deadline-ns=NS
 ///   --chaos-seed=S  --chaos-gap=MIN:MAX  --chaos-kinds=LIST

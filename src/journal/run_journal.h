@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,5 +69,17 @@ class RunJournal {
 /// discarded as torn or corrupt.
 [[nodiscard]] std::vector<JournalEntry> read_journal(
     const std::string& path, std::size_t* dropped_tail = nullptr);
+
+/// Create the state directory `path` unless it exists.  Throws
+/// qpf::CheckpointError when it cannot be created.
+void create_state_directory(const std::string& path);
+
+/// Whether a journal's config line (`found`) belongs to the run whose
+/// config line is `expected`: both key sets are compared, "crc" (the
+/// line's own checksum) is ignored, and the first key, in key order,
+/// whose value differs or that only one line has is returned.  Empty
+/// when the lines agree.
+[[nodiscard]] std::optional<std::string> config_difference(
+    const JournalEntry& found, const JournalEntry& expected);
 
 }  // namespace qpf::journal

@@ -2,6 +2,7 @@
 // the numeric arguments of the other tool binaries.
 #include "cli/runner.h"
 
+#include "cli/numeric_args.h"
 #include "journal/run_journal.h"
 
 #include <sys/wait.h>
@@ -73,7 +74,7 @@ TEST(CliParseTest, Rejections) {
   EXPECT_FALSE(parse({"--seed=abc", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--seed=-1", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--shots=4x", "a.qasm"}).has_value());
-  EXPECT_FALSE(parse({"--checkpoint-every=-5", "a.qasm"}).has_value());
+  EXPECT_FALSE(parse({"--slots=-5", "a.qasm"}).has_value());
 }
 
 TEST(CliRunTest, QasmDeterministicCircuit) {
@@ -311,6 +312,14 @@ TEST(CliToolTest, LerToolsRejectTrailingText) {
   expect_usage_error("--per=1e-3junk");
 }
 
+/// One more thread than any count flag may ask for.  Every tool must
+/// refuse it while parsing, so these tests start no thread.
+const std::string kTooManyThreads = std::to_string(kMaxThreads + 1);
+
+TEST(CliToolTest, LerToolsRejectAJobCountAboveTheBound) {
+  expect_usage_error("--jobs=" + kTooManyThreads);
+}
+
 TEST(CliToolTest, LerToolRunsAnOddDistance) {
   std::string err;
   EXPECT_EQ(run_binary(QPF_LER_TOOL, "--max-windows=10 --runs=1 --distance=5",
@@ -373,6 +382,37 @@ TEST(CliToolTest, ServeToolsRejectAPortAbove16Bits) {
   }
 }
 
+TEST(CliToolTest, FuzzToolRejectsAJobCountAboveTheBound) {
+  std::string err;
+  EXPECT_EQ(run_binary(QPF_FUZZ_TOOL, "--cases=0 --jobs=" + kTooManyThreads,
+                       err),
+            2);
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+TEST(CliToolTest, ServeToolsRejectAThreadCountAboveTheBound) {
+  // qpf_serve's executor threads and qpf_serve_load's sessions (one
+  // thread each).  `timeout` bounds a tool that accepted the count.
+  const std::string serve = QPF_SERVE_TOOL;
+  const std::string load = QPF_SERVE_LOAD_TOOL;
+  for (const std::string& command :
+       {serve + " --threads=" + kTooManyThreads,
+        load + " --port=1 --sessions=" + kTooManyThreads}) {
+    std::string err;
+    EXPECT_EQ(run_binary("timeout 20 " + command, "", err), 2) << command;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << command << err;
+  }
+}
+
+TEST(CliToolTest, BenchRejectsAJobCountAboveTheBound) {
+  std::string err;
+  EXPECT_EQ(run_binary(std::string("QPF_LER_RUNS=1 QPF_LER_ERRORS=1 ") +
+                           QPF_BENCH_LER,
+                       "--jobs=" + kTooManyThreads, err),
+            2);
+  EXPECT_NE(err.find("--jobs N"), std::string::npos) << err;
+}
+
 /// bench_ler rejects QPF_LER_RUNS=`value` with exit 2, naming the
 /// variable.
 void expect_bench_env_error(const std::string& value) {
@@ -407,11 +447,10 @@ TEST(CliParseTest, NanRatesAreRejected) {
 }
 
 TEST(CliParseTest, CheckpointFlags) {
-  const auto options = parse({"--checkpoint-dir=state", "--checkpoint-every=16",
-                              "--timeout-per-trial=500", "a.qasm"});
+  const auto options =
+      parse({"--checkpoint-dir=state", "--timeout-per-trial=500", "a.qasm"});
   ASSERT_TRUE(options.has_value());
   EXPECT_EQ(options->checkpoint_dir, "state");
-  EXPECT_EQ(options->checkpoint_every, 16u);
   EXPECT_EQ(options->timeout_per_trial_ms, 500u);
   EXPECT_FALSE(options->resume);
 
@@ -438,6 +477,13 @@ TEST(CliParseTest, CheckpointFlagRejections) {
   EXPECT_FALSE(parse({"--backend=qx", "--print-state", "--checkpoint-dir=s",
                       "a.qasm"})
                    .has_value());
+  // The journal is qpf_run's only durable record: there is no checkpoint
+  // to rotate.
+  std::ostringstream out, err;
+  EXPECT_EQ(run_tool({"--checkpoint-every=5", "a.qasm"}, out, err), 2);
+  EXPECT_NE(err.str().find("unknown option '--checkpoint-every=5'"),
+            std::string::npos)
+      << err.str();
 }
 
 class CliCheckpointTest : public ::testing::Test {
@@ -506,38 +552,39 @@ TEST_F(CliCheckpointTest, StopFlagDrainsJournalAndExits130) {
   EXPECT_EQ(out2.str(), ref_out.str());
 }
 
-TEST_F(CliCheckpointTest, CorruptAggregateCheckpointFallsBackToJournal) {
-  std::ostringstream ref_out, ref_err;
-  ASSERT_EQ(run_tool(args({}), ref_out, ref_err), 0);
-
-  std::ostringstream out1, err1;
-  ASSERT_EQ(run_tool(args({"--checkpoint-dir=" + dir_}), out1, err1), 0);
-
-  const std::string checkpoint = dir_ + "/run.ckpt";
-  std::string bytes;
-  {
-    std::ifstream in(checkpoint, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+TEST_F(CliCheckpointTest, ResumeRefusesAJournalOfADifferentSubsystemSet) {
+  // Each subsystem adds config fields only when it is on, so a journal
+  // written with it and a run without it differ by a key that only one
+  // of the two config lines has.  Both directions are refused, naming
+  // the field, before a single shot is mixed in.
+  const struct {
+    std::vector<std::string> flags;
+    std::string field;
+  } cases[] = {
+      {{"--supervise"}, "supervise"},
+      {{"--chaos-gap=2:3", "--chaos-kinds=stall"}, "chaos_"},
+      {{"--deadline-ns=100"}, "deadline_slot_ns"},
+  };
+  for (const auto& subsystem : cases) {
+    for (const bool written_with_flag : {true, false}) {
+      std::filesystem::remove_all(dir_);
+      std::vector<std::string> first = args({"--checkpoint-dir=" + dir_});
+      std::vector<std::string> resumed = args({"--resume=" + dir_});
+      std::vector<std::string>& with_flag =
+          written_with_flag ? first : resumed;
+      with_flag.insert(with_flag.begin(), subsystem.flags.begin(),
+                       subsystem.flags.end());
+      std::ostringstream out1, err1;
+      ASSERT_EQ(run_tool(first, out1, err1), 0) << err1.str();
+      std::ostringstream out2, err2;
+      EXPECT_EQ(run_tool(resumed, out2, err2), 1)
+          << subsystem.field << " written_with_flag=" << written_with_flag;
+      EXPECT_NE(err2.str().find("written by a different run (field '" +
+                                subsystem.field),
+                std::string::npos)
+          << err2.str();
+    }
   }
-  ASSERT_GT(bytes.size(), 36u);
-  bytes[bytes.size() - 3] ^= 0x20;
-  {
-    std::ofstream out(checkpoint, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-
-  // The discard warning is printed straight to std::cerr (it must reach
-  // the operator even when the report stream is captured); intercept it.
-  std::ostringstream out2, err2, cerr_capture;
-  std::streambuf* old_cerr = std::cerr.rdbuf(cerr_capture.rdbuf());
-  const int code = run_tool(args({"--resume=" + dir_}), out2, err2);
-  std::cerr.rdbuf(old_cerr);
-  ASSERT_EQ(code, 0);
-  EXPECT_NE(cerr_capture.str().find("discarded unusable checkpoint"),
-            std::string::npos);
-  EXPECT_EQ(out2.str(), ref_out.str());  // journal replay saves the run
 }
 
 TEST_F(CliCheckpointTest, TimeoutWatchdogReportsCleanRun) {
@@ -582,6 +629,15 @@ TEST(CliParseTest, SupervisionFlagRejections) {
   // Supervision wraps the qasm/chp stack only.
   EXPECT_FALSE(parse({"--supervise", "a.qisa"}).has_value());
   EXPECT_FALSE(parse({"--chaos-gap=2:4", "a.lqasm"}).has_value());
+  // So do the per-shot watchdog and the qx backend: the QCU's shot loop
+  // reads neither.
+  EXPECT_FALSE(parse({"--timeout-per-trial=1", "a.qisa"}).has_value());
+  EXPECT_FALSE(parse({"--timeout-per-trial=1", "--debug-timeout-every=1",
+                      "a.qisa"})
+                   .has_value());
+  EXPECT_FALSE(parse({"--timeout-per-trial=1", "a.lqasm"}).has_value());
+  EXPECT_FALSE(parse({"--backend=qx", "a.qisa"}).has_value());
+  EXPECT_FALSE(parse({"--backend=qx", "a.lqasm"}).has_value());
 }
 
 TEST_F(CliCheckpointTest, DebugTimeoutCutsShotsFromHistogramAndJournal) {

@@ -92,7 +92,7 @@ EOF
 
 echo "check_faultfs.sh: build $build_dir"
 
-# --- 1. qpf_run: kill at every durable journal/checkpoint op --------
+# --- 1. qpf_run: kill at every durable journal op -------------------
 run_args=(--shots=6 --seed=7 --pauli-frame)
 
 "$qpf_run" "$workdir/program.qasm" "${run_args[@]}" \

@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
       } else if (consume_prefix(arg, "--max-failures=", value)) {
         options.max_failures = qpf::cli::parse_count(value);
       } else if (consume_prefix(arg, "--jobs=", value)) {
-        options.jobs = qpf::cli::parse_count(value);
+        options.jobs = qpf::cli::parse_count(value, qpf::cli::kMaxThreads);
       } else if (consume_prefix(arg, "--shots=", value)) {
         options.tuning.shots = qpf::cli::parse_count(value);
       } else if (consume_prefix(arg, "--minutes=", value)) {

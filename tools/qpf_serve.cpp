@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
       } else if (consume_prefix(arg, "--quota-bytes=", value)) {
         options.quota.max_bytes = parse_count(value);
       } else if (consume_prefix(arg, "--threads=", value)) {
-        options.executor_threads = parse_count(value);
+        options.executor_threads = parse_count(value, qpf::cli::kMaxThreads);
       } else if (consume_prefix(arg, "--idle-evict-ms=", value)) {
         options.idle_evict_ms = parse_count(value);
       } else if (consume_prefix(arg, "--write-timeout-ms=", value)) {

@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
       } else if (consume_prefix(arg, "--port=", value)) {
         options.port = static_cast<std::uint16_t>(parse_count(value, 65535));
       } else if (consume_prefix(arg, "--sessions=", value)) {
-        options.sessions = parse_count(value);
+        options.sessions = parse_count(value, qpf::cli::kMaxThreads);
       } else if (consume_prefix(arg, "--requests=", value)) {
         options.requests = parse_count(value);
       } else if (consume_prefix(arg, "--poison=", value)) {
