@@ -158,5 +158,22 @@ TEST_F(JournalTest, ValuesWithQuotesAndEscapesRoundTrip) {
   EXPECT_EQ(entries[0].get("path"), "dir/with \"quotes\" and \\slashes\\");
 }
 
+TEST_F(JournalTest, ConfigDifferenceComparesBothKeySetsAndIgnoresTheCrc) {
+  JournalEntry expected;
+  expected.fields = {{"kind", "config"}, {"seed", "5"}, {"shots", "20"}};
+  JournalEntry found = expected;
+  found.fields["crc"] = "0badc0de";  // the line's own checksum
+  EXPECT_EQ(config_difference(found, expected), std::nullopt);
+
+  // A key only one side has differs, whichever side has it.
+  found.fields["supervise"] = "1";
+  EXPECT_EQ(config_difference(found, expected), "supervise");
+  EXPECT_EQ(config_difference(expected, found), "supervise");
+
+  // The first differing key in key order is named.
+  found.fields["seed"] = "6";
+  EXPECT_EQ(config_difference(found, expected), "seed");
+}
+
 }  // namespace
 }  // namespace qpf::journal
