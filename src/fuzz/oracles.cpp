@@ -1336,9 +1336,9 @@ OracleOutcome check_net_fault(const Circuit& body, std::uint64_t seed,
 //
 // The commit contract of qpf::exec::Executor::run_ordered(), checked
 // as a pure function of the seed: the committed (index, value)
-// transcript must equal the splitmix64 seed-chain prediction at any
-// chunk size, and — the part a naive pool gets wrong — even when the
-// completion *arrival* order is adversarial.  The second run forces
+// transcript must equal the splitmix64 seed-chain prediction, and —
+// the part a naive pool gets wrong — even when the completion
+// *arrival* order is adversarial.  The second run forces
 // task 0 to finish last (it spins until every other task has marked
 // completion, a schedule constraint with no wall-clock dependence), so
 // an engine that commits in arrival order (planted bug 15,
@@ -1354,15 +1354,12 @@ struct ExecTranscript {
 
 /// One run_ordered() over `tasks` value-producing tasks.  When
 /// `invert_arrival` is set, task 0 yields until all other tasks have
-/// completed; that requires chunk == 1 (a chunk mate queued behind
-/// task 0 could never run) and at least two pool threads.
+/// completed; that requires at least two pool threads.
 ExecTranscript run_exec_transcript(exec::Executor& pool, std::size_t tasks,
-                                   std::uint64_t base, std::size_t chunk,
-                                   bool invert_arrival) {
+                                   std::uint64_t base, bool invert_arrival) {
   ExecTranscript out;
   exec::RunOptions options;
   options.seed = base;
-  options.chunk = invert_arrival ? 1 : chunk;
   const exec::RunReport report = pool.run_ordered<std::uint64_t>(
       tasks, options,
       [tasks, invert_arrival](const exec::TaskContext& ctx) {
@@ -1421,13 +1418,12 @@ OracleOutcome check_exec_transcript(const ExecTranscript& got,
 OracleOutcome check_executor_determinism(std::uint64_t seed) {
   SplitMix rng(derive_seed(seed, label_hash("executor-determinism")));
   const std::size_t tasks = 5 + rng.below(8);
-  const std::size_t chunk = 1 + rng.below(3);
   const std::uint64_t base = rng.next();
 
   exec::Executor pool(4);
 
   const ExecTranscript plain =
-      run_exec_transcript(pool, tasks, base, chunk, /*invert_arrival=*/false);
+      run_exec_transcript(pool, tasks, base, /*invert_arrival=*/false);
   if (OracleOutcome verdict = check_exec_transcript(plain, tasks, base,
                                                     "natural arrival");
       !verdict.passed) {
@@ -1435,8 +1431,7 @@ OracleOutcome check_executor_determinism(std::uint64_t seed) {
   }
 
   const ExecTranscript inverted =
-      run_exec_transcript(pool, tasks, base, /*chunk=*/1,
-                          /*invert_arrival=*/true);
+      run_exec_transcript(pool, tasks, base, /*invert_arrival=*/true);
   return check_exec_transcript(inverted, tasks, base,
                                "task 0 forced to finish last");
 }

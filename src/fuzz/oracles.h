@@ -62,10 +62,10 @@
 //   executor-determinism — the shared work-stealing executor's commit
 //                 contract: a run_ordered() transcript (committed
 //                 index/value pairs) must equal the seed-chain
-//                 prediction at any chunk size, even when the oracle
-//                 deterministically forces task 0 to *finish last*
-//                 (planted bug 15 commits in arrival order and fails
-//                 exactly that schedule).
+//                 prediction, even when the oracle deterministically
+//                 forces task 0 to *finish last* (planted bug 15
+//                 commits in arrival order and fails exactly that
+//                 schedule).
 //   peek-vs-probe — NinjaStarLayer's diagnostics read the probe syndrome
 //                 and the logical sign through Core::peek.  After noisy
 //                 windows, logical X/Z/H, injected Paulis and H's that

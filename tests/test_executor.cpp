@@ -3,17 +3,20 @@
 // The contract under test (src/exec/executor.h): run_ordered() commits
 // results strictly in task-index order on the calling thread, seeds
 // every task from the splitmix64 chain over (run seed, index), and so
-// produces byte-identical output for every worker count, chunk size,
-// and steal schedule.  Cancellation stops the commit sequence at a
-// deterministic frontier; typed qpf::Errors propagate; untyped
-// exceptions abort loudly (the death suite) instead of deadlocking the
-// commit sequence.  These suites also run under TSan and ASan with
-// --gtest_repeat (tools/check_sanitize.sh).
+// produces byte-identical output for every worker count and steal
+// schedule.  A one-worker pool runs the tasks on the calling thread,
+// committing each before the next starts.  Cancellation stops the
+// commit sequence at a deterministic frontier; typed qpf::Errors
+// propagate; untyped exceptions abort loudly (the death suite) instead
+// of deadlocking the commit sequence.  These suites also run under TSan
+// and ASan with --gtest_repeat (tools/check_sanitize.sh).
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,18 +48,15 @@ Transcript expected_transcript(std::size_t tasks, std::uint64_t base) {
   return out;
 }
 
-/// Run `tasks` seed-hashing tasks at the given pool width and chunk
-/// size and return the committed transcript.  When `invert` is set,
-/// task 0 waits for every other task to finish first — an adversarial
-/// arrival order with no wall-clock dependence (requires chunk == 1
-/// and at least two workers, or task 0's chunk mates could never run).
+/// Run `tasks` seed-hashing tasks at the given pool width and return
+/// the committed transcript.  When `invert` is set, task 0 waits for
+/// every other task to finish first — an adversarial arrival order with
+/// no wall-clock dependence (requires at least two workers).
 Transcript run_transcript(std::size_t jobs, std::size_t tasks,
-                          std::uint64_t base, std::size_t chunk,
-                          bool invert = false) {
+                          std::uint64_t base, bool invert = false) {
   Executor pool(jobs);
   RunOptions options;
   options.seed = base;
-  options.chunk = chunk;
   Transcript out;
   pool.run_ordered<std::uint64_t>(
       tasks, options,
@@ -102,26 +102,15 @@ TEST(ExecutorTest, ResolveJobsAutoAndPassThrough) {
   EXPECT_EQ(resolve_jobs(7), 7u);
 }
 
-// --- bit-identity across jobs / chunks / schedules --------------------
+// --- bit-identity across jobs / schedules -----------------------------
 
 TEST(ExecutorTest, TranscriptIsBitIdenticalForJobsOneThroughSixteen) {
   const std::size_t tasks = 37;
   const std::uint64_t base = 0xabcdef01;
   const Transcript expected = expected_transcript(tasks, base);
   for (std::size_t jobs = 1; jobs <= 16; ++jobs) {
-    EXPECT_EQ(run_transcript(jobs, tasks, base, 1), expected)
+    EXPECT_EQ(run_transcript(jobs, tasks, base), expected)
         << "jobs=" << jobs;
-  }
-}
-
-TEST(ExecutorTest, TranscriptIsBitIdenticalForAdversarialChunkSizes) {
-  const std::size_t tasks = 23;
-  const std::uint64_t base = 99;
-  const Transcript expected = expected_transcript(tasks, base);
-  // 0 is treated as 1; 64 exceeds the task count (one chunk total).
-  for (const std::size_t chunk : {0u, 1u, 2u, 3u, 5u, 16u, 64u}) {
-    EXPECT_EQ(run_transcript(4, tasks, base, chunk), expected)
-        << "chunk=" << chunk;
   }
 }
 
@@ -161,7 +150,7 @@ TEST(ExecutorTest, StealHeavySkewedWorkloadCommitsInOrder) {
 TEST(ExecutorTest, ForcedArrivalInversionStillCommitsInIndexOrder) {
   const std::size_t tasks = 9;
   const std::uint64_t base = 1234;
-  EXPECT_EQ(run_transcript(4, tasks, base, 1, /*invert=*/true),
+  EXPECT_EQ(run_transcript(4, tasks, base, /*invert=*/true),
             expected_transcript(tasks, base));
 }
 
@@ -171,7 +160,7 @@ TEST(ExecutorTest, PlantedBug15CommitsInArrivalOrder) {
   // commit sequence deterministically ends with index 0.
   PlantGuard guard(15);
   const std::size_t tasks = 9;
-  const Transcript got = run_transcript(4, tasks, 1234, 1, /*invert=*/true);
+  const Transcript got = run_transcript(4, tasks, 1234, /*invert=*/true);
   ASSERT_EQ(got.size(), tasks);
   EXPECT_EQ(got.back().first, 0u);
   EXPECT_NE(got, expected_transcript(tasks, 1234));
@@ -200,7 +189,7 @@ TEST(ExecutorTest, ZeroTasksFinishTrivially) {
 }
 
 TEST(ExecutorTest, MoreJobsThanTasksIsHarmless) {
-  EXPECT_EQ(run_transcript(16, 3, 5, 1), expected_transcript(3, 5));
+  EXPECT_EQ(run_transcript(16, 3, 5), expected_transcript(3, 5));
 }
 
 TEST(ExecutorTest, BackToBackRunsOnOnePoolStayIndependent) {
@@ -389,6 +378,158 @@ TEST(ExecutorTest, CancelledRunResumesFromTheFrontierBitIdentically) {
   EXPECT_EQ(combined, reference);
 }
 
+// --- one worker: the calling thread runs the loop ---------------------
+
+TEST(ExecutorTest, OneWorkerStartsEachTaskAfterThePreviousCommitReturned) {
+  // A one-worker pool is a plain loop on the calling thread: task i + 1
+  // starts only once commit(i) has returned, so a caller's own I/O in
+  // commit and in its tasks happens in one fixed order.
+  Executor pool(1);
+  RunOptions options;
+  options.seed = 9;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex m;
+  std::vector<std::string> events;
+  bool tasks_on_caller = true;
+  const RunReport report = pool.run_ordered<std::uint64_t>(
+      5, options,
+      [&](const TaskContext& ctx) {
+        std::lock_guard<std::mutex> lock(m);
+        events.push_back("task " + std::to_string(ctx.index()));
+        tasks_on_caller =
+            tasks_on_caller && std::this_thread::get_id() == caller;
+        return TaskResult<std::uint64_t>{TaskStatus::kDone,
+                                         splitmix64(ctx.seed())};
+      },
+      [&](std::size_t index, std::uint64_t&&) {
+        std::lock_guard<std::mutex> lock(m);
+        events.push_back("commit " + std::to_string(index) + " returns");
+        return true;
+      });
+  EXPECT_EQ(report.committed, 5u);
+  EXPECT_FALSE(report.cancelled);
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 5; ++i) {
+    expected.push_back("task " + std::to_string(i));
+    expected.push_back("commit " + std::to_string(i) + " returns");
+  }
+  EXPECT_EQ(events, expected);
+  EXPECT_TRUE(tasks_on_caller);
+}
+
+TEST(ExecutorTest, OneWorkerStopsAtTheFrontierWithoutStartingLaterTasks) {
+  Executor pool(1);
+  RunOptions options;
+  options.seed = 21;
+  std::vector<std::size_t> started;
+  Transcript out;
+  const auto commit = [&out](std::size_t index, std::uint64_t&& value) {
+    out.emplace_back(index, value);
+    return true;
+  };
+
+  // Task 2 abandons: 0 and 1 stay committed, the frontier hook gets the
+  // partial result, and tasks 3 and 4 never start.
+  std::size_t frontier_index = 99;
+  std::uint64_t frontier_partial = 0;
+  const RunReport report = pool.run_ordered<std::uint64_t>(
+      5, options,
+      [&started](const TaskContext& ctx) {
+        started.push_back(ctx.index());
+        if (ctx.index() == 2) {
+          return TaskResult<std::uint64_t>{TaskStatus::kAbandoned, 424242};
+        }
+        return TaskResult<std::uint64_t>{TaskStatus::kDone,
+                                         splitmix64(ctx.seed())};
+      },
+      commit,
+      [&](std::size_t index, FrontierKind kind, std::uint64_t* partial) {
+        frontier_index = index;
+        if (kind == FrontierKind::kAbandoned && partial != nullptr) {
+          frontier_partial = *partial;
+        }
+      });
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(report.frontier, 2u);
+  EXPECT_EQ(frontier_index, 2u);
+  EXPECT_EQ(frontier_partial, 424242u);
+  EXPECT_EQ(out, expected_transcript(2, 21));
+  EXPECT_EQ(started, (std::vector<std::size_t>{0, 1, 2}));
+
+  // Task 3 throws a typed error: 0..2 stay committed, the error
+  // rethrows on the caller, and task 4 never starts.
+  started.clear();
+  out.clear();
+  EXPECT_THROW(pool.run_ordered<std::uint64_t>(
+                   5, options,
+                   [&started](const TaskContext& ctx) {
+                     started.push_back(ctx.index());
+                     if (ctx.index() == 3) {
+                       throw Error("boom-3");
+                     }
+                     return TaskResult<std::uint64_t>{TaskStatus::kDone,
+                                                      splitmix64(ctx.seed())};
+                   },
+                   commit),
+               Error);
+  EXPECT_EQ(out, expected_transcript(3, 21));
+  EXPECT_EQ(started, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ExecutorTest, ThrowingCommitRethrowsOnTheCallerAtEveryWidth) {
+  // A commit that throws (a journal append on a full disk) cancels the
+  // run; the pool drains before the exception leaves run_ordered, and
+  // then runs again.  On the pool, task 5 is still running when
+  // commit(3) throws, so leaving without the drain would free the run
+  // under it.
+  for (const std::size_t jobs : {1u, 4u}) {
+    Executor pool(jobs);
+    RunOptions options;
+    options.seed = 12;
+    std::atomic<bool> commit_threw{false};
+    std::atomic<int> running{0};
+    const auto task = [&commit_threw, &running](const TaskContext& ctx) {
+      ++running;
+      if (ctx.index() == 5) {
+        while (!commit_threw.load()) {
+          std::this_thread::yield();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      --running;
+      return TaskResult<std::uint64_t>{TaskStatus::kDone,
+                                       splitmix64(ctx.seed())};
+    };
+    Transcript out;
+    try {
+      pool.run_ordered<std::uint64_t>(
+          8, options, task,
+          [&out, &commit_threw](std::size_t index, std::uint64_t&& value) {
+            if (index == 3) {
+              commit_threw.store(true);
+              throw Error("journal full");
+            }
+            out.emplace_back(index, value);
+            return true;
+          });
+      ADD_FAILURE() << "the commit's error never rethrew, jobs=" << jobs;
+    } catch (const Error& error) {
+      EXPECT_EQ(error.message(), "journal full");
+      EXPECT_EQ(running.load(), 0) << "a task outlived its run, jobs=" << jobs;
+    }
+    EXPECT_EQ(out, expected_transcript(3, 12)) << "jobs=" << jobs;
+
+    out.clear();
+    const RunReport again = pool.run_ordered<std::uint64_t>(
+        8, options, task, [&out](std::size_t index, std::uint64_t&& value) {
+          out.emplace_back(index, value);
+          return true;
+        });
+    EXPECT_EQ(again.committed, 8u);
+    EXPECT_EQ(out, expected_transcript(8, 12)) << "jobs=" << jobs;
+  }
+}
+
 // --- error propagation ------------------------------------------------
 
 TEST(ExecutorTest, TypedErrorRethrowsOnTheCallerAfterTheDrain) {
@@ -438,7 +579,7 @@ TEST(ExecutorTest, PoolSurvivesAThrowingRunAndRunsAgain) {
                    },
                    [](std::size_t, int&&) { return true; }),
                Error);
-  EXPECT_EQ(run_transcript(1, 5, 77, 1), expected_transcript(5, 77));
+  EXPECT_EQ(run_transcript(1, 5, 77), expected_transcript(5, 77));
   Transcript out;
   RunOptions again;
   again.seed = 77;
