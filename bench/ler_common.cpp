@@ -1,14 +1,17 @@
 #include "ler_common.h"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <memory>
 
 #include "cli/numeric_args.h"
 #include "cli/stdio_guard.h"
 #include "exec/executor.h"
+#include "io/file_ops.h"
 #include "journal/run_journal.h"
 #include "stats/summary.h"
 
@@ -200,15 +203,7 @@ namespace {
         format_double(config.classical_faults.readout_flip);
   }
   if (config.chaos.any()) {
-    entry.fields["chaos_seed"] = std::to_string(config.chaos.seed);
-    entry.fields["chaos_min_gap"] = std::to_string(config.chaos.min_gap);
-    entry.fields["chaos_max_gap"] = std::to_string(config.chaos.max_gap);
-    entry.fields["chaos_crash_w"] = std::to_string(config.chaos.crash_weight);
-    entry.fields["chaos_stall_w"] = std::to_string(config.chaos.stall_weight);
-    entry.fields["chaos_burst_w"] = std::to_string(config.chaos.burst_weight);
-    entry.fields["chaos_stall_ns"] = format_double(config.chaos.stall_ns);
-    entry.fields["chaos_burst_len"] =
-        std::to_string(config.chaos.burst_length);
+    arch::write_chaos_fields(entry, config.chaos);
   }
   if (config.supervise) {
     // The backoff fields and the jitter seed shape only the modeled
@@ -302,10 +297,9 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
     return config;
   };
 
-  // Mid-trial checkpoint preload for the first trial still to run,
-  // shared by both engines.  Heap-allocated: LerStack's layers hold
-  // pointers into each other, so a trial is rebuilt (never moved) when
-  // a load fails.
+  // Mid-trial checkpoint preload for the first trial still to run.
+  // Heap-allocated: LerStack's layers hold pointers into each other, so
+  // a trial is rebuilt (never moved) when a load fails.
   std::unique_ptr<LerTrial> preloaded;
   if (durable && start_trial < options.runs &&
       journal::file_exists(checkpoint_path)) {
@@ -327,12 +321,6 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
       result.checkpoint_warning = error.what();
     }
   }
-  const auto begin_trial = [&](std::size_t trial) {
-    return trial == start_trial && preloaded
-               ? std::move(preloaded)
-               : std::make_unique<LerTrial>(trial_config(trial));
-  };
-
   const auto journal_trial = [&](std::size_t trial, const LerRun& run) {
     runs.push_back(run);
     if (durable) {
@@ -354,128 +342,105 @@ CampaignResult run_ler_campaign(const CampaignOptions& options) {
         entry.fields["skipped_decodes"] = std::to_string(run.decodes_skipped);
       }
       log->append(entry);
-      std::remove(checkpoint_path.c_str());
+      if (io::ops().unlink(checkpoint_path.c_str()) != 0 && errno != ENOENT) {
+        throw CheckpointError(
+            std::string("cannot remove checkpoint: ") + std::strerror(errno),
+            checkpoint_path);
+      }
     }
   };
 
-  // Both engines step trials through LerTrial::run.  The sequential one
-  // stays for jobs == 1: it checkpoints every checkpoint_every_windows
-  // and performs its I/O in one deterministic order (which
-  // tools/check_faultfs.sh enumerates); a pool of one worker would start
-  // trial k + 1 while this thread journals trial k.
+  // Every trial runs through one run_ordered call.  Task i runs trial
+  // start_trial + i to completion with its deterministic seed-chain
+  // seed; the executor's sequenced commit makes this thread the single
+  // journal writer, appending trial i only once trials 0..i-1 are
+  // appended, so the journal bytes do not depend on jobs.  On
+  // interrupt, tasks abandon at the next window boundary; completed-
+  // but-unjournaled trials past the frontier are discarded (their
+  // deterministic re-run on resume reproduces them exactly), and the
+  // frontier trial's partial state becomes the checkpoint.  Typed
+  // errors escaping a trial rethrow on this thread, lowest trial
+  // first — the executor's contract.
+  //
+  // With one worker the executor runs each trial on this thread and
+  // journals it before the next starts; only then are periodic
+  // checkpoints written.  Either way every durable op happens on this
+  // thread in one fixed order, which tools/check_faultfs.sh enumerates.
+  //
+  // Trials keep their legacy LCG seed-chain seeds (`seeds[trial]`),
+  // not the executor's splitmix64 task seeds, so journals stay
+  // byte-compatible with every earlier campaign.
   const std::size_t trials_left =
       options.runs > start_trial ? options.runs - start_trial : 0;
   const std::size_t jobs = std::min(exec::resolve_jobs(options.jobs),
                                     std::max<std::size_t>(trials_left, 1));
-  if (jobs <= 1) {
-    // --- Sequential engine (jobs == 1) ------------------------------
-    std::size_t windows_this_call = 0;
-    const auto stop_requested = [&] {
-      if (options.stop != nullptr && *options.stop != 0) {
-        return true;
-      }
-      return options.interrupt_after_windows != 0 &&
-             windows_this_call >= options.interrupt_after_windows;
-    };
-    for (std::size_t trial = start_trial; trial < options.runs; ++trial) {
-      std::unique_ptr<LerTrial> active = begin_trial(trial);
-      std::size_t windows_since_checkpoint = 0;
-      const LerTrial::Stop stop = active->run(stop_requested, [&] {
-        ++windows_this_call;
-        if (durable && options.checkpoint_every_windows != 0 &&
-            ++windows_since_checkpoint >= options.checkpoint_every_windows) {
-          write_trial_checkpoint(checkpoint_path, trial, *active);
-          windows_since_checkpoint = 0;
-        }
-      });
-      if (stop == LerTrial::Stop::kStopped) {
-        // Drain: the current window finished; persist the trial mid-way
-        // so the resumed campaign continues from this exact state.
-        result.interrupted = true;
-        if (durable) {
-          write_trial_checkpoint(checkpoint_path, trial, *active);
-        }
-        break;
-      }
-      journal_trial(trial, active->result());
+  const std::size_t checkpoint_every =
+      durable && jobs == 1 ? options.checkpoint_every_windows : 0;
+
+  struct TrialOutcome {
+    LerRun run;
+    std::unique_ptr<LerTrial> partial;  ///< set when the trial abandoned
+  };
+
+  std::atomic<std::size_t> windows_total{0};
+  exec::RunOptions run_options;
+  run_options.seed = options.config.seed;
+  run_options.stop = [&options, &windows_total]() {
+    if (options.stop != nullptr && *options.stop != 0) {
+      return true;
     }
-  } else {
-    // --- Parallel engine (jobs > 1): the unified executor -----------
-    // Task i runs trial start_trial + i to completion with its
-    // deterministic seed-chain seed; the executor's sequenced commit
-    // buffer makes this thread the single journal writer, appending
-    // trial i only once trials 0..i-1 are appended, so the journal
-    // byte stream is identical to the sequential engine's.  On
-    // interrupt, tasks abandon at the next window boundary; completed-
-    // but-unjournaled trials past the frontier are discarded (their
-    // deterministic re-run on resume reproduces them exactly), and the
-    // frontier trial's partial state becomes the checkpoint.  Typed
-    // errors escaping a trial rethrow on this thread, lowest trial
-    // first — the executor's contract.
-    //
-    // Trials keep their legacy LCG seed-chain seeds (`seeds[trial]`),
-    // not the executor's splitmix64 task seeds, so journals stay
-    // byte-compatible with every campaign since PR 3.
-    struct TrialOutcome {
-      LerRun run;
-      std::unique_ptr<LerTrial> partial;  ///< set when the trial abandoned
-    };
+    return options.interrupt_after_windows != 0 &&
+           windows_total.load(std::memory_order_relaxed) >=
+               options.interrupt_after_windows;
+  };
 
-    std::atomic<std::size_t> windows_total{0};
-    exec::RunOptions run_options;
-    run_options.seed = options.config.seed;
-    run_options.stop = [&options, &windows_total]() {
-      if (options.stop != nullptr && *options.stop != 0) {
+  const std::function<exec::TaskResult<TrialOutcome>(const exec::TaskContext&)>
+      task = [&](const exec::TaskContext& ctx) {
+        exec::TaskResult<TrialOutcome> out;
+        const std::size_t trial = start_trial + ctx.index();
+        std::unique_ptr<LerTrial> active =
+            trial == start_trial && preloaded
+                ? std::move(preloaded)
+                : std::make_unique<LerTrial>(trial_config(trial));
+        std::size_t windows_since_checkpoint = 0;
+        const LerTrial::Stop stop =
+            active->run([&ctx] { return ctx.cancelled(); }, [&] {
+              windows_total.fetch_add(1, std::memory_order_relaxed);
+              if (checkpoint_every != 0 &&
+                  ++windows_since_checkpoint >= checkpoint_every) {
+                write_trial_checkpoint(checkpoint_path, trial, *active);
+                windows_since_checkpoint = 0;
+              }
+            });
+        if (stop == LerTrial::Stop::kStopped) {
+          out.status = exec::TaskStatus::kAbandoned;
+          out.value.partial = std::move(active);
+        } else {
+          out.value.run = active->result();
+        }
+        return out;
+      };
+
+  const std::function<bool(std::size_t, TrialOutcome&&)> commit =
+      [&](std::size_t index, TrialOutcome&& outcome) {
+        journal_trial(start_trial + index, outcome.run);
         return true;
-      }
-      return options.interrupt_after_windows != 0 &&
-             windows_total.load(std::memory_order_relaxed) >=
-                 options.interrupt_after_windows;
-    };
+      };
 
-    const std::function<exec::TaskResult<TrialOutcome>(
-        const exec::TaskContext&)>
-        task = [&](const exec::TaskContext& ctx) {
-          exec::TaskResult<TrialOutcome> out;
-          std::unique_ptr<LerTrial> active =
-              begin_trial(start_trial + ctx.index());
-          const LerTrial::Stop stop =
-              active->run([&ctx] { return ctx.cancelled(); },
-                          [&windows_total] {
-                            windows_total.fetch_add(
-                                1, std::memory_order_relaxed);
-                          });
-          if (stop == LerTrial::Stop::kStopped) {
-            out.status = exec::TaskStatus::kAbandoned;
-            out.value.partial = std::move(active);
-          } else {
-            out.value.run = active->result();
-          }
-          return out;
-        };
+  const std::function<void(std::size_t, exec::FrontierKind, TrialOutcome*)>
+      frontier = [&](std::size_t index, exec::FrontierKind kind,
+                     TrialOutcome* partial) {
+        if (durable && kind == exec::FrontierKind::kAbandoned &&
+            partial != nullptr && partial->partial) {
+          write_trial_checkpoint(checkpoint_path, start_trial + index,
+                                 *partial->partial);
+        }
+      };
 
-    const std::function<bool(std::size_t, TrialOutcome&&)> commit =
-        [&](std::size_t index, TrialOutcome&& outcome) {
-          journal_trial(start_trial + index, outcome.run);
-          return true;
-        };
-
-    const std::function<void(std::size_t, exec::FrontierKind,
-                             TrialOutcome*)>
-        frontier = [&](std::size_t index, exec::FrontierKind kind,
-                       TrialOutcome* partial) {
-          if (durable && kind == exec::FrontierKind::kAbandoned &&
-              partial != nullptr && partial->partial) {
-            write_trial_checkpoint(checkpoint_path, start_trial + index,
-                                   *partial->partial);
-          }
-        };
-
-    exec::Executor pool(jobs);
-    const exec::RunReport run_report = pool.run_ordered<TrialOutcome>(
-        trials_left, run_options, task, commit, frontier);
-    result.interrupted = run_report.cancelled;
-  }
+  exec::Executor pool(jobs);
+  const exec::RunReport run_report = pool.run_ordered<TrialOutcome>(
+      trials_left, run_options, task, commit, frontier);
+  result.interrupted = run_report.cancelled;
 
   result.trials_completed = runs.size();
   LerPoint& point = result.point;

@@ -171,8 +171,8 @@ struct CampaignOptions {
   /// Directory for journal.jsonl + stack.ckpt (created if missing).
   /// Empty disables durability; the campaign then runs in memory only.
   std::string state_dir;
-  /// Checkpoint the in-progress trial every N windows (0 = only when
-  /// interrupted).  Smaller = less lost work, more I/O.
+  /// Checkpoint the in-progress trial every N windows when jobs is 1
+  /// (0 = only when interrupted).  Smaller = less lost work, more I/O.
   std::size_t checkpoint_every_windows = 0;
   /// Cooperative stop flag (SIGINT/SIGTERM handler target).  When it
   /// becomes nonzero the campaign finishes the current window, writes a
@@ -181,14 +181,14 @@ struct CampaignOptions {
   /// Test hook: behave as if the stop flag fired after this many
   /// windows executed in this call (0 = off).
   std::size_t interrupt_after_windows = 0;
-  /// Worker threads running trials (1 = the classic sequential engine,
-  /// 0 = hardware_concurrency).  Trials keep their deterministic
-  /// seed-chain seeds, land in trial-indexed slots, and are journaled
-  /// in trial order by the coordinating thread, so the journal and the
-  /// aggregate statistics are bit-identical for every jobs value.
-  /// With jobs > 1 the periodic mid-trial checkpoint is written only
-  /// when the campaign is interrupted (for the lowest unfinished
-  /// trial); completed-trial durability is unchanged.
+  /// Worker threads running trials (0 = hardware_concurrency), all
+  /// through one exec::Executor::run_ordered call (at 1, on the calling
+  /// thread).  Trials keep their deterministic seed-chain seeds, land in
+  /// trial-indexed slots, and are journaled in trial order by the
+  /// calling thread, so the journal and the aggregate statistics are
+  /// bit-identical for every jobs value.  With jobs > 1 the mid-trial
+  /// checkpoint is written only when the campaign is interrupted (for
+  /// the lowest unfinished trial).
   std::size_t jobs = 1;
 };
 

@@ -13,10 +13,13 @@
 #   1. qpf_run --checkpoint-dir: after every kill point (and a torn
 #      variant of every write), --resume completes and the shot
 #      journal is byte-identical to an uninterrupted reference.
-#   2. qpf_ler --state-dir: after every kill point AND after every
-#      sticky typed-failure point (fail@k:errno=ENOSPC:sticky, which
-#      must exit with a typed error, never corrupt), re-running to
-#      completion reproduces the reference statistics line exactly.
+#   2. qpf_ler --state-dir, at --jobs=1 and again at --jobs=2: after
+#      every kill point AND after every sticky typed-failure point
+#      (fail@k:errno=ENOSPC:sticky, which must exit with a typed error,
+#      never corrupt), re-running to completion reproduces the
+#      reference statistics line exactly.  Both widths run one engine,
+#      and above one worker durable I/O happens only on the committing
+#      thread, so each width's op order is fixed.
 #   3. qpf_serve drain: killed at every durable op of the SIGTERM
 #      park-everything drain, a restarted server restores exactly the
 #      sessions whose park files landed (rename is the commit point)
@@ -139,12 +142,12 @@ reference=$("$qpf_ler" "${ler_args[@]}" 2>/dev/null) \
 
 # Re-run a state dir until the campaign reports success; every killed
 # run must make progress from durable state, so a handful of attempts
-# always suffices.
+# always suffices.  Runs with the sweep's arguments, sweep_args.
 run_to_completion() {
     local dir="$1" attempt out status
     for attempt in 1 2 3 4 5; do
         set +e
-        out=$("$qpf_ler" "${ler_args[@]}" --state-dir="$dir" 2>/dev/null)
+        out=$("$qpf_ler" "${sweep_args[@]}" --state-dir="$dir" 2>/dev/null)
         status=$?
         set -e
         if [ "$status" -eq 0 ]; then
@@ -155,40 +158,58 @@ run_to_completion() {
     fail "campaign in $dir did not complete within 5 attempts"
 }
 
-QPF_FAULTFS="count:$workdir/ler.oplog" \
-    "$qpf_ler" "${ler_args[@]}" --state-dir="$workdir/ler_count" \
-    >/dev/null 2>&1 || fail "qpf_ler counting pass failed"
-n_ler=$(wc -l <"$workdir/ler.oplog")
-[ "$n_ler" -ge 10 ] || fail "qpf_ler counting pass saw only $n_ler ops"
+# sweep_ler <jobs> <floor>: count the campaign's durable ops at --jobs,
+# require at least <floor> of them, then kill and fail at each one.
+sweep_ler() {
+    local jobs="$1" floor="$2" oplog="$workdir/ler_jobs$1.oplog"
+    sweep_args=("${ler_args[@]}" --jobs="$jobs")
+    QPF_FAULTFS="count:$oplog" \
+        "$qpf_ler" "${sweep_args[@]}" --state-dir="$workdir/ler_count$jobs" \
+        >/dev/null 2>&1 || fail "qpf_ler --jobs=$jobs counting pass failed"
+    n_ler=$(wc -l <"$oplog")
+    [ "$n_ler" -ge "$floor" ] || \
+        fail "qpf_ler --jobs=$jobs counting pass saw only $n_ler ops"
 
-for k in $(seq 1 "$n_ler"); do
-    dir="$workdir/ler_kill"
-    rm -rf "$dir"
-    expect_killed "kill@$k" "$qpf_ler" "${ler_args[@]}" --state-dir="$dir"
-    resumed=$(run_to_completion "$dir")
-    [ "$resumed" = "$reference" ] || fail "kill@$k: resumed statistics differ
+    for k in $(seq 1 "$n_ler"); do
+        dir="$workdir/ler_kill"
+        rm -rf "$dir"
+        expect_killed "kill@$k" "$qpf_ler" "${sweep_args[@]}" \
+            --state-dir="$dir"
+        resumed=$(run_to_completion "$dir")
+        [ "$resumed" = "$reference" ] || \
+            fail "--jobs=$jobs kill@$k: resumed statistics differ
   reference: $reference
   resumed:   $resumed"
 
-    # The same op failing with a typed errno instead of a crash: the
-    # tool must exit 1 with a typed error (never 137, never corrupt),
-    # and the state it left behind must still resume bit-identically.
-    dir="$workdir/ler_fail"
-    rm -rf "$dir"
-    set +e
-    QPF_FAULTFS="fail@$k:errno=ENOSPC:sticky" \
-        "$qpf_ler" "${ler_args[@]}" --state-dir="$dir" >/dev/null 2>&1
-    status=$?
-    set -e
-    [ "$status" -eq 1 ] || \
-        fail "fail@$k: expected typed-error exit 1, got $status"
-    resumed=$(run_to_completion "$dir")
-    [ "$resumed" = "$reference" ] || fail "fail@$k: resumed statistics differ
+        # The same op failing with a typed errno instead of a crash: the
+        # tool must exit 1 with a typed error (never 137, never
+        # corrupt), and the state it left behind must still resume
+        # bit-identically.
+        dir="$workdir/ler_fail"
+        rm -rf "$dir"
+        set +e
+        QPF_FAULTFS="fail@$k:errno=ENOSPC:sticky" \
+            "$qpf_ler" "${sweep_args[@]}" --state-dir="$dir" \
+            >/dev/null 2>&1
+        status=$?
+        set -e
+        [ "$status" -eq 1 ] || \
+            fail "--jobs=$jobs fail@$k: expected typed-error exit 1, got $status"
+        resumed=$(run_to_completion "$dir")
+        [ "$resumed" = "$reference" ] || \
+            fail "--jobs=$jobs fail@$k: resumed statistics differ
   reference: $reference
   resumed:   $resumed"
-done
-echo "  qpf_ler: kill@k and sticky fail@k swept over $n_ler durable ops," \
-    "every recovery bit-identical"
+    done
+    echo "  qpf_ler --jobs=$jobs: kill@k and sticky fail@k swept over" \
+        "$n_ler durable ops, every recovery bit-identical"
+}
+
+sweep_ler 1 10
+# Above one worker there are no periodic checkpoints: the journal's
+# open, the config line's write and fsync, then a write, fsync and
+# unlink per trial.
+sweep_ler 2 9
 
 # --- serve helpers (check_serve.sh idiom) ---------------------------
 # start_server <logfile> [flags...]: ephemeral port, exports
