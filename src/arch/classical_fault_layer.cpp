@@ -1,9 +1,12 @@
 #include "arch/classical_fault_layer.h"
 
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "circuit/error.h"
+#include "journal/run_journal.h"
 
 namespace qpf::arch {
 
@@ -17,6 +20,19 @@ void require_rate(double p, const char* kind) {
 }
 
 }  // namespace
+
+void write_chaos_fields(journal::JournalEntry& entry, const ChaosConfig& chaos) {
+  char stall_ns[40];
+  std::snprintf(stall_ns, sizeof stall_ns, "%.17g", chaos.stall_ns);
+  entry.fields["chaos_seed"] = std::to_string(chaos.seed);
+  entry.fields["chaos_min_gap"] = std::to_string(chaos.min_gap);
+  entry.fields["chaos_max_gap"] = std::to_string(chaos.max_gap);
+  entry.fields["chaos_crash_w"] = std::to_string(chaos.crash_weight);
+  entry.fields["chaos_stall_w"] = std::to_string(chaos.stall_weight);
+  entry.fields["chaos_burst_w"] = std::to_string(chaos.burst_weight);
+  entry.fields["chaos_stall_ns"] = stall_ns;
+  entry.fields["chaos_burst_len"] = std::to_string(chaos.burst_length);
+}
 
 ClassicalFaultLayer::ClassicalFaultLayer(Core* lower,
                                          ClassicalFaultRates rates,

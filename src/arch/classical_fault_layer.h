@@ -47,6 +47,10 @@
 
 #include "arch/layer.h"
 
+namespace qpf::journal {
+struct JournalEntry;
+}  // namespace qpf::journal
+
 namespace qpf::arch {
 
 /// Per-kind classical fault probabilities, each applied per operation
@@ -102,6 +106,12 @@ struct ChaosConfig {
            (crash_weight > 0 || stall_weight > 0 || burst_weight > 0);
   }
 };
+
+/// Put the eight fields of `chaos` on a journal config line (chaos_seed,
+/// chaos_min_gap, chaos_max_gap, chaos_crash_w, chaos_stall_w,
+/// chaos_burst_w, chaos_stall_ns as %.17g, chaos_burst_len), so a
+/// resume that changes any of them is refused by name.
+void write_chaos_fields(journal::JournalEntry& entry, const ChaosConfig& chaos);
 
 /// Tally of chaos-schedule events.  Never serialized.
 struct ChaosTally {

@@ -242,15 +242,7 @@ journal::JournalEntry run_config_entry(const RunnerOptions& options,
     entry.fields["deadline_slot_ns"] = rate;
   }
   if (options.chaos.any()) {
-    entry.fields["chaos_seed"] = std::to_string(options.chaos.seed);
-    entry.fields["chaos_min_gap"] = std::to_string(options.chaos.min_gap);
-    entry.fields["chaos_max_gap"] = std::to_string(options.chaos.max_gap);
-    entry.fields["chaos_crash_w"] =
-        std::to_string(options.chaos.crash_weight);
-    entry.fields["chaos_stall_w"] =
-        std::to_string(options.chaos.stall_weight);
-    entry.fields["chaos_burst_w"] =
-        std::to_string(options.chaos.burst_weight);
+    arch::write_chaos_fields(entry, options.chaos);
   }
   return entry;
 }
@@ -594,9 +586,11 @@ std::string usage() {
          "  --classical-fault-rate=P  drop/duplicate/reorder/readout-flip\n"
          "                      faults, each at rate P\n"
          "  --protect-frame[=parity|vote]  guard the Pauli frame records\n"
-         "                      (default parity; requires --pauli-frame)\n"
+         "                      (default parity; requires --pauli-frame;\n"
+         "                      qasm/chp programs only)\n"
          "  --validate          cross-check the Pauli frame against a\n"
-         "                      shadow copy (requires --pauli-frame)\n"
+         "                      shadow copy (requires --pauli-frame;\n"
+         "                      qasm/chp programs only)\n"
          "  --checkpoint-dir=DIR  journal every shot durably (fsync'd\n"
          "                      JSONL, CRC per line); qasm/chp programs\n"
          "                      only\n"
@@ -837,6 +831,11 @@ std::optional<RunnerOptions> parse_flags(
   }
   if (qcu_program && options.backend == Backend::kQx) {
     error = "--backend=qx supports qasm/chp programs only";
+    return std::nullopt;
+  }
+  if (qcu_program && (options.frame_protection != pf::Protection::kNone ||
+                      options.validate)) {
+    error = "--protect-frame / --validate support qasm/chp programs only";
     return std::nullopt;
   }
   if (!options.checkpoint_dir.empty()) {

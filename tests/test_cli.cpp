@@ -186,6 +186,20 @@ TEST(CliParseTest, RobustnessFlagRejections) {
   // Both frame-hardening flags need the frame itself.
   EXPECT_FALSE(parse({"--protect-frame", "a.qasm"}).has_value());
   EXPECT_FALSE(parse({"--validate", "a.qasm"}).has_value());
+  // The QCU's shot loop builds neither the frame's protection nor the
+  // validator, so QISA and logical programs refuse both, with exit 2.
+  EXPECT_TRUE(parse({"--pauli-frame", "a.qisa"}).has_value());
+  EXPECT_FALSE(
+      parse({"--pauli-frame", "--protect-frame=vote", "a.qisa"}).has_value());
+  EXPECT_FALSE(parse({"--pauli-frame", "--protect-frame", "a.lqasm"})
+                   .has_value());
+  EXPECT_FALSE(parse({"--pauli-frame", "--validate", "a.qisa"}).has_value());
+  EXPECT_FALSE(parse({"--pauli-frame", "--validate", "a.lqasm"}).has_value());
+  std::ostringstream out, err;
+  EXPECT_EQ(run_tool({"--pauli-frame", "--validate", "a.lqasm"}, out, err), 2);
+  EXPECT_NE(err.str().find("--protect-frame / --validate support qasm/chp"),
+            std::string::npos)
+      << err.str();
 }
 
 TEST(CliRunTest, ClassicalFaultsReportedInOutput) {
@@ -584,6 +598,39 @@ TEST_F(CliCheckpointTest, ResumeRefusesAJournalOfADifferentSubsystemSet) {
                 std::string::npos)
           << err2.str();
     }
+  }
+}
+
+TEST_F(CliCheckpointTest, ResumeRefusesADifferentChaosStallOrBurstLength) {
+  // The config line carries every field of the chaos schedule, so a
+  // resume that changes the stall debt or the burst length (set but
+  // unused by a stall-only schedule) is refused, naming the field.
+  const struct {
+    std::string written;
+    std::string resumed;
+    std::string field;
+  } cases[] = {
+      {"--chaos-stall-ns=50", "--chaos-stall-ns=5000", "chaos_stall_ns"},
+      {"--chaos-burst=2", "--chaos-burst=4", "chaos_burst_len"},
+  };
+  for (const auto& change : cases) {
+    std::filesystem::remove_all(dir_);
+    std::ostringstream out1, err1;
+    ASSERT_EQ(run_tool(args({"--chaos-gap=2:3", "--chaos-kinds=stall",
+                             change.written, "--checkpoint-dir=" + dir_}),
+                       out1, err1),
+              0)
+        << err1.str();
+    std::ostringstream out2, err2;
+    EXPECT_EQ(run_tool(args({"--chaos-gap=2:3", "--chaos-kinds=stall",
+                             change.resumed, "--resume=" + dir_}),
+                       out2, err2),
+              1)
+        << change.field;
+    EXPECT_NE(err2.str().find("written by a different run (field '" +
+                              change.field + "'"),
+              std::string::npos)
+        << err2.str();
   }
 }
 

@@ -19,7 +19,9 @@
 #   5. noisy qpf_run runs of the committed programs (tests/corpus/*.qasm
 #      and tests/golden/programs/) under --error-rate, under
 #      --classical-fault-rate, and under both with
-#      --pauli-frame --protect-frame=vote --validate.
+#      --pauli-frame --protect-frame=vote --validate (QISA and logical
+#      programs, whose QCU stack builds neither the protection nor the
+#      validator, take --pauli-frame alone).
 #
 # A change that moves a digest on purpose re-records the file with
 # --record and says why in CHANGES.md.
@@ -121,15 +123,17 @@ for program in "$repo_root"/tests/corpus/*.qasm \
                "$repo_root"/tests/golden/programs/*; do
     name=$(basename "$program")
     backend=""
+    flags=$frame_flags
     case "$name" in
         mirror-qx-*) backend="--backend=qx" ;;
+        *.qisa|*.lqasm) flags="--pauli-frame" ;;
     esac
     common="--shots=10 --seed=7 $backend"
     capture "qpf_run_noise_$name" "$run" $common \
         --error-rate=0.005 "$program"
     capture "qpf_run_cf_$name" "$run" $common \
         --classical-fault-rate=0.01 "$program"
-    capture "qpf_run_frame_$name" "$run" $common $frame_flags \
+    capture "qpf_run_frame_$name" "$run" $common $flags \
         --error-rate=0.005 --classical-fault-rate=0.01 "$program"
 done
 
