@@ -95,11 +95,15 @@ Circuit random_circuit(SplitMix& rng, std::size_t n,
 
 }  // namespace
 
-FuzzCase generate_case(std::uint64_t case_seed, const GeneratorOptions& opt) {
+void check_generator_options(const GeneratorOptions& opt) {
   if (opt.min_qubits < 2 || opt.max_qubits < opt.min_qubits ||
       opt.min_slots < 1 || opt.max_slots < opt.min_slots) {
     throw std::invalid_argument("generate_case: invalid generator options");
   }
+}
+
+FuzzCase generate_case(std::uint64_t case_seed, const GeneratorOptions& opt) {
+  check_generator_options(opt);
   FuzzCase fc;
   fc.seed = case_seed;
 

@@ -53,7 +53,12 @@ struct FuzzCase {
   Circuit stream;     ///< unconstrained ISA stream (arbiter oracle)
 };
 
-/// Deterministically expand a case seed into a FuzzCase.
+/// Throws std::invalid_argument unless min_qubits >= 2, min_slots >= 1
+/// and each max is at least its min.
+void check_generator_options(const GeneratorOptions& options);
+
+/// Deterministically expand a case seed into a FuzzCase (checks the
+/// options first).
 [[nodiscard]] FuzzCase generate_case(std::uint64_t case_seed,
                                      const GeneratorOptions& options);
 

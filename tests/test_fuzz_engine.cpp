@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/error.h"
@@ -267,6 +268,19 @@ TEST(FuzzEngineTest, OracleFilterRestrictsRuns) {
   const FuzzReport report = run_fuzz(options);
   EXPECT_EQ(report.oracle_runs, 3u);
   EXPECT_TRUE(report.pass());
+}
+
+TEST(FuzzEngineTest, InvalidGeneratorOptionsThrowAtEveryJobs) {
+  // Checked before any case runs: inside an executor task this
+  // std::invalid_argument would abort the process.
+  FuzzOptions options;
+  options.cases = 2;
+  options.generator.min_qubits = 1;
+  for (const std::size_t jobs : {1u, 2u}) {
+    options.jobs = jobs;
+    EXPECT_THROW((void)run_fuzz(options), std::invalid_argument)
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(FuzzEngineTest, ReplayUnknownOracleThrows) {
