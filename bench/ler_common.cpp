@@ -181,9 +181,6 @@ namespace {
   if (!config.ninja_options.decoding_enabled) {
     entry.fields["decoding"] = "0";
   }
-  if (config.logical_qubits != 1) {
-    entry.fields["logical_qubits"] = std::to_string(config.logical_qubits);
-  }
   if (config.bias) {
     entry.fields["bias"] = format_double(*config.bias);
   }

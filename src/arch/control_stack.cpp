@@ -58,7 +58,7 @@ LerStack::LerStack(const Config& config) : core_(config.seed) {
   if (timing_ != nullptr) {
     ninja_->set_deadline_watchdog(timing_.get());
   }
-  ninja_->create_qubits(config.logical_qubits);
+  ninja_->create_qubits(1);
 }
 
 void LerStack::set_diagnostic_mode(bool on) noexcept {

@@ -65,7 +65,6 @@ class LerStack {
     std::optional<double> bias;
     bool with_pauli_frame = true;
     std::uint64_t seed = 1;
-    std::size_t logical_qubits = 1;
     NinjaStarLayer::Options ninja_options{};
 
     /// Classical-fault subsystem (all off by default).
@@ -82,8 +81,9 @@ class LerStack {
                                      ///< the default GateTimings clock
   };
 
-  /// Throws StackConfigError on an invalid configuration (bad rates,
-  /// zero logical qubits, protection without a Pauli frame).
+  /// Builds the stack with one logical qubit (patch 0), the one every
+  /// trial runs.  Throws StackConfigError on an invalid configuration
+  /// (bad rates, protection without a Pauli frame).
   explicit LerStack(const Config& config);
 
   /// The top of the stack.

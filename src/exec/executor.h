@@ -65,22 +65,59 @@
 
 namespace qpf::exec {
 
-/// The splitmix64 output function (Steele, Lea & Flood) — same fully
-/// specified mixer the fuzz engine uses, so task seeds are portable
-/// across standard libraries.
+/// The increment of the splitmix64 state (the golden-ratio gamma).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// The splitmix64 output function (Steele, Lea & Flood): the one fully
+/// specified mixer every seed chain and random stream in the repo
+/// draws from, so they are portable across standard libraries.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
+  x += kSplitMixGamma;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
 
 /// The per-task seed chain: task `index` of a run seeded with `base`
-/// always draws this seed, independent of jobs and scheduling.
+/// always draws this seed, independent of jobs and scheduling.  The
+/// fuzz engine derives its case and oracle streams the same way.
 [[nodiscard]] constexpr std::uint64_t task_seed(std::uint64_t base,
                                                 std::uint64_t index) noexcept {
   return splitmix64(base ^ splitmix64(index + 0x6a09e667f3bcc909ULL));
 }
+
+/// The splitmix64 sequence as a stream: the k-th draw (from 0) of a
+/// stream seeded with s is splitmix64(s + k * kSplitMixGamma).  The
+/// fuzz generator and oracles and the serve clients' backoff jitter
+/// draw from it.
+class SplitMix {
+ public:
+  explicit constexpr SplitMix(std::uint64_t seed) noexcept : state_(seed) {}
+
+  constexpr std::uint64_t next() noexcept {
+    const std::uint64_t x = state_;
+    state_ += kSplitMixGamma;
+    return splitmix64(x);
+  }
+
+  /// Uniform draw in [0, bound); bound must be nonzero.  Modulo bias is
+  /// negligible for the small bounds the fuzz generator uses (< 2^16).
+  constexpr std::uint64_t below(std::uint64_t bound) noexcept {
+    return next() % bound;
+  }
+
+  /// Uniform double in [0, 1).
+  constexpr double unit() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+
+  constexpr bool chance(double probability) noexcept {
+    return unit() < probability;
+  }
+
+ private:
+  std::uint64_t state_;
+};
 
 /// Resolve a --jobs value: 0 means "auto" (hardware_concurrency, at
 /// least 1); anything else passes through.

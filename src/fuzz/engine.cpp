@@ -88,9 +88,9 @@ OracleRecord apply_oracle(const OracleSpec& spec, const FuzzCase& fc,
   OracleRecord record;
   record.spec = &spec;
   const std::uint64_t oracle_seed =
-      derive_seed(case_seed, label_hash(spec.name));
+      exec::task_seed(case_seed, label_hash(spec.name));
   const Circuit& consumed = circuit_for(fc, spec.kind);
-  record.outcome = spec.run(consumed, oracle_seed, options.tuning);
+  record.outcome = spec.run(consumed, oracle_seed);
   if (record.outcome.skipped || record.outcome.passed) {
     return record;
   }
@@ -106,7 +106,7 @@ OracleRecord apply_oracle(const OracleSpec& spec, const FuzzCase& fc,
     Circuit witness = consumed;
     if (options.shrink) {
       const auto still_fails = [&](const Circuit& candidate) {
-        const OracleOutcome o = spec.run(candidate, oracle_seed, options.tuning);
+        const OracleOutcome o = spec.run(candidate, oracle_seed);
         return !o.skipped && !o.passed;
       };
       const ShrinkResult shrunk =
@@ -157,9 +157,6 @@ bool commit_record(OracleRecord&& record, FuzzReport& report,
 }  // namespace
 
 FuzzReport run_fuzz(const FuzzOptions& options) {
-  // Checked here, not only in generate_case: an exception that is not a
-  // qpf::Error aborts inside the executor's tasks.
-  check_generator_options(options.generator);
   FuzzReport report;
   report.seed = options.seed;
   report.cases = options.cases;
@@ -175,8 +172,8 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
     exec::TaskResult<CaseRecord> result;
     CaseRecord& rec = result.value;
     const std::size_t index = ctx.index();
-    rec.case_seed = derive_seed(options.seed, index);
-    rec.fc = generate_case(rec.case_seed, options.generator);
+    rec.case_seed = exec::task_seed(options.seed, index);
+    rec.fc = generate_case(rec.case_seed);
     // A one-worker pool runs this task on the committing thread, after
     // the previous case's commit: exclusive oracles may run here, and
     // the failures already committed count toward the cutoff.
@@ -278,15 +275,14 @@ std::string to_json(const FuzzReport& report) {
   return out.str();
 }
 
-OracleOutcome replay_reproducer(const Reproducer& reproducer,
-                                const OracleTuning& tuning) {
+OracleOutcome replay_reproducer(const Reproducer& reproducer) {
   const OracleSpec* spec = find_oracle(reproducer.oracle);
   if (spec == nullptr) {
     throw Error("replay: unknown oracle '" + reproducer.oracle + "'");
   }
   const std::uint64_t oracle_seed =
-      derive_seed(reproducer.case_seed, label_hash(spec->name));
-  return spec->run(reproducer.circuit, oracle_seed, tuning);
+      exec::task_seed(reproducer.case_seed, label_hash(spec->name));
+  return spec->run(reproducer.circuit, oracle_seed);
 }
 
 }  // namespace qpf::fuzz

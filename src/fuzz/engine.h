@@ -3,7 +3,7 @@
 //
 // A run is a pure function of its FuzzOptions: case seeds come from a
 // splitmix64 chain over the master seed, every oracle derives its draws
-// from derive_seed(case_seed, oracle name), and the triage report
+// from exec::task_seed(case_seed, oracle name), and the triage report
 // contains no timing or host data — so the same options produce a
 // byte-identical report, and any failure line is replayable from
 // (oracle, case_seed) alone.
@@ -45,8 +45,6 @@ struct FuzzOptions {
   /// fault backends) run on the committing thread only: in the case's
   /// task at one worker, at commit above one.
   std::size_t jobs = 1;
-  GeneratorOptions generator{};
-  OracleTuning tuning{};
 };
 
 /// One triaged failure.
@@ -81,8 +79,7 @@ struct FuzzReport {
 
 /// Replay a corpus reproducer through its recorded oracle.  Throws
 /// qpf::Error for an unknown oracle name.
-[[nodiscard]] OracleOutcome replay_reproducer(const Reproducer& reproducer,
-                                              const OracleTuning& tuning);
+[[nodiscard]] OracleOutcome replay_reproducer(const Reproducer& reproducer);
 
 /// The circuit of `fc` that an oracle of the given kind consumes.
 [[nodiscard]] const Circuit& circuit_for(const FuzzCase& fc, CircuitKind kind);

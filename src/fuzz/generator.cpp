@@ -15,6 +15,22 @@ constexpr GateType kSingleCliffords[] = {GateType::kH, GateType::kS,
 constexpr GateType kTwoQubit[] = {GateType::kCnot, GateType::kCz,
                                   GateType::kSwap};
 
+constexpr std::size_t kMinQubits = 2;
+constexpr std::size_t kMaxQubits = 6;
+constexpr std::size_t kMinSlots = 3;
+constexpr std::size_t kMaxSlots = 12;
+/// Probability a qubit participates in a given slot.
+constexpr double kFill = 0.6;
+/// Among participating qubits: chance the op drawn is a Pauli.
+constexpr double kPauliFraction = 0.4;
+/// Chance a remaining pair gets a two-qubit gate.
+constexpr double kTwoQubitFraction = 0.35;
+/// Chance of T / T† where non-Clifford gates are allowed.
+constexpr double kTFraction = 0.1;
+/// Chance of prep / measure where mid-circuit non-unitaries are allowed.
+constexpr double kPrepFraction = 0.06;
+constexpr double kMeasureFraction = 0.08;
+
 /// What a circuit shape is allowed to contain.
 struct Palette {
   bool non_clifford = false;
@@ -22,7 +38,7 @@ struct Palette {
 };
 
 /// One randomly packed slot honoring the no-shared-qubit invariant.
-TimeSlot random_slot(SplitMix& rng, std::size_t n, const GeneratorOptions& opt,
+TimeSlot random_slot(exec::SplitMix& rng, std::size_t n,
                      const Palette& palette) {
   // Visit qubits in a random order so two-qubit pairings vary.
   std::vector<Qubit> order(n);
@@ -37,32 +53,32 @@ TimeSlot random_slot(SplitMix& rng, std::size_t n, const GeneratorOptions& opt,
   std::vector<bool> used(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const Qubit q = order[i];
-    if (used[q] || !rng.chance(opt.fill)) {
+    if (used[q] || !rng.chance(kFill)) {
       continue;
     }
-    if (palette.prep_measure && rng.chance(opt.prep_fraction)) {
+    if (palette.prep_measure && rng.chance(kPrepFraction)) {
       slot.add(Operation{GateType::kPrepZ, q});
       used[q] = true;
       continue;
     }
-    if (palette.prep_measure && rng.chance(opt.measure_fraction)) {
+    if (palette.prep_measure && rng.chance(kMeasureFraction)) {
       slot.add(Operation{GateType::kMeasureZ, q});
       used[q] = true;
       continue;
     }
-    if (rng.chance(opt.pauli_fraction)) {
+    if (rng.chance(kPauliFraction)) {
       slot.add(Operation{kPaulis[rng.below(4)], q});
       used[q] = true;
       continue;
     }
-    if (palette.non_clifford && rng.chance(opt.t_fraction)) {
+    if (palette.non_clifford && rng.chance(kTFraction)) {
       slot.add(Operation{rng.chance(0.5) ? GateType::kT : GateType::kTdag, q});
       used[q] = true;
       continue;
     }
     // Pair with a later unused qubit for a two-qubit gate.
     Qubit partner = q;
-    if (rng.chance(opt.two_qubit_fraction)) {
+    if (rng.chance(kTwoQubitFraction)) {
       for (std::size_t j = i + 1; j < n; ++j) {
         if (!used[order[j]]) {
           partner = order[j];
@@ -82,55 +98,48 @@ TimeSlot random_slot(SplitMix& rng, std::size_t n, const GeneratorOptions& opt,
   return slot;
 }
 
-Circuit random_circuit(SplitMix& rng, std::size_t n,
-                       const GeneratorOptions& opt, const Palette& palette) {
-  const std::size_t slots =
-      opt.min_slots + rng.below(opt.max_slots - opt.min_slots + 1);
+Circuit random_circuit(exec::SplitMix& rng, std::size_t n,
+                       const Palette& palette) {
+  const std::size_t slots = kMinSlots + rng.below(kMaxSlots - kMinSlots + 1);
   Circuit circuit;
   for (std::size_t s = 0; s < slots; ++s) {
-    circuit.append_slot(random_slot(rng, n, opt, palette));
+    circuit.append_slot(random_slot(rng, n, palette));
   }
   return circuit;
 }
 
-}  // namespace
-
-void check_generator_options(const GeneratorOptions& opt) {
-  if (opt.min_qubits < 2 || opt.max_qubits < opt.min_qubits ||
-      opt.min_slots < 1 || opt.max_slots < opt.min_slots) {
-    throw std::invalid_argument("generate_case: invalid generator options");
-  }
+/// The stream of `case_seed` named `label`.
+exec::SplitMix rng_for(std::uint64_t case_seed, const char* label) {
+  return exec::SplitMix(exec::task_seed(case_seed, label_hash(label)));
 }
 
-FuzzCase generate_case(std::uint64_t case_seed, const GeneratorOptions& opt) {
-  check_generator_options(opt);
+}  // namespace
+
+FuzzCase generate_case(std::uint64_t case_seed) {
   FuzzCase fc;
   fc.seed = case_seed;
 
-  SplitMix shape(derive_seed(case_seed, label_hash("shape")));
-  fc.num_qubits =
-      opt.min_qubits + shape.below(opt.max_qubits - opt.min_qubits + 1);
+  exec::SplitMix shape = rng_for(case_seed, "shape");
+  fc.num_qubits = kMinQubits + shape.below(kMaxQubits - kMinQubits + 1);
 
-  SplitMix unitary_rng(derive_seed(case_seed, label_hash("unitary")));
-  fc.unitary = random_circuit(unitary_rng, fc.num_qubits, opt,
-                              Palette{false, false});
+  exec::SplitMix unitary_rng = rng_for(case_seed, "unitary");
+  fc.unitary =
+      random_circuit(unitary_rng, fc.num_qubits, Palette{false, false});
 
-  SplitMix t_rng(derive_seed(case_seed, label_hash("unitary-t")));
-  fc.unitary_t =
-      random_circuit(t_rng, fc.num_qubits, opt, Palette{true, false});
+  exec::SplitMix t_rng = rng_for(case_seed, "unitary-t");
+  fc.unitary_t = random_circuit(t_rng, fc.num_qubits, Palette{true, false});
 
-  SplitMix measured_rng(derive_seed(case_seed, label_hash("measured")));
+  exec::SplitMix measured_rng = rng_for(case_seed, "measured");
   fc.measured =
-      random_circuit(measured_rng, fc.num_qubits, opt, Palette{false, true});
+      random_circuit(measured_rng, fc.num_qubits, Palette{false, true});
   TimeSlot final_measure;
   for (std::size_t q = 0; q < fc.num_qubits; ++q) {
     final_measure.add(Operation{GateType::kMeasureZ, static_cast<Qubit>(q)});
   }
   fc.measured.append_slot(std::move(final_measure));
 
-  SplitMix stream_rng(derive_seed(case_seed, label_hash("stream")));
-  fc.stream = random_circuit(stream_rng, fc.num_qubits, opt,
-                             Palette{true, true});
+  exec::SplitMix stream_rng = rng_for(case_seed, "stream");
+  fc.stream = random_circuit(stream_rng, fc.num_qubits, Palette{true, true});
   return fc;
 }
 
@@ -159,7 +168,7 @@ Circuit mirror_circuit(const Circuit& body, std::size_t num_qubits,
   // Prep a per-qubit-seeded subset: stable under body shrinking.
   TimeSlot preps;
   for (std::size_t q = 0; q < num_qubits; ++q) {
-    if ((derive_seed(seed, label_hash("mirror-prep") + q) & 1) != 0) {
+    if ((exec::task_seed(seed, label_hash("mirror-prep") + q) & 1) != 0) {
       preps.add(Operation{GateType::kPrepZ, static_cast<Qubit>(q)});
     }
   }

@@ -25,24 +25,6 @@
 
 namespace qpf::fuzz {
 
-struct GeneratorOptions {
-  std::size_t min_qubits = 2;
-  std::size_t max_qubits = 6;
-  std::size_t min_slots = 3;
-  std::size_t max_slots = 12;
-  /// Probability a qubit participates in a given slot.
-  double fill = 0.6;
-  /// Among participating qubits: chance the op drawn is a Pauli.
-  double pauli_fraction = 0.4;
-  /// Chance a remaining pair gets a two-qubit gate.
-  double two_qubit_fraction = 0.35;
-  /// Chance of T / T† where non-Clifford gates are allowed.
-  double t_fraction = 0.1;
-  /// Chance of prep / measure where mid-circuit non-unitaries are allowed.
-  double prep_fraction = 0.06;
-  double measure_fraction = 0.08;
-};
-
 /// Everything the oracle set needs for one fuzz case.
 struct FuzzCase {
   std::uint64_t seed = 0;
@@ -53,14 +35,9 @@ struct FuzzCase {
   Circuit stream;     ///< unconstrained ISA stream (arbiter oracle)
 };
 
-/// Throws std::invalid_argument unless min_qubits >= 2, min_slots >= 1
-/// and each max is at least its min.
-void check_generator_options(const GeneratorOptions& options);
-
-/// Deterministically expand a case seed into a FuzzCase (checks the
-/// options first).
-[[nodiscard]] FuzzCase generate_case(std::uint64_t case_seed,
-                                     const GeneratorOptions& options);
+/// Deterministically expand a case seed into a FuzzCase: a register of
+/// 2 to 6 qubits, circuits of 3 to 12 slots.
+[[nodiscard]] FuzzCase generate_case(std::uint64_t case_seed);
 
 /// The slot-reversed, gate-inverted circuit (unitary inputs only; throws
 /// std::invalid_argument on prep / measure).

@@ -47,6 +47,10 @@ using arch::BinaryState;
 using arch::BinaryValue;
 using pf::PauliRecord;
 
+/// The dense simulator's register ceiling: larger cases skip the
+/// state-vector oracles.
+constexpr std::size_t kMaxSvQubits = 8;
+
 std::string render(const BinaryState& state) {
   std::string out;
   out.reserve(state.size());
@@ -80,7 +84,7 @@ void apply_records(sv::Simulator& sim, const std::vector<PauliRecord>& recs) {
 /// Small seed-derived Clifford scrambler so semantic checks run on a
 /// generic stabilizer state instead of |0...0>.
 Circuit scramble_circuit(std::size_t n, std::uint64_t seed) {
-  SplitMix rng(seed);
+  exec::SplitMix rng(seed);
   Circuit out;
   for (std::size_t q = 0; q < n; ++q) {
     switch (rng.below(3)) {
@@ -224,10 +228,8 @@ OracleOutcome check_conjugation_tables() {
 
 // --- arbiter ----------------------------------------------------------
 
-OracleOutcome check_arbiter_stream(const Circuit& stream, std::uint64_t seed,
-                                   const OracleTuning& tuning) {
+OracleOutcome check_arbiter_stream(const Circuit& stream, std::uint64_t seed) {
   (void)seed;
-  (void)tuning;
   const std::size_t n = register_size(stream, 2);
   pf::PauliFrameUnit pfu(n);
   std::size_t sunk = 0;
@@ -324,19 +326,19 @@ OracleOutcome check_arbiter_stream(const Circuit& stream, std::uint64_t seed,
 
 // --- semantics --------------------------------------------------------
 
-OracleOutcome check_frame_semantics(const Circuit& unitary, std::uint64_t seed,
-                                    const OracleTuning& tuning) {
+OracleOutcome check_frame_semantics(const Circuit& unitary,
+                                    std::uint64_t seed) {
   const std::size_t n = register_size(unitary, 2);
-  if (n > tuning.max_sv_qubits) {
+  if (n > kMaxSvQubits) {
     return OracleOutcome::skip("register too large for the dense simulator");
   }
-  SplitMix rng(derive_seed(seed, label_hash("records")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("records")));
   std::vector<PauliRecord> r0(n);
   for (std::size_t q = 0; q < n; ++q) {
     r0[q] = static_cast<PauliRecord>(rng.below(4));
   }
   const Circuit scramble =
-      scramble_circuit(n, derive_seed(seed, label_hash("scramble")));
+      scramble_circuit(n, exec::task_seed(seed, label_hash("scramble")));
 
   pf::PauliFrame frame(n);
   for (std::size_t q = 0; q < n; ++q) {
@@ -373,16 +375,16 @@ OracleOutcome check_frame_semantics(const Circuit& unitary, std::uint64_t seed,
 namespace {
 
 OracleOutcome run_mirror(const Circuit& body, std::uint64_t seed,
-                         bool use_qx, const OracleTuning& tuning) {
+                         bool use_qx) {
   const std::size_t n = register_size(body, 2);
-  if (use_qx && n > tuning.max_sv_qubits) {
+  if (use_qx && n > kMaxSvQubits) {
     return OracleOutcome::skip("register too large for the dense simulator");
   }
   const Circuit full =
-      mirror_circuit(body, n, derive_seed(seed, label_hash("mirror")));
+      mirror_circuit(body, n, exec::task_seed(seed, label_hash("mirror")));
   for (const bool frame_on : {false, true}) {
     const std::uint64_t core_seed =
-        derive_seed(seed, label_hash(frame_on ? "core-on" : "core-off"));
+        exec::task_seed(seed, label_hash(frame_on ? "core-on" : "core-off"));
     arch::ChpCore chp(core_seed);
     arch::QxCore qx(core_seed);
     arch::Core& core =
@@ -410,20 +412,24 @@ OracleOutcome run_mirror(const Circuit& body, std::uint64_t seed,
 
 }  // namespace
 
-OracleOutcome check_mirror_chp(const Circuit& body, std::uint64_t seed,
-                               const OracleTuning& tuning) {
-  return run_mirror(body, seed, false, tuning);
+OracleOutcome check_mirror_chp(const Circuit& body, std::uint64_t seed) {
+  return run_mirror(body, seed, false);
 }
 
-OracleOutcome check_mirror_qx(const Circuit& body, std::uint64_t seed,
-                              const OracleTuning& tuning) {
-  return run_mirror(body, seed, true, tuning);
+OracleOutcome check_mirror_qx(const Circuit& body, std::uint64_t seed) {
+  return run_mirror(body, seed, true);
 }
 
 // --- sampling ---------------------------------------------------------
 
-OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed,
-                             const OracleTuning& tuning) {
+// Shot count and per-qubit frequency-gap tolerance of the two sampling
+// oracles (sampling, backend-diff), sized so a clean soak stays clean:
+// with independent 256-shot samples the gap's standard deviation is at
+// most ~0.044, putting the 0.4 tolerance at ~9 sigma.
+constexpr std::size_t kShots = 256;
+constexpr double kFrequencyTolerance = 0.4;
+
+OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed) {
   const std::size_t n = register_size(measured, 2);
   // Independent per-shot seed streams for the two configurations.
   // Sharing one stream looks harmless but can make the runs perfectly
@@ -431,17 +437,19 @@ OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed,
   // the same random bits for physically different states), doubling
   // the variance of the frequency gap and turning the tolerance into
   // a ~3-sigma test that a long clean soak is guaranteed to trip.
-  const std::uint64_t off_stream = derive_seed(seed, label_hash("frame-off"));
-  const std::uint64_t on_stream = derive_seed(seed, label_hash("frame-on"));
+  const std::uint64_t off_stream =
+      exec::task_seed(seed, label_hash("frame-off"));
+  const std::uint64_t on_stream =
+      exec::task_seed(seed, label_hash("frame-on"));
   std::vector<std::size_t> ones_off(n, 0);
   std::vector<std::size_t> ones_on(n, 0);
-  for (std::size_t shot = 0; shot < tuning.shots; ++shot) {
-    arch::ChpCore off(derive_seed(off_stream, shot));
+  for (std::size_t shot = 0; shot < kShots; ++shot) {
+    arch::ChpCore off(exec::task_seed(off_stream, shot));
     off.create_qubits(n);
     arch::run(off, measured);
     const BinaryState so = off.get_state();
 
-    arch::ChpCore core(derive_seed(on_stream, shot));
+    arch::ChpCore core(exec::task_seed(on_stream, shot));
     arch::PauliFrameLayer layer(&core);
     layer.create_qubits(n);
     arch::run(layer, measured);
@@ -463,14 +471,14 @@ OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed,
   }
   for (std::size_t q = 0; q < n; ++q) {
     const double fo =
-        static_cast<double>(ones_off[q]) / static_cast<double>(tuning.shots);
+        static_cast<double>(ones_off[q]) / static_cast<double>(kShots);
     const double ff =
-        static_cast<double>(ones_on[q]) / static_cast<double>(tuning.shots);
+        static_cast<double>(ones_on[q]) / static_cast<double>(kShots);
     const double gap = fo > ff ? fo - ff : ff - fo;
-    if (gap > tuning.frequency_tolerance) {
+    if (gap > kFrequencyTolerance) {
       std::ostringstream why;
       why << "frame on/off outcome frequencies diverge on qubit " << q << ": "
-          << fo << " (off) vs " << ff << " (on) over " << tuning.shots
+          << fo << " (off) vs " << ff << " (on) over " << kShots
           << " shots";
       return OracleOutcome::fail(why.str());
     }
@@ -480,10 +488,9 @@ OracleOutcome check_sampling(const Circuit& measured, std::uint64_t seed,
 
 // --- backend-diff -----------------------------------------------------
 
-OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
-                                 const OracleTuning& tuning) {
+OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed) {
   const std::size_t n = register_size(unitary, 2);
-  if (n > tuning.max_sv_qubits) {
+  if (n > kMaxSvQubits) {
     std::ostringstream why;
     why << n << " qubits exceeds the dense-simulator ceiling";
     return OracleOutcome::skip(why.str());
@@ -560,15 +567,15 @@ OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
   std::vector<std::size_t> ones_qx(n, 0);
   // Independent per-shot streams per backend (see check_sampling for
   // why sharing one stream inflates the gap variance).
-  const std::uint64_t chp_stream = derive_seed(seed, label_hash("chp"));
-  const std::uint64_t qx_stream = derive_seed(seed, label_hash("qx"));
-  for (std::size_t shot = 0; shot < tuning.shots; ++shot) {
-    arch::ChpCore chp(derive_seed(chp_stream, shot));
+  const std::uint64_t chp_stream = exec::task_seed(seed, label_hash("chp"));
+  const std::uint64_t qx_stream = exec::task_seed(seed, label_hash("qx"));
+  for (std::size_t shot = 0; shot < kShots; ++shot) {
+    arch::ChpCore chp(exec::task_seed(chp_stream, shot));
     chp.create_qubits(n);
     arch::run(chp, program);
     const BinaryState sc = chp.get_state();
 
-    arch::QxCore qx(derive_seed(qx_stream, shot));
+    arch::QxCore qx(exec::task_seed(qx_stream, shot));
     qx.create_qubits(n);
     arch::run(qx, program);
     const BinaryState sq = qx.get_state();
@@ -585,14 +592,14 @@ OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
   }
   for (std::size_t q = 0; q < n; ++q) {
     const double fc =
-        static_cast<double>(ones_chp[q]) / static_cast<double>(tuning.shots);
+        static_cast<double>(ones_chp[q]) / static_cast<double>(kShots);
     const double fq =
-        static_cast<double>(ones_qx[q]) / static_cast<double>(tuning.shots);
+        static_cast<double>(ones_qx[q]) / static_cast<double>(kShots);
     const double gap = fc > fq ? fc - fq : fq - fc;
-    if (gap > tuning.frequency_tolerance) {
+    if (gap > kFrequencyTolerance) {
       std::ostringstream why;
       why << "chp/qx outcome frequencies diverge on qubit " << q << ": " << fc
-          << " (chp) vs " << fq << " (qx) over " << tuning.shots << " shots";
+          << " (chp) vs " << fq << " (qx) over " << kShots << " shots";
       return OracleOutcome::fail(why.str());
     }
   }
@@ -602,9 +609,7 @@ OracleOutcome check_backend_diff(const Circuit& unitary, std::uint64_t seed,
 // --- metamorphic ------------------------------------------------------
 
 OracleOutcome check_metamorphic_injection(const Circuit& body,
-                                          std::uint64_t seed,
-                                          const OracleTuning& tuning) {
-  (void)tuning;
+                                          std::uint64_t seed) {
   const std::size_t n = register_size(body, 2);
   Circuit full = body;
   full.append_circuit(inverse_of(body));
@@ -615,14 +620,14 @@ OracleOutcome check_metamorphic_injection(const Circuit& body,
   }
   full.append_slot(std::move(measures));
 
-  SplitMix rng(derive_seed(seed, label_hash("inject")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("inject")));
   const std::size_t cut = rng.below(unitary_slots + 1);
   const Qubit target = static_cast<Qubit>(rng.below(n));
   constexpr GateType kInjectable[] = {GateType::kX, GateType::kY,
                                       GateType::kZ};
   const GateType pauli = kInjectable[rng.below(3)];
 
-  arch::ChpCore core(derive_seed(seed, label_hash("core")));
+  arch::ChpCore core(exec::task_seed(seed, label_hash("core")));
   arch::PauliFrameLayer layer(&core);
   layer.create_qubits(n);
   layer.add(slice(full, 0, cut));
@@ -652,16 +657,15 @@ OracleOutcome check_metamorphic_injection(const Circuit& body,
 
 // --- snapshot ---------------------------------------------------------
 
-OracleOutcome check_snapshot_roundtrip(const Circuit& body, std::uint64_t seed,
-                                       const OracleTuning& tuning) {
-  (void)tuning;
+OracleOutcome check_snapshot_roundtrip(const Circuit& body,
+                                       std::uint64_t seed) {
   const std::size_t n = register_size(body, 2);
   const Circuit full =
-      mirror_circuit(body, n, derive_seed(seed, label_hash("mirror")));
+      mirror_circuit(body, n, exec::task_seed(seed, label_hash("mirror")));
   if (full.num_slots() < 2) {
     return OracleOutcome::skip("circuit too short for a snapshot cut");
   }
-  SplitMix rng(derive_seed(seed, label_hash("cut")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("cut")));
   const std::size_t cut = 1 + rng.below(full.num_slots() - 1);
 
   // Rotate the stack flavour: bare core, then each record protection.
@@ -670,7 +674,7 @@ OracleOutcome check_snapshot_roundtrip(const Circuit& body, std::uint64_t seed,
                                        pf::Protection::kVote};
   const std::uint64_t variant = rng.below(4);
 
-  arch::ChpCore core(derive_seed(seed, label_hash("core")));
+  arch::ChpCore core(exec::task_seed(seed, label_hash("core")));
   std::optional<arch::PauliFrameLayer> layer;
   arch::Core* top = &core;
   if (variant > 0) {
@@ -718,14 +722,16 @@ OracleOutcome check_snapshot_roundtrip(const Circuit& body, std::uint64_t seed,
 
 // --- chaos ------------------------------------------------------------
 
+/// Circuit segments in the chaos run (fewer when the circuit is short).
+constexpr std::size_t kChaosSegments = 3;
+
 OracleOutcome check_chaos_convergence(const Circuit& measured,
-                                      std::uint64_t seed,
-                                      const OracleTuning& tuning) {
+                                      std::uint64_t seed) {
   const std::size_t n = register_size(measured, 2);
-  const std::uint64_t core_seed = derive_seed(seed, label_hash("core"));
+  const std::uint64_t core_seed = exec::task_seed(seed, label_hash("core"));
 
   const std::size_t segments =
-      std::max<std::size_t>(1, std::min(tuning.chaos_segments,
+      std::max<std::size_t>(1, std::min(kChaosSegments,
                                         measured.num_slots()));
   const std::size_t stride =
       (measured.num_slots() + segments - 1) / segments;
@@ -742,7 +748,7 @@ OracleOutcome check_chaos_convergence(const Circuit& measured,
 
   // Supervised run under a scripted crash schedule.
   arch::ChaosConfig chaos;
-  chaos.seed = derive_seed(seed, label_hash("chaos"));
+  chaos.seed = exec::task_seed(seed, label_hash("chaos"));
   chaos.min_gap = 2;
   chaos.max_gap = 6;
   chaos.crash_weight = 1;
@@ -751,12 +757,12 @@ OracleOutcome check_chaos_convergence(const Circuit& measured,
   options.max_retries = 8;
   options.escalate_after = 3;
   options.rearm_after = 1;
-  options.seed = derive_seed(seed, label_hash("backoff"));
+  options.seed = exec::task_seed(seed, label_hash("backoff"));
 
   arch::ChpCore core(core_seed);
-  arch::ClassicalFaultLayer faults(&core, arch::ClassicalFaultRates{},
-                                   derive_seed(seed, label_hash("fault-rng")),
-                                   chaos);
+  arch::ClassicalFaultLayer faults(
+      &core, arch::ClassicalFaultRates{},
+      exec::task_seed(seed, label_hash("fault-rng")), chaos);
   arch::PauliFrameLayer frame(&faults);
   arch::SupervisorLayer supervisor(&frame, options);
   supervisor.set_frame(&frame);
@@ -790,14 +796,16 @@ OracleOutcome check_chaos_convergence(const Circuit& measured,
 
 // --- lut-window -------------------------------------------------------
 
-OracleOutcome check_lut_window(std::uint64_t seed,
-                               const OracleTuning& tuning) {
+/// Decode windows per lut-window run.
+constexpr std::size_t kLutWindows = 8;
+
+OracleOutcome check_lut_window(std::uint64_t seed) {
   using qec::CheckType;
   using qec::Syndrome;
 
   const qec::SurfaceCodeLayout layout(3);
   qec::NinjaStar star(0, &layout);
-  SplitMix rng(derive_seed(seed, label_hash("syndromes")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("syndromes")));
 
   Syndrome carried = rng.below(256);
   star.set_carried_syndrome(carried);
@@ -825,7 +833,7 @@ OracleOutcome check_lut_window(std::uint64_t seed,
     return out;
   };
 
-  for (std::size_t w = 0; w < tuning.lut_windows; ++w) {
+  for (std::size_t w = 0; w < kLutWindows; ++w) {
     if (rng.chance(0.25)) {
       star.on_logical_h();  // rotate: the check groups swap roles
     }
@@ -885,10 +893,9 @@ OracleOutcome check_lut_window(std::uint64_t seed,
 // ids) plus seed-driven flips across the whole frame, and a truncation
 // sweep over seed-driven prefixes.
 
-OracleOutcome check_serve_codec(const Circuit& stream, std::uint64_t seed,
-                                const OracleTuning&) {
+OracleOutcome check_serve_codec(const Circuit& stream, std::uint64_t seed) {
   namespace srv = qpf::serve;
-  SplitMix draw(derive_seed(seed, label_hash("serve-codec")));
+  exec::SplitMix draw(exec::task_seed(seed, label_hash("serve-codec")));
 
   srv::Frame original;
   original.type = srv::MsgType::kSubmitQasm;
@@ -1026,13 +1033,11 @@ std::vector<LoggedOp> parse_op_log(const std::string& log_path) {
 
 }  // namespace
 
-OracleOutcome check_io_fault(const Circuit& body, std::uint64_t seed,
-                             const OracleTuning& tuning) {
-  (void)tuning;
+OracleOutcome check_io_fault(const Circuit& body, std::uint64_t seed) {
   // Two distinct, deterministic payloads derived from the generated
   // circuit: the checkpoint on disk ("old") and the overwrite ("new").
   const std::size_t n = register_size(body, 2);
-  arch::ChpCore core(derive_seed(seed, label_hash("core")));
+  arch::ChpCore core(exec::task_seed(seed, label_hash("core")));
   core.create_qubits(n);
   core.add(body);
   core.execute();
@@ -1108,7 +1113,7 @@ OracleOutcome check_io_fault(const Circuit& body, std::uint64_t seed,
   //    back as the NEW payload, or throws a typed CheckpointError and
   //    the file reads back as a complete OLD or NEW checkpoint.  A mix,
   //    a CRC surprise, or a foreign exception is a finding.
-  SplitMix rng(derive_seed(seed, label_hash("faults")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("faults")));
   for (std::uint64_t k = 1; k <= total_ops; ++k) {
     io::FaultPlan plan;
     plan.mode = io::FaultPlan::Mode::kFailAt;
@@ -1212,11 +1217,11 @@ NetRun run_net_workload(const std::string& qasm, std::size_t qubits,
     try {
       serve::SessionConfig config;
       config.name = "net-fault-oracle";
-      config.seed = derive_seed(seed, label_hash("session"));
+      config.seed = exec::task_seed(seed, label_hash("session"));
       config.qubits = qubits;
       serve::RetryOptions retry;
       retry.client_name = "net-fault-oracle";
-      retry.seed = derive_seed(seed, label_hash("retry"));
+      retry.seed = exec::task_seed(seed, label_hash("retry"));
       retry.max_attempts = 12;
       retry.backoff_base_ms = 1;
       retry.backoff_cap_ms = 20;
@@ -1240,8 +1245,7 @@ NetRun run_net_workload(const std::string& qasm, std::size_t qubits,
 
 }  // namespace
 
-OracleOutcome check_net_fault(const Circuit& body, std::uint64_t seed,
-                              const OracleTuning&) {
+OracleOutcome check_net_fault(const Circuit& body, std::uint64_t seed) {
   const std::string qasm = to_qasm(body);
   const std::size_t qubits = register_size(body, 2);
 
@@ -1309,7 +1313,7 @@ OracleOutcome check_net_fault(const Circuit& body, std::uint64_t seed,
   {
     io::NetFaultPlan plan;
     plan.mode = io::NetFaultPlan::Mode::kShortSend;
-    plan.seed = derive_seed(seed, label_hash("short-send"));
+    plan.seed = exec::task_seed(seed, label_hash("short-send"));
     plan.gap = 2;
     schedules.push_back({"short-send", plan});
   }
@@ -1416,7 +1420,8 @@ OracleOutcome check_exec_transcript(const ExecTranscript& got,
 }  // namespace
 
 OracleOutcome check_executor_determinism(std::uint64_t seed) {
-  SplitMix rng(derive_seed(seed, label_hash("executor-determinism")));
+  exec::SplitMix rng(
+      exec::task_seed(seed, label_hash("executor-determinism")));
   const std::size_t tasks = 5 + rng.below(8);
   const std::uint64_t base = rng.next();
 
@@ -1469,8 +1474,8 @@ class Tap final : public arch::Layer {
 struct PeekStack {
   PeekStack(int distance, bool with_frame, bool readable, std::uint64_t seed,
             double per)
-      : core(derive_seed(seed, label_hash("core"))),
-        noise(&core, per, derive_seed(seed, label_hash("noise"))) {
+      : core(exec::task_seed(seed, label_hash("core"))),
+        noise(&core, per, exec::task_seed(seed, label_hash("noise"))) {
     arch::Core* below = &noise;
     if (with_frame) {
       frame = std::make_unique<arch::PauliFrameLayer>(below);
@@ -1517,7 +1522,7 @@ bool draws_randomness(stab::Tableau tableau, const Circuit& circuit) {
 }
 
 /// One perturbation of the read-capable stack between diagnostics.
-std::string perturb(PeekStack& stack, SplitMix& rng) {
+std::string perturb(PeekStack& stack, exec::SplitMix& rng) {
   const qec::SurfaceCodeLayout& layout = stack.ninja->layout();
   const auto data = static_cast<Qubit>(rng.below(layout.num_data()));
   const auto ancilla = layout.ancilla_qubit(
@@ -1562,7 +1567,7 @@ OracleOutcome check_peek_vs_probe(std::uint64_t seed) {
   using qec::CheckType;
   constexpr std::size_t kSteps = 8;  // diagnostics per run
 
-  SplitMix rng(derive_seed(seed, label_hash("peek-vs-probe")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("peek-vs-probe")));
   const int distance = rng.chance(0.5) ? 3 : 5;
   const bool with_frame = rng.chance(0.5);
   const CheckType basis = rng.chance(0.5) ? CheckType::kZ : CheckType::kX;
@@ -1631,7 +1636,7 @@ namespace {
 /// it, measure it), whose repeats reach the same reference states so
 /// FrameCore's memo hits, or a scramble of random Cliffords, resets and
 /// measurements that draws randomness.
-Circuit frame_core_skeleton(std::size_t n, SplitMix& rng) {
+Circuit frame_core_skeleton(std::size_t n, exec::SplitMix& rng) {
   Circuit out{"skeleton"};
   const auto ancilla = static_cast<Qubit>(n - 1);
   const auto pick = [&](std::size_t bound) {
@@ -1678,7 +1683,8 @@ Circuit frame_core_skeleton(std::size_t n, SplitMix& rng) {
 
 /// The skeleton with Paulis (I included) sprinkled before its gates and
 /// at its end, one operation per slot.
-Circuit with_paulis(const Circuit& skeleton, std::size_t n, SplitMix& rng) {
+Circuit with_paulis(const Circuit& skeleton, std::size_t n,
+                    exec::SplitMix& rng) {
   static constexpr GateType kPaulis[] = {GateType::kI, GateType::kX,
                                          GateType::kY, GateType::kZ};
   Circuit out{"batch"};
@@ -1698,7 +1704,7 @@ Circuit with_paulis(const Circuit& skeleton, std::size_t n, SplitMix& rng) {
 
 /// Random signed observables on distinct qubits.
 std::vector<stab::SparsePauli> frame_core_observables(std::size_t n,
-                                                      SplitMix& rng) {
+                                                      exec::SplitMix& rng) {
   std::vector<stab::SparsePauli> out(1 + rng.below(4));
   for (stab::SparsePauli& observable : out) {
     observable.negative = rng.chance(0.5);
@@ -1723,9 +1729,9 @@ std::vector<std::uint8_t> snapshot_bytes(const arch::Core& core) {
 
 OracleOutcome check_frame_core(std::uint64_t seed) {
   constexpr std::size_t kSteps = 24;
-  SplitMix rng(derive_seed(seed, label_hash("frame-core")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("frame-core")));
   const std::size_t n = 2 + rng.below(5);
-  const std::uint64_t core_seed = derive_seed(seed, label_hash("core"));
+  const std::uint64_t core_seed = exec::task_seed(seed, label_hash("core"));
   arch::ChpCore chp(core_seed);
   auto frame = std::make_unique<arch::FrameCore>(core_seed);
   chp.create_qubits(n);
@@ -1906,12 +1912,11 @@ bool same_tally(const qec::ErrorTally& a, const qec::ErrorTally& b) {
 
 }  // namespace
 
-OracleOutcome check_noise_draws(const Circuit& stream, std::uint64_t seed,
-                                const OracleTuning&) {
+OracleOutcome check_noise_draws(const Circuit& stream, std::uint64_t seed) {
   static constexpr double kRates[] = {0.0, 1e-3, 0.05, 0.5, 1.0};
   static constexpr double kBiases[] = {0.5, 3.0, 30.0};
   constexpr int kInjections = 8;
-  SplitMix rng(derive_seed(seed, label_hash("noise-draws")));
+  exec::SplitMix rng(exec::task_seed(seed, label_hash("noise-draws")));
   // Wider than the circuit, so every slot has idle qubits to charge.
   const std::size_t n = register_size(stream) + 1 + rng.below(3);
   for (const double p : kRates) {
@@ -1954,28 +1959,24 @@ OracleOutcome check_noise_draws(const Circuit& stream, std::uint64_t seed,
 
 namespace {
 
-OracleOutcome conjugation_adapter(const Circuit&, std::uint64_t,
-                                  const OracleTuning&) {
+OracleOutcome conjugation_adapter(const Circuit&, std::uint64_t) {
   return check_conjugation_tables();
 }
 
-OracleOutcome lut_window_adapter(const Circuit&, std::uint64_t seed,
-                                 const OracleTuning& tuning) {
-  return check_lut_window(seed, tuning);
+OracleOutcome lut_window_adapter(const Circuit&, std::uint64_t seed) {
+  return check_lut_window(seed);
 }
 
-OracleOutcome executor_determinism_adapter(const Circuit&, std::uint64_t seed,
-                                           const OracleTuning&) {
+OracleOutcome executor_determinism_adapter(const Circuit&,
+                                           std::uint64_t seed) {
   return check_executor_determinism(seed);
 }
 
-OracleOutcome peek_vs_probe_adapter(const Circuit&, std::uint64_t seed,
-                                    const OracleTuning&) {
+OracleOutcome peek_vs_probe_adapter(const Circuit&, std::uint64_t seed) {
   return check_peek_vs_probe(seed);
 }
 
-OracleOutcome frame_core_adapter(const Circuit&, std::uint64_t seed,
-                                 const OracleTuning&) {
+OracleOutcome frame_core_adapter(const Circuit&, std::uint64_t seed) {
   return check_frame_core(seed);
 }
 

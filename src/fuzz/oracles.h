@@ -116,18 +116,6 @@ struct OracleOutcome {
   }
 };
 
-/// Per-oracle knobs shared by the engine, the CLI, and corpus replay.
-/// The shots/tolerance pair is sized so a clean soak stays clean: with
-/// independent 256-shot samples the frequency-gap standard deviation
-/// is at most ~0.044, putting the 0.4 tolerance at ~9 sigma.
-struct OracleTuning {
-  std::size_t shots = 256;         ///< sampling oracle shot count
-  double frequency_tolerance = 0.4;///< sampling per-qubit frequency gap
-  std::size_t max_sv_qubits = 8;   ///< dense-simulator ceiling
-  std::size_t chaos_segments = 3;  ///< circuit segments in the chaos run
-  std::size_t lut_windows = 8;     ///< decode windows per lut-window run
-};
-
 /// Which generated circuit an oracle consumes.
 enum class CircuitKind : std::uint8_t {
   kNone,      ///< seed-driven sweep, no circuit input
@@ -138,51 +126,40 @@ enum class CircuitKind : std::uint8_t {
 };
 
 // --- The oracles ------------------------------------------------------
-// Circuit-consuming oracles take (circuit, seed, tuning); `seed` drives
-// every internal draw, so (circuit, seed) fully reproduces a failure.
+// Circuit-consuming oracles take (circuit, seed); `seed` drives every
+// internal draw, so (circuit, seed) fully reproduces a failure.
 
 [[nodiscard]] OracleOutcome check_conjugation_tables();
 [[nodiscard]] OracleOutcome check_arbiter_stream(const Circuit& stream,
-                                                 std::uint64_t seed,
-                                                 const OracleTuning& tuning);
+                                                 std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_frame_semantics(const Circuit& unitary,
-                                                  std::uint64_t seed,
-                                                  const OracleTuning& tuning);
+                                                  std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_mirror_chp(const Circuit& body,
-                                             std::uint64_t seed,
-                                             const OracleTuning& tuning);
+                                             std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_mirror_qx(const Circuit& body,
-                                            std::uint64_t seed,
-                                            const OracleTuning& tuning);
+                                            std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_sampling(const Circuit& measured,
-                                           std::uint64_t seed,
-                                           const OracleTuning& tuning);
+                                           std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_backend_diff(const Circuit& unitary,
-                                               std::uint64_t seed,
-                                               const OracleTuning& tuning);
-[[nodiscard]] OracleOutcome check_metamorphic_injection(
-    const Circuit& body, std::uint64_t seed, const OracleTuning& tuning);
-[[nodiscard]] OracleOutcome check_snapshot_roundtrip(
-    const Circuit& body, std::uint64_t seed, const OracleTuning& tuning);
-[[nodiscard]] OracleOutcome check_chaos_convergence(
-    const Circuit& measured, std::uint64_t seed, const OracleTuning& tuning);
-[[nodiscard]] OracleOutcome check_lut_window(std::uint64_t seed,
-                                             const OracleTuning& tuning);
+                                               std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_metamorphic_injection(const Circuit& body,
+                                                        std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_snapshot_roundtrip(const Circuit& body,
+                                                     std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_chaos_convergence(const Circuit& measured,
+                                                    std::uint64_t seed);
+[[nodiscard]] OracleOutcome check_lut_window(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_serve_codec(const Circuit& stream,
-                                              std::uint64_t seed,
-                                              const OracleTuning& tuning);
+                                              std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_io_fault(const Circuit& body,
-                                           std::uint64_t seed,
-                                           const OracleTuning& tuning);
+                                           std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_net_fault(const Circuit& body,
-                                            std::uint64_t seed,
-                                            const OracleTuning& tuning);
+                                            std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_executor_determinism(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_peek_vs_probe(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_frame_core(std::uint64_t seed);
 [[nodiscard]] OracleOutcome check_noise_draws(const Circuit& stream,
-                                              std::uint64_t seed,
-                                              const OracleTuning& tuning);
+                                              std::uint64_t seed);
 
 // --- Registry ---------------------------------------------------------
 
@@ -190,7 +167,7 @@ struct OracleSpec {
   const char* name;
   CircuitKind kind;
   /// Run the oracle on its consumed circuit (ignored for kNone).
-  OracleOutcome (*run)(const Circuit&, std::uint64_t, const OracleTuning&);
+  OracleOutcome (*run)(const Circuit&, std::uint64_t);
   /// Run once per engine invocation instead of once per case.
   bool once_per_run = false;
   /// Touches process-global state (fault-injection backends, chdir-like

@@ -1,63 +1,20 @@
-// Deterministic seed derivation for the differential fuzzing engine.
+// Seed-stream labels for the differential fuzzing engine.
 //
-// Every random draw in the fuzzer flows from one master seed through a
-// splitmix64 chain, so a fuzz run is a pure function of its seed: the
-// same seed reproduces the same cases, the same oracle schedules, the
-// same shrinks, and a byte-identical triage report.  The engine never
-// uses std::mt19937_64 for its own draws — splitmix64 is fully
-// specified, so the case stream is portable across standard libraries.
+// Every random draw in the fuzzer flows from one master seed through
+// the executor's splitmix64 chain (exec::task_seed, exec::SplitMix), so
+// a fuzz run is a pure function of its seed: the same seed reproduces
+// the same cases, the same oracle schedules, the same shrinks, and a
+// byte-identical triage report.  The engine never uses std::mt19937_64
+// for its own draws — splitmix64 is fully specified, so the case stream
+// is portable across standard libraries.  A stream is named by hashing
+// a label: exec::task_seed(parent, label_hash("shape")).
 #pragma once
 
 #include <cstdint>
 
+#include "exec/executor.h"
+
 namespace qpf::fuzz {
-
-/// The splitmix64 output function (Steele, Lea & Flood).
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Derive a child seed from a parent seed and a stream label, so every
-/// (case, oracle) pair draws from an independent stream.
-[[nodiscard]] constexpr std::uint64_t derive_seed(std::uint64_t parent,
-                                                 std::uint64_t label) noexcept {
-  return splitmix64(parent ^ splitmix64(label + 0x6a09e667f3bcc909ULL));
-}
-
-/// Minimal deterministic generator over the splitmix64 sequence.
-class SplitMix {
- public:
-  explicit constexpr SplitMix(std::uint64_t seed) noexcept : state_(seed) {}
-
-  constexpr std::uint64_t next() noexcept {
-    state_ += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t x = state_;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
-  /// Uniform draw in [0, bound); bound must be nonzero.  Modulo bias is
-  /// negligible for the small bounds the generator uses (< 2^16).
-  constexpr std::uint64_t below(std::uint64_t bound) noexcept {
-    return next() % bound;
-  }
-
-  /// Uniform double in [0, 1).
-  constexpr double unit() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
-  constexpr bool chance(double probability) noexcept {
-    return unit() < probability;
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 /// FNV-1a hash of a string label, for naming seed streams after oracles.
 [[nodiscard]] constexpr std::uint64_t label_hash(const char* s) noexcept {

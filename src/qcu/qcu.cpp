@@ -1,6 +1,7 @@
 #include "qcu/qcu.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "circuit/error.h"
 
@@ -13,6 +14,26 @@ using qec::DanceMode;
 using qec::NinjaStar;
 using qec::StateValue;
 using qec::Syndrome;
+
+namespace {
+
+/// The QCU's read of a measurement result.  A readout can be lost below
+/// the QCU: a ClassicalFaultLayer duplicate re-issues an operation in an
+/// extra slot, where the ErrorLayer's idle noise can hit an ancilla
+/// measured one slot earlier and leave the core no value for it.  That
+/// is a fault of the run, reported as a typed QcuError naming the
+/// qubit; arch::measured_one keeps its logic_error, which flags a bug
+/// for every other caller.
+bool read_result(const BinaryState& state, Qubit q) {
+  if (state.at(q) == BinaryValue::kUnknown) {
+    throw QcuError("QuantumControlUnit",
+                   "readout of qubit " + std::to_string(q) +
+                       " was lost: the core holds no measured value for it");
+  }
+  return state.at(q) == BinaryValue::kOne;
+}
+
+}  // namespace
 
 QuantumControlUnit::QuantumControlUnit(arch::Core* pel, std::size_t slots,
                                        bool use_pauli_frame)
@@ -91,7 +112,7 @@ BinaryState QuantumControlUnit::read_corrected_state() {
 }
 
 bool QuantumControlUnit::read_bit(Qubit physical) {
-  return arch::measured_one(read_corrected_state(), physical);
+  return read_result(read_corrected_state(), physical);
 }
 
 NinjaStar& QuantumControlUnit::star_of(PatchId patch) {
@@ -109,7 +130,7 @@ Syndrome QuantumControlUnit::run_esm_round(NinjaStar& star) {
   }
   const BinaryState state = read_corrected_state();
   return star.round_syndrome(
-      [&state](Qubit q) { return arch::measured_one(state, q); });
+      [&state](Qubit q) { return read_result(state, q); });
 }
 
 void QuantumControlUnit::run_window(NinjaStar& star) {
@@ -156,7 +177,7 @@ void QuantumControlUnit::logical_measure(PatchId patch) {
   }
   flush_buffer();
   star.measured_sign(
-      [&data_state](Qubit q) { return arch::measured_one(data_state, q); });
+      [&data_state](Qubit q) { return read_result(data_state, q); });
 }
 
 void QuantumControlUnit::exec(const Instruction& instruction) {

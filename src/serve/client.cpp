@@ -10,25 +10,14 @@
 #include <cstring>
 #include <thread>
 
+#include "exec/executor.h"
 #include "io/file_ops.h"
 
 namespace qpf::serve {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 int connect_with_retry(std::uint16_t port, std::uint64_t seed,
                        std::uint64_t budget_ms) {
-  std::uint64_t rng = seed ^ 0xc0eec7ull;
+  exec::SplitMix rng(seed ^ 0xc0eec7ull);
   std::uint64_t backoff_ms = 5;
   std::uint64_t slept_ms = 0;
   while (true) {
@@ -53,7 +42,7 @@ int connect_with_retry(std::uint16_t port, std::uint64_t seed,
       throw IoError("client", "connect() to port " + std::to_string(port) +
                                   " failed: " + std::strerror(error));
     }
-    const std::uint64_t jitter = splitmix64(rng) % (backoff_ms + 1);
+    const std::uint64_t jitter = rng.below(backoff_ms + 1);
     const std::uint64_t nap = backoff_ms + jitter;
     std::this_thread::sleep_for(std::chrono::milliseconds(nap));
     slept_ms += nap;
@@ -125,10 +114,6 @@ Frame Client::transact(const Frame& request) {
 }
 
 Client::Result Client::run_request(Frame request) {
-  // The plain client is pinned to protocol v1: its byte streams (and so
-  // every transcript comparison built on them) are bit-for-bit what
-  // they were before v2 existed.  RetryClient speaks v2.
-  request.version = 1;
   request.request = next_request_++;
   Result result;
   result.reply = transact(request);
@@ -141,7 +126,7 @@ Client::Result Client::run_request(Frame request) {
 Client::Result Client::hello(const std::string& client_name) {
   Frame f;
   f.type = MsgType::kHello;
-  f.payload = encode_hello(Hello{1, 1, client_name});
+  f.payload = encode_hello(Hello{.client_name = client_name});
   return run_request(std::move(f));
 }
 
@@ -149,7 +134,15 @@ Client::Result Client::open_session(const SessionConfig& config) {
   Frame f;
   f.type = MsgType::kOpenSession;
   f.payload = encode_session_config(config);
-  return run_request(std::move(f));
+  Result result = run_request(std::move(f));
+  if (!result.error.has_value()) {
+    // An id the session already executed would be answered from its
+    // dedup window instead of run.
+    next_request_ = std::max(
+        next_request_,
+        decode_session_opened(result.reply.payload).last_request_id + 1);
+  }
+  return result;
 }
 
 Client::Result Client::submit_qasm(std::uint64_t session,

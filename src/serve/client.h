@@ -1,11 +1,14 @@
-// Blocking qpf_serve client, used by the load generator, the serve
-// test suite, and check_serve.sh.
+// Blocking raw-frame qpf_serve client, used by the serve test suite.
 //
 // The client is deliberately simple — one socket, synchronous
-// send/recv, no retries — because its second job is to be a *witness*:
-// every byte received is appended to an in-memory transcript, and the
-// chaos isolation test compares healthy sessions' transcripts across a
-// fault-free and a poisoned server run byte for byte.
+// send/recv, no retries — so a test can put any frame on the wire and
+// see exactly the bytes the server sends back: every byte received is
+// appended to an in-memory transcript.  Its lockstep helpers number
+// requests 1, 2, 3, ... on the connection and, like RetryClient, move
+// the next id past the `last_request_id` of each session they open, so
+// a connection that re-attaches a warm session is never answered from
+// the session's dedup window.  RetryClient (retry_client.h) is the
+// client that survives faults.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +62,8 @@ class Client {
     std::optional<ErrorReply> error;  ///< set when reply.type == kError
   };
   [[nodiscard]] Result hello(const std::string& client_name);
+  /// On success, also moves the next request id past the session's
+  /// last_request_id.
   [[nodiscard]] Result open_session(const SessionConfig& config);
   [[nodiscard]] Result submit_qasm(std::uint64_t session,
                                    const std::string& qasm);

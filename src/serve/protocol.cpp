@@ -216,7 +216,7 @@ std::optional<Frame> FrameDecoder::next() {
   frame.request = get_u32(body + 12);
   frame.payload.assign(body + kBodyHeaderSize, body + body_len);
 
-  if (frame.version == 0 || frame.version > kProtocolVersion) {
+  if (frame.version != kProtocolVersion) {
     poison("unsupported protocol version " + std::to_string(frame.version));
   }
   if (reserved != 0) {
@@ -317,15 +317,12 @@ SessionConfig decode_session_config(const std::vector<std::uint8_t>& payload) {
   });
 }
 
-std::vector<std::uint8_t> encode_session_opened(const SessionOpened& m,
-                                                std::uint32_t version) {
+std::vector<std::uint8_t> encode_session_opened(const SessionOpened& m) {
   SnapshotWriter w;
   w.tag("session-opened");
   w.write_u64(m.session);
   w.write_bool(m.restored);
-  if (version >= 2) {
-    w.write_u32(m.last_request_id);
-  }
+  w.write_u32(m.last_request_id);
   return w.bytes();
 }
 
@@ -335,9 +332,7 @@ SessionOpened decode_session_opened(const std::vector<std::uint8_t>& payload) {
     SessionOpened m;
     m.session = r.read_u64();
     m.restored = r.read_bool();
-    if (!r.exhausted()) {
-      m.last_request_id = r.read_u32();
-    }
+    m.last_request_id = r.read_u32();
     return m;
   });
 }

@@ -6,7 +6,7 @@
 //   offset 0   u32  magic "QPFW", little-endian          (0x57465051)
 //   offset 4   u32  body length B, little-endian         (16 <= B <= cap)
 //   offset 8   body:
-//                u8   protocol version   (currently 1)
+//                u8   protocol version   (always 2)
 //                u8   message type       (MsgType)
 //                u16  reserved           (0)
 //                u64  session id         (0 for connection-level messages)
@@ -25,10 +25,9 @@
 //
 // Version negotiation: the client opens with kHello carrying the
 // [min, max] protocol versions it speaks; the server replies kWelcome
-// with the version it chose, or a `version` error reply when the ranges
-// do not intersect.  Frames are always *parsed* at the armor level
-// regardless of negotiation, so a future version bump keeps the error
-// path well-typed.
+// with version 2, or a `version` error reply when the range excludes
+// it.  A frame whose version byte is not 2 is an armor violation like
+// any other.
 #pragma once
 
 #include <cstdint>
@@ -46,17 +45,11 @@ class SnapshotReader;
 
 namespace qpf::serve {
 
-/// Protocol version this build speaks.  Version 2 (PR 9) adds the
-/// exactly-once machinery: per-session monotonic request ids with a
+/// The one protocol version this build reads and writes.  It carries
+/// the exactly-once machinery: per-session monotonic request ids with a
 /// server-side dedup window, the `last_request_id` field on
 /// kSessionOpened, and the kPing/kPong/kStats/kStatsReply messages.
-/// Servers still speak version 1 to old clients: replies always echo
-/// the request frame's version and v2-only fields are only written on
-/// v2 frames, so a v1 byte stream is unchanged.
 inline constexpr std::uint32_t kProtocolVersion = 2;
-
-/// Oldest protocol version this build still serves.
-inline constexpr std::uint32_t kMinProtocolVersion = 1;
 
 /// Frame magic, little-endian "QPFW".
 inline constexpr std::uint32_t kFrameMagic = 0x57465051u;
@@ -83,10 +76,10 @@ enum class MsgType : std::uint8_t {
   kClose = 0x0b,          ///< client -> server: retire the session
   kClosed = 0x0c,         ///< server -> client: final request count
   kError = 0x0d,          ///< server -> client: structured error reply
-  kPing = 0x0e,           ///< client -> server: heartbeat (v2, empty)
-  kPong = 0x0f,           ///< server -> client: heartbeat echo (v2, empty)
-  kStats = 0x10,          ///< client -> server: ask for counters (v2, empty)
-  kStatsReply = 0x11,     ///< server -> client: StatsReply (v2)
+  kPing = 0x0e,           ///< client -> server: heartbeat (empty)
+  kPong = 0x0f,           ///< server -> client: heartbeat echo (empty)
+  kStats = 0x10,          ///< client -> server: ask for counters (empty)
+  kStatsReply = 0x11,     ///< server -> client: StatsReply
 };
 
 /// True for the message types a client may legally send.
@@ -97,6 +90,8 @@ enum class MsgType : std::uint8_t {
 
 /// One decoded frame.
 struct Frame {
+  /// kProtocolVersion on every decoded frame; set it only to put a
+  /// refused version byte on the wire.
   std::uint8_t version = kProtocolVersion;
   MsgType type = MsgType::kHello;
   std::uint64_t session = 0;
@@ -172,10 +167,9 @@ struct SessionConfig {
 struct SessionOpened {
   std::uint64_t session = 0;
   bool restored = false;
-  /// Highest request id the session has already executed (v2 frames
-  /// only; absent — and decoded as 0 — on version-1 streams).  A
-  /// reconnecting RetryClient fast-forwards past it so replayed and
-  /// fresh requests never collide.
+  /// Highest request id the session has already executed.  A client
+  /// that (re-)attaches moves its next request id past it, so a fresh
+  /// request is never answered from the session's dedup window.
   std::uint32_t last_request_id = 0;
 };
 
@@ -203,7 +197,7 @@ struct ErrorReply {
   std::string message;
 };
 
-/// Server counter snapshot carried by kStatsReply (v2).  Field order is
+/// Server counter snapshot carried by kStatsReply.  Field order is
 /// the wire order; additions append.
 struct StatsReply {
   std::uint64_t connections_accepted = 0;
@@ -232,11 +226,8 @@ struct StatsReply {
 // parked session's config round-trips through the same serializer.
 void write_session_config(journal::SnapshotWriter& w, const SessionConfig& m);
 [[nodiscard]] SessionConfig read_session_config(journal::SnapshotReader& r);
-// The session_opened payload is version-dependent: `last_request_id`
-// is appended for version >= 2 only, and the decoder reads it only when
-// the stream carries it, so v1 byte streams are bit-for-bit unchanged.
 [[nodiscard]] std::vector<std::uint8_t> encode_session_opened(
-    const SessionOpened& m, std::uint32_t version = kProtocolVersion);
+    const SessionOpened& m);
 [[nodiscard]] SessionOpened decode_session_opened(
     const std::vector<std::uint8_t>& payload);
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_qasm(

@@ -21,14 +21,6 @@ namespace {
 /// session-request id stream the dedup window keys on.
 constexpr std::uint32_t kTransientBit = 0x80000000u;
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 void set_recv_timeout(int fd, std::uint64_t timeout_ms) {
   if (timeout_ms == 0) {
     return;
@@ -134,7 +126,7 @@ void RetryClient::dial_locked() {
   Frame f;
   f.type = MsgType::kHello;
   f.request = transient_id_locked();
-  f.payload = encode_hello(Hello{1, 2, options_.client_name});
+  f.payload = encode_hello(Hello{.client_name = options_.client_name});
   const Frame reply = send_and_match_locked(f);
   if (reply.type == MsgType::kError) {
     const ErrorReply err = decode_error_reply(reply.payload);
@@ -181,7 +173,7 @@ void RetryClient::backoff_locked(std::size_t attempt) {
       std::min<std::size_t>(attempt, std::size_t{16});
   std::uint64_t nap = options_.backoff_base_ms << shift;
   nap = std::min(nap, options_.backoff_cap_ms);
-  nap += splitmix64(rng_) % (nap + 1);
+  nap += rng_.below(nap + 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(nap));
 }
 
@@ -339,7 +331,7 @@ StatsReply RetryClient::query_stats(std::uint16_t port,
     Frame hello;
     hello.type = MsgType::kHello;
     hello.request = kTransientBit | 1;
-    hello.payload = encode_hello(Hello{1, 2, "qpf-stats"});
+    hello.payload = encode_hello(Hello{.client_name = "qpf-stats"});
     const Frame welcome = exchange(fd, decoder, hello);
     if (welcome.type == MsgType::kError) {
       const ErrorReply err = decode_error_reply(welcome.payload);

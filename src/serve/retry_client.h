@@ -1,10 +1,11 @@
-// Exactly-once qpf_serve client (protocol v2).
+// Exactly-once qpf_serve client: the one session driver of
+// qpf_serve_load, the net-fault fuzz oracle and the serve scripts.
 //
-// The plain Client is a witness: one socket, no retries, pinned to
-// protocol v1 so its byte streams never change.  RetryClient is the
-// opposite end of the robustness bargain — it assumes the network WILL
-// fail (FaultNet makes sure of it under test) and turns at-least-once
-// delivery into exactly-once execution:
+// The plain Client is the raw-frame client of the server tests: one
+// socket, no retries.  RetryClient is the opposite end of the
+// robustness bargain — it assumes the network WILL fail (FaultNet makes
+// sure of it under test) and turns at-least-once delivery into
+// exactly-once execution:
 //
 //   * every session request carries a monotonically increasing request
 //     id that survives reconnects, so the server's per-session dedup
@@ -42,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/executor.h"
 #include "serve/protocol.h"
 
 namespace qpf::serve {
@@ -117,7 +119,7 @@ class RetryClient {
   std::uint64_t session_id_ = 0;
   std::uint32_t next_request_id_ = 1;
   std::uint32_t next_transient_ = 1;
-  std::uint64_t rng_;
+  exec::SplitMix rng_;  ///< backoff jitter
   std::uint64_t retries_ = 0;
   std::uint64_t reconnects_ = 0;
   std::vector<std::uint8_t> transcript_;

@@ -543,7 +543,6 @@ bool Server::reply_closed_tombstone(std::uint64_t conn_id,
     return false;
   }
   Frame reply;
-  reply.version = frame.version;
   reply.type = MsgType::kClosed;
   reply.session = frame.session;
   reply.request = frame.request;
@@ -596,7 +595,6 @@ void Server::release_session(std::uint64_t conn_id,
 void Server::send_error(std::uint64_t conn_id, const Frame& request,
                         const std::string& code, const std::string& message) {
   Frame reply;
-  reply.version = request.version;
   reply.type = MsgType::kError;
   reply.session = request.session;
   reply.request = request.request;
@@ -634,7 +632,6 @@ void Server::handle_frame(Connection& conn, Frame frame, std::uint64_t now) {
         (void)table_.find(frame.session, now);
       }
       Frame reply;
-      reply.version = frame.version;
       reply.type = MsgType::kPong;
       reply.session = frame.session;
       reply.request = frame.request;
@@ -643,7 +640,6 @@ void Server::handle_frame(Connection& conn, Frame frame, std::uint64_t now) {
     }
     case MsgType::kStats: {
       Frame reply;
-      reply.version = frame.version;
       reply.type = MsgType::kStatsReply;
       reply.request = frame.request;
       reply.payload = encode_stats_reply(stats_reply_locked());
@@ -658,8 +654,7 @@ void Server::handle_frame(Connection& conn, Frame frame, std::uint64_t now) {
   // stack is touched, so refusals never perturb session state.
   Session* session = table_.find(frame.session, now);
   if (session == nullptr) {
-    if (frame.version >= 2 && !plant::bug(14) &&
-        reply_closed_tombstone(conn.id, frame)) {
+    if (!plant::bug(14) && reply_closed_tombstone(conn.id, frame)) {
       return;
     }
     const auto ev = evicted_.find(frame.session);
@@ -721,26 +716,19 @@ void Server::handle_hello(Connection& conn, const Frame& frame) {
     return;
   }
   if (hello.min_version > kProtocolVersion ||
-      hello.max_version < kMinProtocolVersion) {
+      hello.max_version < kProtocolVersion) {
     send_error(conn.id, frame, "version",
-               "server speaks protocol versions " +
-                   std::to_string(kMinProtocolVersion) + ".." +
-                   std::to_string(kProtocolVersion));
+               "server speaks protocol version " +
+                   std::to_string(kProtocolVersion) + " only");
     conn.doomed = true;
     return;
   }
-  // Serve the newest version both sides speak; version-1 clients keep
-  // getting version-1 frames (replies always echo the request frame's
-  // version), so their byte streams are unchanged.
-  const std::uint32_t chosen =
-      std::min<std::uint32_t>(kProtocolVersion, hello.max_version);
   conn.hello_done = true;
   Frame reply;
-  reply.version = frame.version;
   reply.type = MsgType::kWelcome;
   reply.request = frame.request;
   reply.payload = encode_welcome(
-      Welcome{chosen, options_.server_name,
+      Welcome{kProtocolVersion, options_.server_name,
               options_.max_frame_bytes, options_.queue_depth});
   enqueue_reply(conn.id, reply);
 }
@@ -778,13 +766,11 @@ void Server::handle_open_session(Connection& conn, const Frame& frame,
       ++stats_.sessions_restored;
     }
     Frame reply;
-    reply.version = frame.version;
     reply.type = MsgType::kSessionOpened;
     reply.session = id;
     reply.request = frame.request;
     reply.payload = encode_session_opened(
-        SessionOpened{id, opened.restored, opened.session->last_request_id()},
-        frame.version);
+        SessionOpened{id, opened.restored, opened.session->last_request_id()});
     enqueue_reply(conn.id, reply);
   } catch (const StackConfigError& e) {
     const std::string& component = e.context().component;
@@ -836,15 +822,15 @@ void Server::session_turn(std::uint64_t session_id) {
 void Server::execute_job(const Job& job) {
   const Frame& frame = job.frame;
   const std::uint64_t sid = frame.session;
-  // Exactly-once (protocol v2): a retried request id whose reply is
-  // still in the session's window is answered by replaying the recorded
-  // bytes — the stack never sees the duplicate, so at-least-once
-  // delivery cannot double-execute gates.  The check happens at
-  // execution time, not admission, so a retry queued behind its own
-  // original still dedups.  Planted bug 14 silently bypasses the
-  // window (and the close tombstones): duplicates re-execute and the
-  // final requests_served count diverges.
-  const bool dedupe = frame.version >= 2 && !plant::bug(14);
+  // Exactly-once: a retried request id whose reply is still in the
+  // session's window is answered by replaying the recorded bytes — the
+  // stack never sees the duplicate, so at-least-once delivery cannot
+  // double-execute gates.  The check happens at execution time, not
+  // admission, so a retry queued behind its own original still dedups.
+  // Planted bug 14 silently bypasses the window (and the close
+  // tombstones): duplicates re-execute and the final requests_served
+  // count diverges.
+  const bool dedupe = !plant::bug(14);
   Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -866,7 +852,6 @@ void Server::execute_job(const Job& job) {
       if (const Session::RecordedReply* recorded =
               session->find_reply(frame.request)) {
         Frame reply;
-        reply.version = frame.version;
         reply.type = recorded->type;
         reply.session = sid;
         reply.request = frame.request;
@@ -893,12 +878,11 @@ void Server::execute_job(const Job& job) {
     }
   }
 
-  // Enqueue a reply and — for v2 frames — record it in the session's
-  // window so a retry of this id replays the same bytes.  Error replies
-  // are recorded too: a deterministic failure must stay the same
-  // failure when retried, not re-run.
+  // Enqueue a reply and record it in the session's window so a retry
+  // of this id replays the same bytes.  Error replies are recorded too:
+  // a deterministic failure must stay the same failure when retried,
+  // not re-run.
   const auto reply_recorded = [&](Frame reply) {
-    reply.version = frame.version;
     std::lock_guard<std::mutex> lock(mutex_);
     if (dedupe) {
       if (Session* live = table_.find(sid, now_ms())) {
@@ -958,7 +942,6 @@ void Server::execute_job(const Job& job) {
       }
       case MsgType::kClose: {
         Frame reply;
-        reply.version = frame.version;
         reply.type = MsgType::kClosed;
         reply.session = sid;
         reply.request = frame.request;

@@ -194,7 +194,7 @@ class Server {
   // a long-running server cannot leak memory per eviction.
   std::map<std::uint64_t, std::string> evicted_;
   std::deque<std::uint64_t> evicted_order_;
-  // Close tombstones (v2 exactly-once): the kClosed payload recorded
+  // Close tombstones (exactly-once): the kClosed payload recorded
   // when a close executed, so a retried close whose reply was lost on
   // the wire replays byte-identically instead of hitting
   // `unknown-session` (the session itself is gone by then).  Bounded

@@ -89,7 +89,7 @@ class Session {
   [[nodiscard]] bool escalated() const noexcept { return escalated_; }
   [[nodiscard]] std::uint8_t supervisor_state() const noexcept;
 
-  // --- Idempotency window (protocol v2) -------------------------------
+  // --- Idempotency window ---------------------------------------------
   // The last kDedupWindow replies, keyed by request id.  A retried
   // request id whose reply is still in the window is answered by
   // replaying the recorded bytes instead of re-executing gates, which

@@ -5,7 +5,7 @@
 //
 // Seeds follow the same splitmix64 chain as the fuzzing engine
 // (src/fuzz/seeds.h): tests that need several independent random
-// streams derive them with derive_seed(seed, label) instead of reusing
+// streams derive them with exec::task_seed(seed, label) instead of reusing
 // one engine, so the announced seed alone reproduces every stream.
 // QPF_TEST_SEED=<n> overrides any announced default seed, letting a
 // failure from a fuzz triage report be replayed through the unit
@@ -36,7 +36,7 @@ inline std::uint64_t test_seed(std::uint64_t default_seed) {
 
 /// A labelled sub-stream of `seed`, on the fuzz engine's seed chain.
 inline std::uint64_t stream_seed(std::uint64_t seed, const char* label) {
-  return fuzz::derive_seed(seed, fuzz::label_hash(label));
+  return exec::task_seed(seed, fuzz::label_hash(label));
 }
 
 inline std::string seed_banner(std::uint64_t seed) {

@@ -279,6 +279,21 @@ TEST(CliToolTest, SuccessfulRunExitsZero) {
   std::remove(path);
 }
 
+TEST(CliToolTest, LostQcuReadoutIsATypedError) {
+  // With both rates, a duplicated operation's extra slot draws idle
+  // noise on an ancilla measured one slot earlier; the QCU then reads
+  // no value for it and stops the run with a QcuError naming the qubit.
+  std::ostringstream out, err;
+  EXPECT_EQ(run_tool({"--shots=10", "--seed=1", "--error-rate=0.01",
+                      "--classical-fault-rate=0.05",
+                      QPF_TEST_GOLDEN_DIR "/programs/bell.lqasm"},
+                     out, err),
+            1);
+  EXPECT_EQ(err.str(),
+            "qpf_run: QuantumControlUnit: readout of qubit 26 was lost: the "
+            "core holds no measured value for it\n");
+}
+
 /// Run a built tool binary with `arguments` (stdout discarded); returns
 /// its exit code, 128 + the signal when one killed it, and its stderr.
 int run_binary(const std::string& binary, const std::string& arguments,
@@ -393,6 +408,22 @@ TEST(CliToolTest, ServeToolsRejectAPortAbove16Bits) {
     EXPECT_EQ(run_binary("timeout 20 " + tool, "--port=70000", err), 2)
         << tool;
     EXPECT_NE(err.find("usage:"), std::string::npos) << tool << err;
+  }
+}
+
+TEST(CliToolTest, RetiredToolFlagsAreUnknownOptions) {
+  // qpf_serve_load has one session driver and qpf_fuzz fixed oracle
+  // settings: the flags that chose otherwise are gone.  `timeout`
+  // bounds a tool that accepted one.
+  const std::string load = std::string("timeout 20 ") + QPF_SERVE_LOAD_TOOL;
+  const std::string fuzz = std::string("timeout 20 ") + QPF_FUZZ_TOOL;
+  for (const std::string& command :
+       {load + " --port=1 --retry", load + " --port=1 --hold-ms=10",
+        fuzz + " --cases=0 --shots=16", fuzz + " --cases=0 --minimize"}) {
+    std::string err;
+    EXPECT_EQ(run_binary(command, "", err), 2) << command;
+    EXPECT_NE(err.find("unknown argument"), std::string::npos)
+        << command << err;
   }
 }
 

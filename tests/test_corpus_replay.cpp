@@ -48,7 +48,7 @@ TEST_P(CorpusReplay, RecordedOraclePassesOnCleanBuild) {
   const Reproducer rep = load_reproducer(GetParam());
   EXPECT_FALSE(rep.oracle.empty());
   EXPECT_NE(rep.case_seed, 0u);
-  const OracleOutcome outcome = replay_reproducer(rep, OracleTuning{});
+  const OracleOutcome outcome = replay_reproducer(rep);
   EXPECT_FALSE(outcome.skipped) << outcome.detail;
   EXPECT_TRUE(outcome.passed)
       << rep.oracle << " regressed on " << GetParam() << ": "
@@ -57,7 +57,8 @@ TEST_P(CorpusReplay, RecordedOraclePassesOnCleanBuild) {
 
 TEST_P(CorpusReplay, CompatibleOraclesAgree) {
   const Reproducer rep = load_reproducer(GetParam());
-  const std::uint64_t seed = derive_seed(rep.case_seed, label_hash("cross"));
+  const std::uint64_t seed =
+      exec::task_seed(rep.case_seed, label_hash("cross"));
   for (const OracleSpec& spec : all_oracles()) {
     // Route the witness only through oracles whose structural
     // preconditions it meets: unitary-kind oracles build inverses
@@ -83,7 +84,7 @@ TEST_P(CorpusReplay, CompatibleOraclesAgree) {
     if (!compatible) {
       continue;
     }
-    const OracleOutcome outcome = spec.run(rep.circuit, seed, OracleTuning{});
+    const OracleOutcome outcome = spec.run(rep.circuit, seed);
     EXPECT_TRUE(outcome.passed || outcome.skipped)
         << spec.name << " rejected corpus witness " << GetParam() << ": "
         << outcome.detail;

@@ -87,6 +87,14 @@ TEST(ExecutorTest, SplitMix64MatchesTheReferenceVectors) {
   EXPECT_EQ(splitmix64(1), 0x910a2dec89025cc1ULL);
 }
 
+TEST(ExecutorTest, SplitMixStreamMatchesTheReferenceSequence) {
+  // The reference SplitMix64 generator seeded with 0: its first draws.
+  SplitMix rng(0);
+  EXPECT_EQ(rng.next(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(rng.next(), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(rng.next(), 0x06c45d188009454fULL);
+}
+
 TEST(ExecutorTest, TaskSeedChainIsAPureFunctionOfBaseAndIndex) {
   EXPECT_EQ(task_seed(42, 0), 0x9a26cc119d63ec6fULL);
   EXPECT_EQ(task_seed(42, 1), 0x0072a7ebde1411e1ULL);

@@ -51,7 +51,7 @@ TEST(FrameCoreTest, MatchesChpCoreOnRandomBatches) {
   QPF_ANNOUNCE_SEED(seed);
   for (std::uint64_t run = 0; run < 500; ++run) {
     const fuzz::OracleOutcome outcome =
-        fuzz::check_frame_core(fuzz::derive_seed(seed, run));
+        fuzz::check_frame_core(exec::task_seed(seed, run));
     ASSERT_TRUE(outcome.passed) << "run " << run << ": " << outcome.detail;
   }
 }
@@ -117,7 +117,7 @@ TEST(FrameCoreTest, PeekIsZeroWhileCircuitsWait) {
 }
 
 /// Twelve random H/S/X/Z/measure/reset/CNOT operations on `qubits`.
-std::vector<Operation> random_batch(fuzz::SplitMix& rng, std::size_t qubits) {
+std::vector<Operation> random_batch(exec::SplitMix& rng, std::size_t qubits) {
   static constexpr GateType kOne[] = {GateType::kH,        GateType::kS,
                                       GateType::kX,        GateType::kZ,
                                       GateType::kMeasureZ, GateType::kPrepZ};
@@ -140,7 +140,7 @@ TEST(FrameCoreTest, CheckpointsMoveBetweenTheCores) {
   // FrameCore's checkpoint resumes in a ChpCore, with the same future.
   const std::uint64_t seed = test::test_seed(23);
   QPF_ANNOUNCE_SEED(seed);
-  fuzz::SplitMix rng(seed);
+  exec::SplitMix rng(seed);
   constexpr std::size_t kQubits = 5;
   ChpCore chp(seed);
   chp.create_qubits(kQubits);
@@ -170,7 +170,7 @@ TEST(FrameCoreTest, FullMemoIsDroppedAndRebuilt) {
   // the memo starts over, and the results stay ChpCore's.
   const std::uint64_t seed = test::test_seed(29);
   QPF_ANNOUNCE_SEED(seed);
-  fuzz::SplitMix rng(seed);
+  exec::SplitMix rng(seed);
   constexpr std::size_t kQubits = 6;
   ChpCore chp(seed);
   FrameCore frame(seed);
@@ -224,7 +224,7 @@ TEST(FrameCoreTest, CompiledHitsMatchChpCore) {
   // away from the memoised one falls back and still matches.
   const std::uint64_t seed = test::test_seed(31);
   QPF_ANNOUNCE_SEED(seed);
-  fuzz::SplitMix rng(seed);
+  exec::SplitMix rng(seed);
   for (const int distance : {3, 5, 7}) {
     SCOPED_TRACE(distance);
     const qec::SurfaceCodeLayout layout(distance);

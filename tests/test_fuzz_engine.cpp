@@ -26,21 +26,21 @@ namespace {
 // --- Seed chain -------------------------------------------------------
 
 TEST(FuzzSeedsTest, SplitMixIsDeterministicAndLabelSeparated) {
-  EXPECT_EQ(splitmix64(1), splitmix64(1));
-  EXPECT_NE(splitmix64(1), splitmix64(2));
+  EXPECT_EQ(exec::splitmix64(1), exec::splitmix64(1));
+  EXPECT_NE(exec::splitmix64(1), exec::splitmix64(2));
   // Sub-streams with different labels never coincide on small indices
   // (the failure mode of ad-hoc seed+k schemes like 41+i vs 43+i).
   std::set<std::uint64_t> seen;
   for (std::uint64_t label = 0; label < 64; ++label) {
     for (std::uint64_t k = 0; k < 16; ++k) {
-      seen.insert(derive_seed(derive_seed(7, label), k));
+      seen.insert(exec::task_seed(exec::task_seed(7, label), k));
     }
   }
   EXPECT_EQ(seen.size(), 64u * 16u);
 }
 
 TEST(FuzzSeedsTest, SplitMixDrawsAreInRange) {
-  SplitMix rng(123);
+  exec::SplitMix rng(123);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(rng.below(7), 7u);
     const double u = rng.unit();
@@ -96,11 +96,10 @@ bool is_prep_or_measure(const Operation& op) {
 TEST(FuzzGeneratorTest, RespectsPalettesAndSlotInvariant) {
   const std::uint64_t base = test::test_seed(11);
   QPF_ANNOUNCE_SEED(base);
-  GeneratorOptions opt;
   for (std::uint64_t i = 0; i < 50; ++i) {
-    const FuzzCase fc = generate_case(derive_seed(base, i), opt);
-    EXPECT_GE(fc.num_qubits, opt.min_qubits);
-    EXPECT_LE(fc.num_qubits, opt.max_qubits);
+    const FuzzCase fc = generate_case(exec::task_seed(base, i));
+    EXPECT_GE(fc.num_qubits, 2u);
+    EXPECT_LE(fc.num_qubits, 6u);
     for (const Circuit* c :
          {&fc.unitary, &fc.unitary_t, &fc.measured, &fc.stream}) {
       EXPECT_TRUE(slot_conflict_free(*c));
@@ -121,11 +120,11 @@ TEST(FuzzGeneratorTest, RespectsPalettesAndSlotInvariant) {
 }
 
 TEST(FuzzGeneratorTest, SameSeedSameCase) {
-  const FuzzCase a = generate_case(99, GeneratorOptions{});
-  const FuzzCase b = generate_case(99, GeneratorOptions{});
+  const FuzzCase a = generate_case(99);
+  const FuzzCase b = generate_case(99);
   EXPECT_EQ(to_qasm(a.stream), to_qasm(b.stream));
   EXPECT_EQ(to_qasm(a.measured), to_qasm(b.measured));
-  const FuzzCase c = generate_case(100, GeneratorOptions{});
+  const FuzzCase c = generate_case(100);
   EXPECT_NE(to_qasm(a.stream), to_qasm(c.stream));
 }
 
@@ -133,8 +132,7 @@ TEST(FuzzGeneratorTest, InverseComposesToIdentity) {
   const std::uint64_t base = test::test_seed(5);
   QPF_ANNOUNCE_SEED(base);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const FuzzCase fc = generate_case(derive_seed(base, i),
-                                      GeneratorOptions{});
+    const FuzzCase fc = generate_case(exec::task_seed(base, i));
     // unitary + inverse_of(unitary) must leave every stabilizer row of
     // a tableau at its initial value.
     stab::Tableau tab(fc.num_qubits);
@@ -270,24 +268,11 @@ TEST(FuzzEngineTest, OracleFilterRestrictsRuns) {
   EXPECT_TRUE(report.pass());
 }
 
-TEST(FuzzEngineTest, InvalidGeneratorOptionsThrowAtEveryJobs) {
-  // Checked before any case runs: inside an executor task this
-  // std::invalid_argument would abort the process.
-  FuzzOptions options;
-  options.cases = 2;
-  options.generator.min_qubits = 1;
-  for (const std::size_t jobs : {1u, 2u}) {
-    options.jobs = jobs;
-    EXPECT_THROW((void)run_fuzz(options), std::invalid_argument)
-        << "jobs=" << jobs;
-  }
-}
-
 TEST(FuzzEngineTest, ReplayUnknownOracleThrows) {
   Reproducer rep;
   rep.oracle = "no-such-oracle";
   rep.case_seed = 1;
-  EXPECT_THROW((void)replay_reproducer(rep, OracleTuning{}), Error);
+  EXPECT_THROW((void)replay_reproducer(rep), Error);
 }
 
 }  // namespace

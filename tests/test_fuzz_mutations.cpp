@@ -103,7 +103,7 @@ TEST_P(MutationSmoke, PlantedBugIsCaughtWithinBudget) {
   // The reproducer replays to the same verdict while the bug is in.
   if (!failure.reproducer.empty()) {
     const Reproducer rep = parse_reproducer(failure.reproducer);
-    const OracleOutcome replay = replay_reproducer(rep, smoke_options().tuning);
+    const OracleOutcome replay = replay_reproducer(rep);
     EXPECT_FALSE(replay.passed) << "bug " << bug << " reproducer lost its bite";
   }
 }

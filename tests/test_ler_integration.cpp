@@ -128,20 +128,5 @@ TEST(LerStackTest, PlusBasisExperimentRuns) {
   EXPECT_GE(flips, 1);  // Z_L errors detected in the X basis
 }
 
-TEST(LerStackTest, TwoLogicalQubitsCoexist) {
-  LerStack::Config config;
-  config.physical_error_rate = 0.0;
-  config.logical_qubits = 2;
-  LerStack stack(config);
-  stack.ninja().initialize(0, CheckType::kZ);
-  stack.ninja().initialize(1, CheckType::kZ);
-  Circuit logical;
-  logical.append(GateType::kX, 0);
-  logical.append(GateType::kCnot, 0, 1);
-  stack.ninja().add(logical);
-  stack.ninja().execute();
-  EXPECT_EQ(stack.ninja().measure_logical(1), -1);
-}
-
 }  // namespace
 }  // namespace qpf::arch

@@ -305,8 +305,6 @@ TEST_F(ResumeTest, JournalWithSubsystemsThisConfigLacksIsRejected) {
   LerConfig undecoded = fast_config();
   undecoded.ninja_options.decoding_enabled = false;
   undecoded.max_windows = 50;
-  LerConfig two_qubits = fast_config();
-  two_qubits.logical_qubits = 2;
   LerConfig protected_frame = fast_config();
   protected_frame.frame_protection = pf::Protection::kVote;
   LerConfig validated = fast_config();
@@ -316,8 +314,8 @@ TEST_F(ResumeTest, JournalWithSubsystemsThisConfigLacksIsRejected) {
   LerConfig supervised = fast_config();
   supervised.supervise = true;
   for (const LerConfig& written :
-       {chaos, deadline, larger, same_s, undecoded, two_qubits,
-        protected_frame, validated, faulty, supervised}) {
+       {chaos, deadline, larger, same_s, undecoded, protected_frame,
+        validated, faulty, supervised}) {
     std::filesystem::remove_all(dir_);
     CampaignOptions options;
     options.config = written;

@@ -143,9 +143,9 @@ TEST(RobustnessTest, SteaneLayerSurvivesModerateNoise) {
   const std::uint64_t base = test::test_seed(41);
   QPF_ANNOUNCE_SEED(base);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    ChpCore core(fuzz::derive_seed(test::stream_seed(base, "core"), seed));
+    ChpCore core(exec::task_seed(test::stream_seed(base, "core"), seed));
     ErrorLayer noisy(&core, 3e-4,
-                     fuzz::derive_seed(test::stream_seed(base, "noise"), seed));
+                     exec::task_seed(test::stream_seed(base, "noise"), seed));
     SteaneLayer steane(&noisy);
     steane.create_qubits(1);
     steane.initialize(0);

@@ -140,13 +140,14 @@ TEST(ServeProtocolTest, UnknownTypeAndBadVersionAreRejected) {
     decoder.feed(wire.data(), wire.size());
     EXPECT_THROW((void)decoder.next(), ProtocolError);
   }
-  {
+  for (const std::uint8_t version : {0, 1, 3, 99}) {
     Frame frame = sample_frame();
-    frame.version = 99;
+    frame.version = version;
     const std::vector<std::uint8_t> wire = encode_frame(frame);
     FrameDecoder decoder;
     decoder.feed(wire.data(), wire.size());
-    EXPECT_THROW((void)decoder.next(), ProtocolError);
+    EXPECT_THROW((void)decoder.next(), ProtocolError)
+        << "version " << static_cast<int>(version);
   }
 }
 
@@ -226,10 +227,11 @@ TEST(ServeProtocolTest, PayloadCodecsRoundTrip) {
     EXPECT_EQ(back.resume, m.resume);
   }
   {
-    const SessionOpened back =
-        decode_session_opened(encode_session_opened({0xdeadbeefull, true}));
+    const SessionOpened back = decode_session_opened(
+        encode_session_opened({0xdeadbeefull, true, 41}));
     EXPECT_EQ(back.session, 0xdeadbeefull);
     EXPECT_TRUE(back.restored);
+    EXPECT_EQ(back.last_request_id, 41u);
   }
   {
     RunReply m;

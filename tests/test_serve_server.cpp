@@ -217,23 +217,42 @@ TEST(ServeServerTest, UnknownSessionAndVersionRefusalsAreTyped) {
     ASSERT_TRUE(run.error.has_value());
     EXPECT_EQ(run.error->code, "unknown-session");
   }
-  {
-    // A client from the future: version range [7, 9] does not
-    // intersect ours — typed `version` refusal.
+  // A client from the future ([7, 9]) and one that speaks only the
+  // retired version 1 ([1, 1]): neither range holds version 2 — typed
+  // `version` refusal, then the connection is dropped.
+  for (const Hello& payload :
+       {Hello{7, 9, "time-traveler"}, Hello{1, 1, "v1-client"}}) {
     Client client;
     client.connect(fixture.port());
     Frame hello;
     hello.type = MsgType::kHello;
     hello.request = 1;
-    Hello payload;
-    payload.min_version = 7;
-    payload.max_version = 9;
-    payload.client_name = "time-traveler";
     hello.payload = encode_hello(payload);
     const Frame reply = client.transact(hello);
-    ASSERT_EQ(reply.type, MsgType::kError);
+    ASSERT_EQ(reply.type, MsgType::kError) << payload.client_name;
     EXPECT_EQ(decode_error_reply(reply.payload).code, "version");
+    EXPECT_FALSE(client.recv().has_value());
   }
+}
+
+TEST(ServeServerTest, FrameWithVersionByteOneIsRefused) {
+  // A version-1 frame is an armor violation: the server answers with
+  // a typed `protocol` error and drops the connection.
+  ServerFixture fixture{ServeOptions{}};
+  Client client;
+  client.connect(fixture.port());
+  Frame hello;
+  hello.version = 1;
+  hello.type = MsgType::kHello;
+  hello.request = 1;
+  hello.payload = encode_hello(Hello{1, 2, "v1-frames"});
+  client.send(hello);
+  const auto reply = client.recv();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kError);
+  EXPECT_EQ(decode_error_reply(reply->payload).code, "protocol");
+  EXPECT_FALSE(client.recv().has_value());
+  EXPECT_EQ(fixture.server().stats().connections_dropped, 1u);
 }
 
 TEST(ServeServerTest, QuotaRefusesDeterministically) {
@@ -437,7 +456,8 @@ TEST(ServeServerTest, ReattachWithWorkInFlightKeepsTheQuota) {
   // be charging that session while the re-attach runs, so the open must
   // not read the session's own counters; the admission counters already
   // count the in-flight work.  Either way the session runs exactly its
-  // quota of requests.
+  // quota of requests.  The two connections use disjoint request ids
+  // (100.. and 200..), so the dedup window answers none of them.
   constexpr std::uint64_t kQuota = 12;
   ServeOptions options;
   options.quota.max_requests = kQuota;
@@ -455,7 +475,6 @@ TEST(ServeServerTest, ReattachWithWorkInFlightKeepsTheQuota) {
     ASSERT_FALSE(first.open_session(basic_config("t")).error.has_value());
     for (int i = 0; i < 8; ++i) {
       Frame request;
-      request.version = 1;
       request.type = MsgType::kSubmitQasm;
       request.session = id;
       request.request = static_cast<std::uint32_t>(100 + i);
@@ -478,9 +497,14 @@ TEST(ServeServerTest, ReattachWithWorkInFlightKeepsTheQuota) {
   EXPECT_TRUE(decode_session_opened(reopened.reply.payload).restored);
   std::uint64_t accepted = 0;
   for (std::uint64_t i = 0; i <= kQuota; ++i) {
-    const Client::Result run = second.submit_qasm(id, kProgram);
-    if (run.error.has_value()) {
-      EXPECT_EQ(run.error->code, "quota");
+    Frame request;
+    request.type = MsgType::kSubmitQasm;
+    request.session = id;
+    request.request = static_cast<std::uint32_t>(200 + i);
+    request.payload = encode_submit_qasm(kProgram);
+    const Frame reply = second.transact(request);
+    if (reply.type == MsgType::kError) {
+      EXPECT_EQ(decode_error_reply(reply.payload).code, "quota");
       break;
     }
     ++accepted;
@@ -549,6 +573,43 @@ TEST_F(ServeServerDrainTest, DrainParksSessionsAndRestartRestores) {
   ASSERT_FALSE(measured.error.has_value());
   EXPECT_EQ(decode_measure_reply(measured.reply.payload), bits_before);
   EXPECT_EQ(fixture.server().stats().sessions_restored, 1u);
+}
+
+TEST_F(ServeServerDrainTest, ReattachedClientRequestsRunAfterARestart) {
+  // A Client numbers its requests 1, 2, 3, ... on every connection,
+  // while the parked session's dedup window still holds the replies of
+  // the first connection's ids.  Opening the session moves the new
+  // connection's ids past the session's last_request_id, so its
+  // submits execute instead of being answered from the window.
+  ServeOptions options;
+  options.state_dir = dir_;
+  const std::uint64_t id = session_id_for("t");
+  {
+    ServerFixture fixture{options};
+    Client client;
+    handshake(client, fixture.port());
+    ASSERT_FALSE(client.open_session(basic_config("t")).error.has_value());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_FALSE(client.submit_qasm(id, kProgram).error.has_value());
+    }
+    fixture.drain();
+  }
+
+  ServerFixture fixture{options};
+  Client client;
+  handshake(client, fixture.port());
+  SessionConfig resume = basic_config("t");
+  resume.resume = true;
+  const Client::Result opened = client.open_session(resume);
+  ASSERT_FALSE(opened.error.has_value()) << opened.error->message;
+  EXPECT_TRUE(decode_session_opened(opened.reply.payload).restored);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_FALSE(client.submit_qasm(id, kProgram).error.has_value());
+  }
+  const Client::Result closed = client.close_session(id);
+  ASSERT_FALSE(closed.error.has_value());
+  EXPECT_EQ(decode_closed(closed.reply.payload).requests_served, 6u);
+  EXPECT_EQ(fixture.server().stats().dedup_hits, 0u);
 }
 
 TEST_F(ServeServerDrainTest, ParkFailureEvictsWithIoDegradedNotCorruption) {

@@ -131,8 +131,8 @@ for path, verdict in zip(sys.argv[1:3], ("PASS", "FAIL")):
 EOF
 
 # The serve stack's load report (qpf_serve_load --json) is the third
-# machine-readable schema: run a small resilient-client workload against
-# a live server and validate the qpf-serve-bench-v2 key set, including
+# machine-readable schema: run a small RetryClient workload against a
+# live server and validate the qpf-serve-bench-v2 key set, including
 # the robustness counters (retries, reconnects, dedup_hits,
 # lease_expirations) that bench_compare.py deliberately does not gate.
 serve="$build_dir/tools/qpf_serve"
@@ -160,7 +160,7 @@ if [ -z "$port" ]; then
     echo "check_bench.sh: qpf_serve never reported its port" >&2
     exit 1
 fi
-"$serve_load" --port="$port" --sessions=4 --requests=4 --retry --json \
+"$serve_load" --port="$port" --sessions=4 --requests=4 --json \
     > "$workdir/serve-bench.json" 2> "$workdir/serve-load.log" || {
     status=$?
     echo "check_bench.sh: qpf_serve_load FAILED (exit $status)" >&2

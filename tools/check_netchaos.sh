@@ -108,11 +108,11 @@ requests=8
 
 echo "check_netchaos.sh: build $build_dir ($mode)"
 
-# --- 1. fault-free --retry reference --------------------------------
+# --- 1. fault-free reference ----------------------------------------
 start_server "$workdir/ref.log"
 mkdir -p "$workdir/ref"
 "$qpf_load" --port="$port" --sessions=$sessions --requests=$requests \
-    --poison=0 --retry --json --transcript-dir="$workdir/ref" \
+    --poison=0 --json --transcript-dir="$workdir/ref" \
     >"$workdir/ref.json" 2>"$workdir/ref.load" \
     || { echo "check_netchaos.sh: reference load run failed" >&2;
          cat "$workdir/ref.load" >&2; exit 1; }
@@ -120,7 +120,7 @@ stop_server
 grep -q '"schema": "qpf-serve-bench-v2"' "$workdir/ref.json" \
     || { echo "check_netchaos.sh: reference summary is not schema v2" >&2;
          cat "$workdir/ref.json" >&2; exit 1; }
-echo "  reference: $sessions retry sessions clean (schema v2)"
+echo "  reference: $sessions sessions clean (schema v2)"
 
 # compare_healthy <dir> <label>: tenants 1..8 byte-identical to the
 # reference, tenant-0 (poisoned) diverged and was evicted.
@@ -149,7 +149,7 @@ for spec in "reset@12" "garble@9:bit=3" "short-send:seed=5" \
     start_server "$workdir/$tag.log"
     mkdir -p "$workdir/$tag"
     QPF_FAULTNET="$spec" "$qpf_load" --port="$port" --sessions=$sessions \
-        --requests=$requests --poison=1 --retry --json \
+        --requests=$requests --poison=1 --json \
         --transcript-dir="$workdir/$tag" \
         >"$workdir/$tag.json" 2>"$workdir/$tag.load" \
         || { echo "check_netchaos.sh: load run failed under $spec" >&2;
@@ -168,7 +168,7 @@ done
 mkdir -p "$workdir/bh.state" "$workdir/bh"
 start_server "$workdir/bh.log" --state-dir="$workdir/bh.state" --lease-ms=300
 QPF_FAULTNET="blackhole@13" "$qpf_load" --port="$port" \
-    --sessions=$sessions --requests=$requests --poison=1 --retry --json \
+    --sessions=$sessions --requests=$requests --poison=1 --json \
     --transcript-dir="$workdir/bh" \
     >"$workdir/bh.json" 2>"$workdir/bh.load" \
     || { echo "check_netchaos.sh: load run failed under blackhole@13" >&2;
@@ -190,7 +190,7 @@ echo "  blackhole@13: lease reaped ($leases), healthy transcripts intact"
 mkdir -p "$workdir/drain.state" "$workdir/before"
 start_server "$workdir/drain.log" --state-dir="$workdir/drain.state"
 QPF_FAULTNET="short-send:seed=5" "$qpf_load" --port="$port" --sessions=4 \
-    --requests=$requests --no-close --retry \
+    --requests=$requests --no-close \
     --transcript-dir="$workdir/before" >"$workdir/before.load" 2>&1 \
     || { echo "check_netchaos.sh: pre-drain load run failed" >&2;
          cat "$workdir/before.load" >&2; exit 1; }
@@ -208,7 +208,7 @@ if [ "$parked" -ne 4 ]; then
 fi
 start_server "$workdir/restore.log" --state-dir="$workdir/drain.state"
 "$qpf_load" --port="$port" --sessions=4 --requests=$requests --resume \
-    --retry >"$workdir/restore.load" 2>&1 \
+    >"$workdir/restore.load" 2>&1 \
     || { echo "check_netchaos.sh: restore load run failed" >&2;
          cat "$workdir/restore.load" >&2; exit 1; }
 stop_server
@@ -222,7 +222,7 @@ echo "  drain: exit 130 with 4/4 parked under short sends, 4/4 restored"
 # (connection 1 of the load process; the stats query dials later).
 start_server "$workdir/count.log"
 QPF_FAULTNET="count:$workdir/ordinals.log" "$qpf_load" --port="$port" \
-    --sessions=1 --requests=4 --retry >"$workdir/count.load" 2>&1 \
+    --sessions=1 --requests=4 >"$workdir/count.load" 2>&1 \
     || { echo "check_netchaos.sh: counting run failed" >&2;
          cat "$workdir/count.load" >&2; exit 1; }
 stop_server
@@ -238,7 +238,7 @@ fi
 # byte-for-byte comparison).
 start_server "$workdir/sweepref.log"
 mkdir -p "$workdir/sweepref"
-"$qpf_load" --port="$port" --sessions=1 --requests=4 --retry \
+"$qpf_load" --port="$port" --sessions=1 --requests=4 \
     --transcript-dir="$workdir/sweepref" >"$workdir/sweepref.load" 2>&1 \
     || { echo "check_netchaos.sh: storm reference run failed" >&2;
          cat "$workdir/sweepref.load" >&2; exit 1; }
@@ -257,7 +257,7 @@ for k in $ks; do
     mkdir -p "$workdir/sweep"
     rm -f "$workdir/sweep/tenant-0.transcript"
     QPF_FAULTNET="reset@$k" "$qpf_load" --port="$port" --sessions=1 \
-        --requests=4 --retry --json --transcript-dir="$workdir/sweep" \
+        --requests=4 --json --transcript-dir="$workdir/sweep" \
         >"$workdir/sweep.json" 2>"$workdir/sweep.load" \
         || { echo "check_netchaos.sh: reset@$k run failed" >&2;
              cat "$workdir/sweep.load" >&2; exit 1; }

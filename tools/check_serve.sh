@@ -17,6 +17,11 @@
 #      to the state dir and exits 130; a restarted server restores them
 #      transparently for a --resume client (exit 0 end to end).
 #
+# qpf_serve_load drives every session through RetryClient.  With no
+# QPF_FAULTNET schedule installed, a healthy session that needed a retry
+# or a reconnect fails the load run, so a poisoned neighbour can cost
+# the healthy tenants neither a reply byte nor a resend.
+#
 # Usage: tools/check_serve.sh [build-dir]     (default: ./build)
 set -euo pipefail
 

@@ -26,8 +26,8 @@
 #include "circuit/error.h"
 #include "cli/numeric_args.h"
 #include "cli/stdio_guard.h"
+#include "exec/executor.h"
 #include "fuzz/engine.h"
-#include "fuzz/seeds.h"
 
 namespace {
 
@@ -44,7 +44,6 @@ int usage(std::ostream& out) {
          "  --oracle=NAME      run only this oracle (repeatable, or a\n"
          "                     comma-separated list); default: all\n"
          "  --json             emit the JSON triage report on stdout\n"
-         "  --minimize         shrink failing circuits (default on)\n"
          "  --no-shrink        report failures without shrinking\n"
          "  --max-failures=N   stop after N failures (default 8, 0=never)\n"
          "  --jobs=N           worker threads for the case fan-out\n"
@@ -54,7 +53,6 @@ int usage(std::ostream& out) {
          "  --no-qx            skip state-vector oracles (semantics,\n"
          "                     mirror-qx, backend-diff)\n"
          "  --no-chaos         skip the supervised chaos oracle\n"
-         "  --shots=N          sampling-oracle shots (default 256)\n"
          "  --plant=N          activate planted bug N (mutation smoke)\n"
          "  --replay=FILE      replay one corpus reproducer and exit\n"
          "  --corpus=DIR       write each failure's reproducer into DIR\n"
@@ -95,9 +93,9 @@ int list_bugs() {
   return 0;
 }
 
-int replay_file(const std::string& path, const qpf::fuzz::OracleTuning& tuning) {
+int replay_file(const std::string& path) {
   const qpf::fuzz::Reproducer rep = qpf::fuzz::load_reproducer(path);
-  const OracleOutcome outcome = qpf::fuzz::replay_reproducer(rep, tuning);
+  const OracleOutcome outcome = qpf::fuzz::replay_reproducer(rep);
   std::cout << "replay " << path << "\n"
             << "  oracle:    " << rep.oracle << "\n"
             << "  case-seed: " << rep.case_seed << "\n"
@@ -157,8 +155,6 @@ int main(int argc, char** argv) {
         return usage(std::cout);
       } else if (arg == "--json") {
         json = true;
-      } else if (arg == "--minimize") {
-        options.shrink = true;
       } else if (arg == "--no-shrink") {
         options.shrink = false;
       } else if (arg == "--no-qx") {
@@ -179,8 +175,6 @@ int main(int argc, char** argv) {
         options.max_failures = qpf::cli::parse_count(value);
       } else if (consume_prefix(arg, "--jobs=", value)) {
         options.jobs = qpf::cli::parse_count(value, qpf::cli::kMaxThreads);
-      } else if (consume_prefix(arg, "--shots=", value)) {
-        options.tuning.shots = qpf::cli::parse_count(value);
       } else if (consume_prefix(arg, "--minutes=", value)) {
         minutes = qpf::cli::parse_real(value);
       } else if (consume_prefix(arg, "--plant=", value)) {
@@ -216,7 +210,7 @@ int main(int argc, char** argv) {
     }
 
     if (!replay_path.empty()) {
-      return replay_file(replay_path, options.tuning);
+      return replay_file(replay_path);
     }
 
     FuzzReport report;
@@ -232,7 +226,7 @@ int main(int argc, char** argv) {
       report.seed = options.seed;
       do {
         FuzzOptions batch_options = options;
-        batch_options.seed = qpf::fuzz::derive_seed(options.seed, batch);
+        batch_options.seed = qpf::exec::task_seed(options.seed, batch);
         FuzzReport r = run_fuzz(batch_options);
         report.cases += r.cases;
         report.oracle_runs += r.oracle_runs;

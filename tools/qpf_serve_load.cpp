@@ -1,20 +1,24 @@
 // qpf_serve_load: load generator and isolation witness for qpf_serve.
 //
-// Spawns --sessions concurrent client connections, each owning one
-// session and running --requests lockstep QASM submissions.  The first
+// Spawns --sessions concurrent RetryClient sessions, each on its own
+// connection, running --requests lockstep QASM submissions.  The first
 // --poison sessions are configured to die: a supervised stack with a
 // one-strike escalation budget under a continuous chaos schedule, so
 // the supervisor exhausts its retries and the server evicts the
 // session with a typed `supervision` reply.
 //
-// Every connection's raw received byte stream can be dumped with
-// --transcript-dir; check_serve.sh diffs healthy sessions' transcripts
-// between a --poison=0 and a --poison=1 run to prove fault isolation
-// bit-for-bit.
+// Every session's transcript — the replies RetryClient handed back,
+// re-encoded — can be dumped with --transcript-dir; check_serve.sh
+// diffs healthy sessions' transcripts between a --poison=0 and a
+// --poison=1 run to prove fault isolation bit-for-bit, and
+// check_netchaos.sh diffs them across FaultNet schedules.  With no
+// QPF_FAULTNET schedule installed, a healthy session that needed a
+// retry or a reconnect fails.
 //
 // --json emits the BENCH_serve.json report (schema
-// qpf-serve-bench-v1): p50/p99/p999 request latency, requests/sec and
-// sessions/sec, plus reply-code counters.
+// qpf-serve-bench-v2): p50/p99/p999 request latency, requests/sec and
+// sessions/sec, reply-code counters, the clients' retries and
+// reconnects, and the server's dedup and lease counters.
 //
 // Exit codes: 0 when every healthy session completed cleanly (poisoned
 // sessions are REQUIRED to be evicted — a poisoned session that
@@ -26,7 +30,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,12 +37,10 @@
 #include "circuit/error.h"
 #include "cli/numeric_args.h"
 #include "io/file_ops.h"
-#include "serve/client.h"
 #include "serve/retry_client.h"
 
 namespace {
 
-using qpf::serve::Client;
 using qpf::serve::RetryClient;
 using qpf::serve::RetryOptions;
 using qpf::serve::SessionConfig;
@@ -50,11 +51,10 @@ struct LoadOptions {
   std::size_t requests = 16;
   std::size_t poison = 0;
   std::uint64_t qubits = 4;
-  std::uint64_t hold_ms = 0;      ///< keep connections open before close
   bool resume = false;            ///< open sessions with resume=true
   bool close_sessions = true;
-  bool retry = false;             ///< exactly-once RetryClient (v2)
   std::uint64_t heartbeat_ms = 0; ///< RetryClient lease heartbeats
+  bool faultnet = false;          ///< a QPF_FAULTNET schedule is installed
   std::string prefix = "tenant";
   std::string transcript_dir;
   bool json = false;
@@ -113,82 +113,33 @@ SessionConfig make_config(const LoadOptions& options, std::size_t index) {
   return config;
 }
 
-void run_session(const LoadOptions& options, std::size_t index,
-                 SessionOutcome& outcome) {
-  const bool poisoned = index < options.poison;
-  Client client;
-  try {
-    client.connect(options.port);
-    Client::Result r = client.hello(options.prefix);
-    if (r.error.has_value()) {
-      outcome.failure = "hello refused: " + r.error->message;
-      outcome.transcript = client.transcript();
-      return;
-    }
-    r = client.open_session(make_config(options, index));
-    if (r.error.has_value()) {
-      outcome.failure = "open refused: " + r.error->code;
-      outcome.transcript = client.transcript();
-      return;
-    }
-    const qpf::serve::SessionOpened opened =
-        qpf::serve::decode_session_opened(r.reply.payload);
-
-    for (std::size_t request = 0; request < options.requests; ++request) {
-      const std::string qasm =
-          make_qasm(options.qubits, index, request);
-      const auto t0 = std::chrono::steady_clock::now();
-      r = client.submit_qasm(opened.session, qasm);
-      const auto t1 = std::chrono::steady_clock::now();
-      outcome.latencies_ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      if (r.error.has_value()) {
-        ++outcome.replies_error;
-        if (r.error->code == "supervision" || r.error->code == "evicted") {
-          outcome.evicted = true;
-        }
-      } else {
-        ++outcome.replies_ok;
-      }
-    }
-
-    if (options.hold_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.hold_ms));
-    }
-    if (options.close_sessions && !outcome.evicted) {
-      r = client.close_session(opened.session);
-      if (r.error.has_value()) {
-        outcome.failure = "close refused: " + r.error->code;
-        outcome.transcript = client.transcript();
-        return;
-      }
-    }
-    // Contract: healthy sessions answer everything; poisoned sessions
-    // must have been evicted by the supervisor.
-    outcome.ok = poisoned
-                     ? outcome.evicted
-                     : outcome.replies_error == 0 &&
-                           outcome.replies_ok == options.requests;
-    if (!outcome.ok && outcome.failure.empty()) {
-      outcome.failure = poisoned ? "poisoned session was never evicted"
-                                 : "healthy session saw error replies";
-    }
-  } catch (const qpf::Error& e) {
-    // During a drain/hold test the server may vanish mid-conversation;
-    // that is only a failure for sessions that still expected replies.
-    outcome.failure = e.what();
-    outcome.ok = options.hold_ms > 0 &&
-                 (poisoned ? outcome.evicted
-                           : outcome.replies_ok == options.requests);
+/// Why a session that ran to its end broke the contract, or "" when it
+/// kept it: poisoned sessions must have been evicted by the supervisor;
+/// healthy sessions answer everything and, with no QPF_FAULTNET
+/// schedule installed, need no retry or reconnect — on a clean network
+/// nothing may cost a healthy tenant a resend, poisoned neighbour
+/// included.
+std::string contract_failure(const LoadOptions& options, bool poisoned,
+                             const SessionOutcome& outcome) {
+  if (poisoned) {
+    return outcome.evicted ? "" : "poisoned session was never evicted";
   }
-  outcome.transcript = client.transcript();
+  if (outcome.replies_error != 0 || outcome.replies_ok != options.requests) {
+    return "healthy session saw error replies";
+  }
+  if (!options.faultnet && (outcome.retries != 0 || outcome.reconnects != 0)) {
+    return "healthy session needed " + std::to_string(outcome.retries) +
+           " retries and " + std::to_string(outcome.reconnects) +
+           " reconnects with no QPF_FAULTNET schedule";
+  }
+  return "";
 }
 
-/// --retry variant: the exactly-once RetryClient drives the session, so
-/// the run survives FaultNet schedules (resets, stalls, corruption,
+/// Drive session `index` through the exactly-once RetryClient, so the
+/// run survives FaultNet schedules (resets, stalls, corruption,
 /// blackholes) with a transcript byte-identical to a fault-free run.
-void run_session_retry(const LoadOptions& options, std::size_t index,
-                       SessionOutcome& outcome) {
+void run_session(const LoadOptions& options, std::size_t index,
+                 SessionOutcome& outcome) {
   const bool poisoned = index < options.poison;
   RetryOptions retry;
   retry.client_name = options.prefix;
@@ -212,37 +163,22 @@ void run_session_retry(const LoadOptions& options, std::size_t index,
         ++outcome.replies_ok;
       }
     }
-
-    if (options.hold_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.hold_ms));
-    }
     if (options.close_sessions && !outcome.evicted) {
       const RetryClient::Result r = client.close();
       if (r.error.has_value()) {
         outcome.failure = "close refused: " + r.error->code;
-        outcome.transcript = client.transcript();
-        outcome.retries = client.retries();
-        outcome.reconnects = client.reconnects();
-        return;
       }
-    }
-    outcome.ok = poisoned
-                     ? outcome.evicted
-                     : outcome.replies_error == 0 &&
-                           outcome.replies_ok == options.requests;
-    if (!outcome.ok && outcome.failure.empty()) {
-      outcome.failure = poisoned ? "poisoned session was never evicted"
-                                 : "healthy session saw error replies";
     }
   } catch (const qpf::Error& e) {
     outcome.failure = e.what();
-    outcome.ok = options.hold_ms > 0 &&
-                 (poisoned ? outcome.evicted
-                           : outcome.replies_ok == options.requests);
   }
   outcome.transcript = client.transcript();
   outcome.retries = client.retries();
   outcome.reconnects = client.reconnects();
+  if (outcome.failure.empty()) {
+    outcome.failure = contract_failure(options, poisoned, outcome);
+  }
+  outcome.ok = outcome.failure.empty();
 }
 
 double percentile(std::vector<double> values, double p) {
@@ -263,12 +199,8 @@ int usage(std::ostream& out) {
          "  --requests=N        lockstep requests per session (default 16)\n"
          "  --poison=K          first K sessions get a fatal chaos stack\n"
          "  --qubits=N          session register size (default 4)\n"
-         "  --hold-ms=N         keep connections open N ms before close\n"
-         "                      (drain tests; server death tolerated)\n"
          "  --resume            open sessions with resume=true\n"
          "  --no-close          leave sessions open (park/drain tests)\n"
-         "  --retry             exactly-once RetryClient (protocol v2:\n"
-         "                      reconnect + resend, dedup-safe)\n"
          "  --heartbeat-ms=N    RetryClient lease heartbeats (0=off)\n"
          "  --prefix=NAME       session name prefix (default tenant)\n"
          "  --transcript-dir=D  write DIR/<name>.transcript witnesses\n"
@@ -282,10 +214,10 @@ int usage(std::ostream& out) {
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   qpf::io::install_faultfs_from_environment();
-  qpf::io::install_faultnet_from_environment();
   using qpf::cli::consume_prefix;
   using qpf::cli::parse_count;
   LoadOptions options;
+  options.faultnet = qpf::io::install_faultnet_from_environment();
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -298,8 +230,6 @@ int main(int argc, char** argv) {
         options.resume = true;
       } else if (arg == "--no-close") {
         options.close_sessions = false;
-      } else if (arg == "--retry") {
-        options.retry = true;
       } else if (consume_prefix(arg, "--heartbeat-ms=", value)) {
         options.heartbeat_ms = parse_count(value);
       } else if (consume_prefix(arg, "--port=", value)) {
@@ -312,8 +242,6 @@ int main(int argc, char** argv) {
         options.poison = parse_count(value);
       } else if (consume_prefix(arg, "--qubits=", value)) {
         options.qubits = parse_count(value);
-      } else if (consume_prefix(arg, "--hold-ms=", value)) {
-        options.hold_ms = parse_count(value);
       } else if (consume_prefix(arg, "--prefix=", value)) {
         options.prefix = value;
       } else if (consume_prefix(arg, "--transcript-dir=", value)) {
@@ -342,13 +270,8 @@ int main(int argc, char** argv) {
     std::vector<std::thread> threads;
     threads.reserve(options.sessions);
     for (std::size_t i = 0; i < options.sessions; ++i) {
-      threads.emplace_back([&options, &outcomes, i] {
-        if (options.retry) {
-          run_session_retry(options, i, outcomes[i]);
-        } else {
-          run_session(options, i, outcomes[i]);
-        }
-      });
+      threads.emplace_back(
+          [&options, &outcomes, i] { run_session(options, i, outcomes[i]); });
     }
     for (std::thread& t : threads) {
       t.join();
@@ -400,19 +323,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Server-side exactly-once counters, read over a throwaway v2 stats
-  // connection.  Best-effort: a server that is already gone (drain
-  // drills) just reports zeros.
+  // Server-side exactly-once counters, read over a throwaway stats
+  // connection.  Best-effort: a server that is already gone just
+  // reports zeros.
   std::uint64_t dedup_hits = 0;
   std::uint64_t lease_expirations = 0;
-  if (options.retry) {
-    try {
-      const qpf::serve::StatsReply stats =
-          RetryClient::query_stats(options.port);
-      dedup_hits = stats.dedup_hits;
-      lease_expirations = stats.lease_expired;
-    } catch (const qpf::Error&) {
-    }
+  try {
+    const qpf::serve::StatsReply stats =
+        RetryClient::query_stats(options.port);
+    dedup_hits = stats.dedup_hits;
+    lease_expirations = stats.lease_expired;
+  } catch (const qpf::Error&) {
   }
 
   const double wall_s = wall_ms / 1000.0;
@@ -452,7 +373,8 @@ int main(int argc, char** argv) {
     }
   }
   std::cerr << "qpf_serve_load: sessions=" << options.sessions << " ok="
-            << ok_sessions << " evicted=" << evicted << " p50=" << p50
+            << ok_sessions << " evicted=" << evicted << " retries=" << retries
+            << " reconnects=" << reconnects << " p50=" << p50
             << "ms p99=" << p99 << "ms\n";
   return ok_sessions == options.sessions ? 0 : 1;
 }
